@@ -261,6 +261,8 @@ def _run_trg(settings: dict) -> dict:
         "f_onsager": f_exact,
         "method": method,
         "free_energies": list(trace.free_energies),
+        "bond_dims": list(trace.bond_dims),
+        "discarded": list(trace.discarded),
     }
 
 

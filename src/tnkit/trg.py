@@ -12,6 +12,23 @@ The merging scheme contracts a pair of tensors along one axis and projects
 the doubled transverse legs with the dominant eigenvectors of the
 left/right Gram matrices, keeping whichever side discards less weight.
 
+Both schemes truncate through one kernel, ``_top_eigh``: only the leading
+``max_bond`` eigenpairs of a symmetric Gram matrix are computed (M M^T for
+a plaquette split, the left/right density of a merged pair), with
+``scipy.linalg.eigh(subset_by_index=...)``, and the package-wide rule of
+``tensor.truncate_spectrum`` is applied to their square roots. For an
+n x n Gram matrix that is one O(n^3) reduction to tridiagonal form plus
+O(n^2 max_bond) for the eigenvectors, several times cheaper than the full
+SVD it replaces (n = 1024 at chi = 32). The discarded weight is the trace
+minus the kept eigenvalues, over the trace; it is exactly 0.0 when nothing
+is cut, but on a rank-deficient step that cuts only zero values it is a
+difference of two sums and sits at rounding level (~1e-16), not ~1e-30.
+When the cut falls inside a near-degenerate group the kept subspace is
+arbitrary and moves with rounding: at chi = 16, beta = 0.35 the plaquette
+flow differs from a full-SVD flow by up to ~2e-9 relative at intermediate
+steps (~1e-14 after 25 steps). The merged pair is contracted one new leg
+index at a time, so no intermediate has more than chi^4 entries.
+
 Each step pulls out the max-norm of the coarse tensor; the running
 per-site log normalization plus the one-tensor torus closure give the free
 energy density."""
@@ -21,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .models import ClassicalModelSpec
 from .tensor import TruncationSpec, truncate_spectrum
@@ -78,13 +96,39 @@ def _rescaled(tensor: np.ndarray, state: CoarseGrainState) -> CoarseGrainState:
     return CoarseGrainState(tensor / scale, float(log_norm), n_new)
 
 
+def _top_eigh(gram: np.ndarray, spec: TruncationSpec):
+    """Leading eigenpairs of a symmetric positive semi-definite Gram matrix,
+    cut by the truncation rule applied to their square roots.
+
+    Only the top ``max_bond`` eigenpairs are computed; the discarded weight
+    is the trace minus the kept eigenvalues, over the trace, so the rest of
+    the spectrum is never formed. It is exactly 0.0 when nothing is cut.
+    Non-finite input raises ValueError. Returns (v, discarded) with the
+    kept eigenvectors as the columns of v, largest eigenvalue first.
+    """
+    n = gram.shape[0]
+    top = min(spec.max_bond, n)
+    w, v = scipy.linalg.eigh(gram, subset_by_index=[n - top, n - 1])
+    w = np.clip(w[::-1], 0.0, None)
+    k, _ = truncate_spectrum(np.sqrt(w), spec.max_bond, spec.rel_cutoff)
+    total = float(np.trace(gram))
+    if k == n or total <= 0.0:
+        discarded = 0.0
+    else:
+        discarded = max(total - float(np.sum(w[:k])), 0.0) / total
+    return v[:, ::-1][:, :k], discarded
+
+
 def _split(matrix: np.ndarray, spec: TruncationSpec):
     """Truncated symmetric split M ~ A @ B with the spectrum shared
-    evenly: A = U sqrt(s), B = sqrt(s) V."""
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    k, discarded = truncate_spectrum(s, spec.max_bond, spec.rel_cutoff)
-    root = np.sqrt(s[:k])
-    return u[:, :k] * root, root[:, None] * vh[:k], discarded
+    evenly: A = U sqrt(s), B = sqrt(s) V. U are the leading eigenvectors
+    of M M^T; the singular values are the row norms of U^T M = s V."""
+    u, discarded = _top_eigh(matrix @ matrix.T, spec)
+    sv = u.T @ matrix
+    root = np.sqrt(np.linalg.norm(sv, axis=1))
+    # rows with s == 0 are zero in sv and stay zero
+    inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
+    return u * root, inv_root[:, None] * sv, discarded
 
 
 def trg_step(state: CoarseGrainState, spec: TruncationSpec) -> tuple[CoarseGrainState, float]:
@@ -116,41 +160,45 @@ def _merge_isometry(t: np.ndarray, spec: TruncationSpec):
 
     Returns (isometry with rows (top leg, bottom leg), discarded weight).
     """
-    chi = t.shape
-    # left side: gram of (left_top, left_bottom) built from two half rows
-    a1 = np.tensordot(t, t, axes=([0, 3], [0, 3]))  # (l, m, l', m') from top row
-    a2 = np.tensordot(t, t, axes=([2, 3], [2, 3]))  # (m, l, m', l') from bottom row
-    rho_l = np.einsum("amcn,mbnd->abcd", a1, a2)
-    rho_l = rho_l.reshape(chi[1] * chi[1], chi[1] * chi[1])
-    b1 = np.tensordot(t, t, axes=([0, 1], [0, 1]))  # (m, r, m', r') from top row
-    b2 = np.tensordot(t, t, axes=([1, 2], [1, 2]))  # (m, r, m', r') from bottom row
-    rho_r = np.einsum("manc,mbnd->abcd", b1, b2)
-    rho_r = rho_r.reshape(chi[3] * chi[3], chi[3] * chi[3])
+    chi_u, chi_l, chi_d, chi_r = t.shape
+    # the four half-row Gram matrices are products of two matrix views of t
+    # with their own transposes, which BLAS forms as symmetric rank-k updates:
+    # x is (l d, u r), y is (u l, d r)
+    x = t.transpose(1, 2, 0, 3).reshape(chi_l * chi_d, chi_u * chi_r)
+    y = t.reshape(chi_u * chi_l, chi_d * chi_r)
+    a1 = (x @ x.T).reshape(chi_l, chi_d, chi_l, chi_d)  # (l, m, l', m') from top row
+    a2 = (y @ y.T).reshape(chi_u, chi_l, chi_u, chi_l)  # (m, l, m', l') from bottom row
+    rho_l = np.einsum("amcn,mbnd->abcd", a1, a2, optimize=True)
+    rho_l = rho_l.reshape(chi_l * chi_l, chi_l * chi_l)
+    b1 = (y.T @ y).reshape(chi_d, chi_r, chi_d, chi_r)  # (m, r, m', r') from top row
+    b2 = (x.T @ x).reshape(chi_u, chi_r, chi_u, chi_r)  # (m, r, m', r') from bottom row
+    rho_r = np.einsum("manc,mbnd->abcd", b1, b2, optimize=True)
+    rho_r = rho_r.reshape(chi_r * chi_r, chi_r * chi_r)
 
-    def eig_side(rho):
-        w, v = np.linalg.eigh((rho + rho.T) / 2)
-        w = np.clip(w[::-1], 0.0, None)
-        v = v[:, ::-1]
-        k, _ = truncate_spectrum(np.sqrt(w), spec.max_bond, spec.rel_cutoff)
-        return w, v[:, :k], float(np.sum(w[k:]))
-
-    wl, ul, err_l = eig_side(rho_l)
-    wr, ur, err_r = eig_side(rho_r)
+    ul, err_l = _top_eigh(rho_l, spec)
+    ur, err_r = _top_eigh(rho_r, spec)
     if err_l <= err_r:
-        return ul, err_l / max(float(np.sum(wl)), np.finfo(float).tiny)
-    return ur, err_r / max(float(np.sum(wr)), np.finfo(float).tiny)
+        return ul, err_l
+    return ur, err_r
 
 
 def _merge_vertical(t: np.ndarray, spec: TruncationSpec):
     """Contract a vertical pair (top above bottom) and compress both merged
-    horizontal legs with one shared isometry."""
-    chi = t.shape[1]
+    horizontal legs with one shared isometry. Works one new left index at
+    a time, as three matrix products on layouts prepared once, so no
+    intermediate exceeds chi^4 entries."""
+    chi_u, chi, chi_d, _ = t.shape
     iso, err = _merge_isometry(t, spec)
-    u3 = iso.reshape(chi, chi, -1)  # (top leg, bottom leg, new)
-    tmp = np.tensordot(u3, t, axes=(0, 1))  # (lb, a, u, m, rt)
-    tmp = np.tensordot(tmp, t, axes=([0, 3], [1, 0]))  # (a, u, rt, d, rb)
-    new = np.tensordot(tmp, u3, axes=([2, 4], [0, 1]))  # (a, u, d, b)
-    return new.transpose(1, 0, 2, 3), err  # -> (u, l, d, r)
+    k = iso.shape[1]
+    iso_t = np.ascontiguousarray(iso.T)  # (new, top leg bottom leg)
+    top = t.transpose(0, 3, 2, 1).reshape(-1, chi)  # (u rt m, lt)
+    bottom = t.transpose(0, 1, 3, 2).reshape(chi_d * chi, chi * chi_d)  # (m lb, rb d)
+    out = np.empty((k, chi_u, k, chi_d))  # (a, u, b, d)
+    for a in range(k):
+        left = iso_t[a].reshape(chi, chi)  # (lt, lb)
+        pair = (top @ left).reshape(chi_u * chi, chi_d * chi) @ bottom  # (u rt, rb d)
+        np.matmul(iso_t, pair.reshape(chi_u, chi * chi, chi_d), out=out[a])
+    return out.transpose(1, 0, 3, 2), err  # -> (u, l, d, r)
 
 
 def hotrg_step(

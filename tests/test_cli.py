@@ -281,6 +281,25 @@ class TestOtherSubcommands:
             assert key in rec
         assert rec["chi"] == 8 and rec["iterations"] == 8
         assert rec["abs_err_onsager"] < 1e-4
+        assert len(rec["free_energies"]) == len(rec["bond_dims"]) == len(rec["discarded"]) == 8
+        assert rec["bond_dims"][0] == 4 and max(rec["bond_dims"]) == 8
+        assert all(0.0 <= w < 1e-3 for w in rec["discarded"])
+
+    @pytest.mark.parametrize("method", ["trg", "hotrg"])
+    def test_trg_overflowing_tensor_is_numerical_failure(self, tmp_path, method):
+        cfg = {
+            "run": "trg",
+            "seed": 1,
+            "model": {"name": "ising_2d", "beta": 1000.0},
+            "method": method,
+            "max_bond": 8,
+            "n_iters": 4,
+        }
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["trg", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert json.loads((out / "error.json").read_text())["error"]["kind"] == "numerical"
 
     def test_oracle_tasks(self, tmp_path):
         tasks = [

@@ -8,6 +8,10 @@ from tnkit.models import ClassicalModelSpec
 from tnkit.oracle import ising_brute_force, onsager_f
 from tnkit.tensor import TruncationSpec
 from tnkit.trg import (
+    _merge_isometry,
+    _merge_vertical,
+    _split,
+    _top_eigh,
     build_plaquette_tensor,
     coarse_grain,
     free_energy_density,
@@ -18,6 +22,30 @@ from tnkit.trg import (
 )
 
 FULL = TruncationSpec(max_bond=64)
+BETA_C = 0.4406867935097715
+
+# per-step free energies at beta_c, max_bond 32, n_iters 7, as computed by
+# full SVD / full eigh before the top-k eigensolver replaced them
+PINNED_FLOWS = {
+    "trg": (
+        -2.8193568384446035,
+        -2.4859076214730687,
+        -2.28929769613372,
+        -2.201381412966471,
+        -2.154868555415273,
+        -2.132387235934684,
+        -2.1209841907511633,
+    ),
+    "hotrg": (
+        -2.9660992533934856,
+        -2.48590762147307,
+        -2.326463622233654,
+        -2.2013814129664726,
+        -2.161115098034319,
+        -2.1323879864635975,
+        -2.1223043516072146,
+    ),
+}
 
 
 def lnz_per_site_torus(length, beta):
@@ -136,3 +164,120 @@ def test_torus_trace_positive_along_flow():
         state, _ = trg_step(state, spec)
         assert torus_trace(state) > 0.0
         assert np.max(np.abs(state.tensor)) == pytest.approx(1.0)
+
+
+def _with_spectrum(s, shape, rng):
+    """A real matrix of the given shape with singular values s."""
+    q1, _ = np.linalg.qr(rng.standard_normal((shape[0], len(s))))
+    q2, _ = np.linalg.qr(rng.standard_normal((shape[1], len(s))))
+    return (q1 * s) @ q2.T
+
+
+def _rank_k(m, k):
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    return (u[:, :k] * s[:k]) @ vh[:k]
+
+
+def test_top_eigh_matches_full_eigh():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((20, 30))
+    gram = m @ m.T
+    full_w, full_v = np.linalg.eigh(gram)
+    full_w, full_v = full_w[::-1], full_v[:, ::-1]
+    v, discarded = _top_eigh(gram, TruncationSpec(max_bond=6))
+    np.testing.assert_allclose(v.T @ gram @ v, np.diag(full_w[:6]), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(v @ v.T, full_v[:, :6] @ full_v[:, :6].T, atol=1e-12)
+    assert discarded == pytest.approx(np.sum(full_w[6:]) / np.sum(full_w), abs=1e-12)
+    # a cap at or beyond the size returns the whole spectrum, nothing discarded
+    v, discarded = _top_eigh(gram, TruncationSpec(max_bond=20))
+    np.testing.assert_allclose(v.T @ gram @ v, np.diag(full_w), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(v @ v.T, np.eye(20), atol=1e-12)
+    assert discarded == 0.0
+
+
+def test_split_matches_truncated_svd():
+    rng = np.random.default_rng(12)
+    for shape, k in (((16, 24), 5), ((24, 16), 9), ((10, 10), 10)):
+        m = _with_spectrum(0.8 ** np.arange(min(shape)), shape, rng)
+        s = np.linalg.svd(m, compute_uv=False)
+        a, b, discarded = _split(m, TruncationSpec(max_bond=k))
+        assert a.shape == (shape[0], k) and b.shape == (k, shape[1])
+        np.testing.assert_allclose(np.sum(a * a, axis=0), s[:k], rtol=1e-12)
+        np.testing.assert_allclose(np.sum(b * b, axis=1), s[:k], rtol=1e-12)
+        want = _rank_k(m, k)
+        assert np.linalg.norm(a @ b - want) <= 1e-12 * np.linalg.norm(want)
+        assert discarded == pytest.approx(np.sum(s[k:] ** 2) / np.sum(s**2), abs=1e-12)
+        if k == min(shape):
+            assert discarded == 0.0
+
+
+def test_split_with_zero_singular_values_in_kept_set():
+    rng = np.random.default_rng(13)
+    m = _with_spectrum(np.array([1.0, 0.5, 0.25]), (8, 8), rng)
+    a, b, discarded = _split(m, TruncationSpec(max_bond=5))
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+    np.testing.assert_allclose(a @ b, m, atol=1e-12)
+    assert 0.0 <= discarded <= 1e-14
+    a, b, discarded = _split(np.zeros((4, 4)), TruncationSpec(max_bond=2))
+    assert not a.any() and not b.any() and discarded == 0.0
+
+
+def test_split_keeps_degenerate_group_at_relative_cutoff():
+    rng = np.random.default_rng(14)
+    # the group at 0.5 straddles the cutoff by far less than the
+    # degeneracy tolerance, so all three members are kept
+    s = np.array([1.0, 0.5 * (1 + 2e-15), 0.5, 0.5 * (1 - 2e-15), 0.2, 0.1])
+    m = _with_spectrum(s, (9, 7), rng)
+    a, b, discarded = _split(m, TruncationSpec(max_bond=6, rel_cutoff=0.5))
+    assert a.shape[1] == 4
+    want = _rank_k(m, 4)
+    assert np.linalg.norm(a @ b - want) <= 1e-12 * np.linalg.norm(want)
+    assert discarded == pytest.approx(np.sum(s[4:] ** 2) / np.sum(s**2), abs=1e-12)
+
+
+def test_merge_isometry_matches_full_eigh():
+    rng = np.random.default_rng(15)
+    t = rng.standard_normal((3, 4, 3, 4))
+    k = 5
+    # the vertical pair with the two left legs, then the two right legs, as rows
+    pair = np.einsum("uamc,mbdn->abucdn", t, t)
+    sides = [pair.reshape(16, -1), pair.transpose(3, 5, 0, 1, 2, 4).reshape(16, -1)]
+    best = None
+    for rows in sides:
+        w, v = np.linalg.eigh(rows @ rows.T)
+        w, v = w[::-1], v[:, ::-1]
+        err = np.sum(w[k:]) / np.sum(w)
+        if best is None or err < best[0]:
+            best = (err, v[:, :k])
+    iso, discarded = _merge_isometry(t, TruncationSpec(max_bond=k))
+    np.testing.assert_allclose(iso.T @ iso, np.eye(k), atol=1e-12)
+    np.testing.assert_allclose(iso @ iso.T, best[1] @ best[1].T, atol=1e-12)
+    assert discarded == pytest.approx(best[0], abs=1e-12)
+
+
+def test_merge_vertical_matches_dense_contraction():
+    rng = np.random.default_rng(16)
+    spec = TruncationSpec(max_bond=5)
+    t = rng.standard_normal((3, 4, 3, 4))
+    # a contiguous tensor and the transposed view a horizontal merge passes
+    for tensor in (t, t.transpose(1, 2, 3, 0).copy().transpose(3, 0, 1, 2)):
+        iso, _ = _merge_isometry(tensor, spec)
+        u3 = iso.reshape(4, 4, -1)
+        want = np.einsum("xya,uxmr,mydn,rnb->uadb", u3, tensor, tensor, u3)
+        got, _ = _merge_vertical(tensor, spec)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_non_finite_gram_raises():
+    spec = TruncationSpec(max_bond=2)
+    with pytest.raises(ValueError):
+        _top_eigh(np.full((3, 3), np.nan), spec)
+    with pytest.raises(ValueError):
+        _split(np.array([[1.0, np.inf], [0.0, 1.0]]), spec)
+
+
+@pytest.mark.parametrize("method", ["trg", "hotrg"])
+def test_flow_at_criticality_is_pinned(method):
+    _, trace = coarse_grain(ClassicalModelSpec(beta=BETA_C), method, max_bond=32, n_iters=7)
+    np.testing.assert_allclose(trace.free_energies, PINNED_FLOWS[method], rtol=1e-10, atol=0)
+    assert trace.bond_dims[-1] == 32
