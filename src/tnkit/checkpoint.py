@@ -18,6 +18,7 @@ fail with CheckpointError rather than producing a wrong state.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
@@ -32,6 +33,21 @@ class CheckpointError(Exception):
     """The file is not a valid checkpoint (bad magic, truncation, checksum)."""
 
 
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all: a synced temporary file
+    beside ``path`` replaces it, so on failure ``path`` keeps its content."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def checkpoint_write(psi: MatrixProductState, path: str) -> None:
     parts = [struct.pack("<I", psi.n_sites)]
     for a in psi.sites:
@@ -41,10 +57,7 @@ def checkpoint_write(psi: MatrixProductState, path: str) -> None:
     center = -1 if psi.center is None else psi.center
     parts.append(struct.pack("<i", center))
     payload = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    write_atomic(path, MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
 
 
 def checkpoint_read(path: str) -> MatrixProductState:

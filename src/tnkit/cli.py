@@ -36,16 +36,22 @@ import time
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, checkpoint_read, checkpoint_write
+from .checkpoint import CheckpointError, checkpoint_read, checkpoint_write, write_atomic
 from .config import (
+    SETTINGS,
+    SUBCOMMANDS,
     ConfigError,
+    DmrgSettings,
+    OracleSettings,
     RunSpec,
-    chain_spec,
-    classical_spec,
+    TebdSettings,
+    ThermalSettings,
+    TrgSettings,
+    _non_finite_path,
     load_config,
     parse_run_config,
 )
-from .dmrg import DmrgConfig, excited_state, ground_state
+from .dmrg import excited_state, ground_state
 from .models import PAULI
 from .mpo import build_mpo, expect_mpo
 from .mps import expect_local, norm, product_state
@@ -58,7 +64,7 @@ from .oracle import (
     ising_transfer_matrix,
     onsager_f,
 )
-from .tebd import TebdConfig, evolve, lift_mpo, lift_site_operator, thermal_state
+from .tebd import evolve, lift_mpo, lift_site_operator, thermal_state
 from .trg import coarse_grain
 
 EXIT_OK = 0
@@ -92,17 +98,6 @@ def _pyify(value):
     return value
 
 
-def _check_finite(value, where="result"):
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _check_finite(v, f"{where}.{k}")
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            _check_finite(v, f"{where}[{i}]")
-    elif isinstance(value, float) and not np.isfinite(value):
-        raise RuntimeError(f"non-finite value in {where}")
-
-
 # ---------------------------------------------------------------------------
 # per-subcommand runners
 # ---------------------------------------------------------------------------
@@ -125,36 +120,21 @@ def _initial_state(kind: str, spec, seed: int):
     return product_state(vecs)
 
 
-def _run_dmrg(settings: dict, checkpoint: str | None) -> dict:
-    spec = chain_spec(settings)
-    op = build_mpo(spec)
-    cfg = DmrgConfig(
-        max_bond=settings["max_bond"],
-        n_sweeps=settings.get("n_sweeps", 30),
-        tol=settings.get("tol", 1e-12),
-        lanczos_max_iter=settings.get("lanczos_max_iter", 100),
-        lanczos_tol=settings.get("lanczos_tol", 1e-12),
-        noise=settings.get("noise", 0.0),
-        seed=settings["seed"],
-    )
-    psi0 = None
-    if checkpoint and os.path.exists(checkpoint):
-        psi0 = checkpoint_read(checkpoint)
-    energy, psi, trace = ground_state(op, cfg, psi0=psi0)
+def _run_dmrg(s: DmrgSettings, checkpoint: str | None, warm) -> dict:
+    op = build_mpo(s.model)
+    energy, psi, trace = ground_state(op, s, psi0=warm)
     if not trace.converged:
-        raise NonConvergenceError(f"dmrg did not converge within {cfg.n_sweeps} sweeps")
+        raise NonConvergenceError(f"dmrg did not converge within {s.n_sweeps} sweeps")
     record = {
         "energy": energy,
         "n_sweeps": trace.n_sweeps,
         "sweep_energies": list(trace.sweep_energies),
         "bond_dims": list(psi.bond_dims),
-        "warm_start": psi0 is not None,
+        "warm_start": warm is not None,
     }
     states, energies = [psi], [energy]
-    for k in range(settings.get("n_excited", 0)):
-        ek, pk, tk = excited_state(
-            op, cfg, states, penalty_weight=settings.get("penalty_weight", 10.0)
-        )
+    for k in range(s.n_excited):
+        ek, pk, tk = excited_state(op, s, states, penalty_weight=s.penalty_weight)
         if not tk.converged:
             raise NonConvergenceError(f"excited level {k + 1} did not converge")
         states.append(pk)
@@ -162,8 +142,8 @@ def _run_dmrg(settings: dict, checkpoint: str | None) -> dict:
     if len(energies) > 1:
         record["energies"] = energies
     obs = {}
-    for name in settings.get("observables", []):
-        obs[name] = [expect_local(psi, PAULI[name], i).real for i in range(spec.n_sites)]
+    for name in s.observables:
+        obs[name] = [expect_local(psi, PAULI[name], i).real for i in range(s.model.n_sites)]
     if obs:
         record["observables"] = obs
     if checkpoint:
@@ -171,28 +151,16 @@ def _run_dmrg(settings: dict, checkpoint: str | None) -> dict:
     return record
 
 
-def _run_tebd(settings: dict, checkpoint: str | None) -> dict:
-    spec = chain_spec(settings)
-    cfg = TebdConfig(
-        dt=settings["dt"],
-        n_steps=settings["n_steps"],
-        max_bond=settings["max_bond"],
-        order=settings.get("order", 2),
-        imag=settings.get("imag", False),
-        rel_cutoff=settings.get("rel_cutoff", 0.0),
-        abort_threshold=settings.get("abort_threshold", 1e-3),
-    )
-    psi0 = _initial_state(settings.get("state", "neel"), spec, settings["seed"])
+def _run_tebd(s: TebdSettings, checkpoint: str | None, warm) -> dict:
+    psi0 = _initial_state(s.state, s.model, s.seed)
     watchers = {}
-    for item in settings.get("observables", []):
-        op_m, site = PAULI[item["op"]], item["site"]
-        name = item.get("name", f"{item['op']}[{site}]")
+    for item in s.observables:
 
-        def watcher(state, m=op_m, s=site):
-            return expect_local(state, m, s).real
+        def watcher(state, m=PAULI[item.op], site=item.site):
+            return expect_local(state, m, site).real
 
-        watchers[name] = watcher
-    psi, trace = evolve(psi0, spec, cfg, watchers)
+        watchers[f"{item.op}[{item.site}]"] = watcher
+    psi, trace = evolve(psi0, s.model, s, watchers)
     if trace.aborted:
         raise NonConvergenceError(
             "evolution aborted: per-step truncation loss exceeded abort_threshold"
@@ -202,38 +170,32 @@ def _run_tebd(settings: dict, checkpoint: str | None) -> dict:
         "observables": {k: list(v) for k, v in trace.observables.items()},
         "discarded": list(trace.discarded),
         "norm": norm(psi),
-        "energy": expect_mpo(psi, build_mpo(spec)).real,
+        "energy": expect_mpo(psi, build_mpo(s.model)).real,
         "bond_dims": list(psi.bond_dims),
     }
-    if cfg.imag:
+    if s.imag:
         record["log_norms"] = list(trace.log_norms)
     if checkpoint:
         checkpoint_write(psi, checkpoint)
     return record
 
 
-def _run_thermal(settings: dict, checkpoint: str | None) -> dict:
-    spec = chain_spec(settings)
+def _run_thermal(s: ThermalSettings, checkpoint: str | None, warm) -> dict:
     psi, ln_z, _ = thermal_state(
-        spec,
-        settings["beta"],
-        settings["dt"],
-        settings["max_bond"],
-        order=settings.get("order", 2),
-        rel_cutoff=settings.get("rel_cutoff", 0.0),
+        s.model, s.beta, s.dt, s.max_bond, order=s.order, rel_cutoff=s.rel_cutoff
     )
-    energy = expect_mpo(psi, lift_mpo(build_mpo(spec))).real
+    energy = expect_mpo(psi, lift_mpo(build_mpo(s.model))).real
     record = {
-        "beta": settings["beta"],
+        "beta": s.beta,
         "ln_z": ln_z,
         "energy": energy,
         "bond_dims": list(psi.bond_dims),
     }
     obs = {}
-    d = spec.phys_dim
-    for name in settings.get("observables", []):
+    d = s.model.phys_dim
+    for name in s.observables:
         lifted = lift_site_operator(PAULI[name], d)
-        obs[name] = [expect_local(psi, lifted, i).real for i in range(spec.n_sites)]
+        obs[name] = [expect_local(psi, lifted, i).real for i in range(s.model.n_sites)]
     if obs:
         record["observables"] = obs
     if checkpoint:
@@ -241,78 +203,66 @@ def _run_thermal(settings: dict, checkpoint: str | None) -> dict:
     return record
 
 
-def _run_trg(settings: dict) -> dict:
-    model = classical_spec(settings)
-    method = settings.get("method", "trg")
+def _run_trg(s: TrgSettings, checkpoint: str | None, warm) -> dict:
     f, trace = coarse_grain(
-        model,
-        method=method,
-        max_bond=settings["max_bond"],
-        n_iters=settings["n_iters"],
-        rel_cutoff=settings.get("rel_cutoff", 0.0),
+        s.model, method=s.method, max_bond=s.max_bond, n_iters=s.n_iters, rel_cutoff=s.rel_cutoff
     )
-    f_exact = onsager_f(model.beta, model.J)
+    f_exact = onsager_f(s.model.beta, s.model.J)
     return {
-        "beta": model.beta,
-        "chi": settings["max_bond"],
-        "iterations": settings["n_iters"],
+        "beta": s.model.beta,
+        "chi": s.max_bond,
+        "iterations": s.n_iters,
         "f": f,
         "abs_err_onsager": abs(f - f_exact),
         "f_onsager": f_exact,
-        "method": method,
+        "method": s.method,
         "free_energies": list(trace.free_energies),
         "bond_dims": list(trace.bond_dims),
         "discarded": list(trace.discarded),
     }
 
 
-def _run_oracle(settings: dict) -> dict:
-    task = settings["task"]
+def _run_oracle(s: OracleSettings, checkpoint: str | None, warm) -> dict:
+    task = s.task
     if task == "ed_ground":
-        e, _ = ed_ground(dense_hamiltonian(chain_spec(settings)))
+        e, _ = ed_ground(dense_hamiltonian(s.model))
         return {"task": task, "energy": e}
     if task == "ed_spectrum":
-        levels, _ = ed_spectrum(dense_hamiltonian(chain_spec(settings)), settings["k"])
+        levels, _ = ed_spectrum(dense_hamiltonian(s.model), s.k)
         return {"task": task, "energies": list(levels)}
     if task == "gibbs":
-        g = dense_gibbs(
-            dense_hamiltonian(chain_spec(settings)),
-            settings["beta"],
-            site_op=PAULI[settings.get("site_op", "sz")],
-        )
+        g = dense_gibbs(dense_hamiltonian(s.model), s.beta, site_op=PAULI[s.site_op])
         return {
             "task": task,
-            "beta": settings["beta"],
+            "beta": s.beta,
             "energy": g.energy,
             "ln_z": g.ln_z,
             "local": list(g.local),
         }
     if task == "onsager":
-        beta = settings["beta"]
-        return {"task": task, "beta": beta, "f": onsager_f(beta, settings.get("J", 1.0))}
+        return {"task": task, "beta": s.beta, "f": onsager_f(s.beta, s.J)}
     if task == "brute_force":
-        length, beta = settings["length"], settings["beta"]
-        z = ising_brute_force(length, beta, settings.get("J", 1.0))
-        return {"task": task, "length": length, "beta": beta, "ln_z": float(np.log(z))}
-    width, beta = settings["width"], settings["beta"]
-    f = ising_transfer_matrix(width, beta, settings.get("J", 1.0))
-    return {"task": task, "width": width, "beta": beta, "f": f}
+        z = ising_brute_force(s.length, s.beta, s.J)
+        return {"task": task, "length": s.length, "beta": s.beta, "ln_z": float(np.log(z))}
+    f = ising_transfer_matrix(s.width, s.beta, s.J)
+    return {"task": task, "width": s.width, "beta": s.beta, "f": f}
 
 
-def _execute_run(run: RunSpec, checkpoint: str | None) -> tuple[dict, float]:
+_RUNNERS = {
+    "dmrg": _run_dmrg,
+    "tebd": _run_tebd,
+    "thermal": _run_thermal,
+    "trg": _run_trg,
+    "oracle": _run_oracle,
+}
+
+
+def _execute_run(run: RunSpec, checkpoint: str | None, warm=None) -> tuple[dict, float]:
     t0 = time.perf_counter()
-    if run.subcommand == "dmrg":
-        record = _run_dmrg(run.settings, checkpoint)
-    elif run.subcommand == "tebd":
-        record = _run_tebd(run.settings, checkpoint)
-    elif run.subcommand == "thermal":
-        record = _run_thermal(run.settings, checkpoint)
-    elif run.subcommand == "trg":
-        record = _run_trg(run.settings)
-    else:
-        record = _run_oracle(run.settings)
-    record = _pyify(record)
-    _check_finite(record)
+    record = _pyify(_RUNNERS[run.subcommand](run.settings, checkpoint, warm))
+    where = _non_finite_path(record, "result")
+    if where is not None:
+        raise RuntimeError(f"non-finite value in {where}")
     return record, time.perf_counter() - t0
 
 
@@ -340,16 +290,20 @@ def _headline(subcommand: str, record: dict) -> str:
     return f"task={record['task']} " + " ".join(pieces)
 
 
-def _write_error(out_dir: str, kind: str, message: str, field: str | None = None) -> None:
-    body = {"kind": kind, "message": message}
-    if field is not None:
-        body["field"] = field
+def _write_text(out_dir: str, name: str, text: str) -> None:
+    write_atomic(os.path.join(out_dir, name), text.encode("utf-8"))
+
+
+def _fail(out_dir: str, kind: str, label: str, exc: Exception, code: int) -> int:
+    body = {"kind": kind, "message": str(exc)}
+    if getattr(exc, "field", None) is not None:
+        body["field"] = exc.field
     try:
-        with open(os.path.join(out_dir, "error.json"), "w", encoding="utf-8") as fh:
-            json.dump({"error": body}, fh, indent=2)
-            fh.write("\n")
+        _write_text(out_dir, "error.json", json.dumps({"error": body}, indent=2) + "\n")
     except OSError:
         pass
+    print(f"tnkit: {label}: {exc}", file=sys.stderr)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,14 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tnkit", description="Tensor-network toolkit command-line driver."
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, text in [
-        ("dmrg", "variational ground and excited states of a chain model"),
-        ("tebd", "real- or imaginary-time evolution of a chain model"),
-        ("thermal", "purified Gibbs state of a chain model"),
-        ("trg", "free energy of the 2D Ising model by coarse graining"),
-        ("oracle", "brute-force reference computations"),
-    ]:
-        s = sub.add_parser(name, help=text)
+    for name in SUBCOMMANDS:
+        s = sub.add_parser(name, help=SETTINGS[name].__doc__)
         s.add_argument("--config", required=True, help="path to the JSON run configuration")
         s.add_argument("--out", default=".", help="output directory, created if missing")
         s.add_argument("--threads", type=int, default=1, help="worker pool size for scans")
@@ -377,69 +325,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warm_start(subcommand: str, runs: tuple[RunSpec, ...], checkpoint: str | None):
+    """The dmrg start state from an existing --checkpoint file, else None."""
+    if checkpoint is None:
+        return None
+    if subcommand in ("trg", "oracle"):
+        raise ConfigError("--checkpoint applies only to dmrg, tebd and thermal", "--checkpoint")
+    if len(runs) > 1:
+        raise ConfigError("--checkpoint cannot be combined with a scan", "--checkpoint")
+    if subcommand != "dmrg" or not os.path.exists(checkpoint):
+        return None
+    psi = checkpoint_read(checkpoint)
+    if max(psi.bond_dims, default=1) > runs[0].settings.max_bond:
+        raise ConfigError(f"checkpoint bonds {psi.bond_dims} exceed max_bond", "max_bond")
+    return psi
+
+
 def _drive(
-    subcommand: str, config_path: str, out_dir: str, threads: int, checkpoint: str | None
+    subcommand: str | None, config_path: str, out_dir: str, threads: int, checkpoint: str | None
 ) -> int:
+    """Execute a config and write --out; a ``subcommand`` of None takes it
+    from the config's 'run' field."""
     try:
         os.makedirs(out_dir, exist_ok=True)
+        # no output of an earlier run may survive beside the outcome of this one
+        for name in ("results.jsonl", "run.json", "summary.txt", "error.json"):
+            if os.path.exists(os.path.join(out_dir, name)):
+                os.remove(os.path.join(out_dir, name))
     except OSError as exc:
-        print(f"tnkit: cannot create output directory: {exc}", file=sys.stderr)
+        print(f"tnkit: cannot prepare output directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    stale = os.path.join(out_dir, "error.json")
-    if os.path.exists(stale):
-        os.remove(stale)
 
     t_start = time.perf_counter()
     try:
+        if subcommand is None:
+            subcommand = load_config(config_path).get("run")
+            if subcommand not in SUBCOMMANDS:
+                raise ConfigError("config must name its subcommand in the 'run' field", "run")
         rc = parse_run_config(subcommand, config_path)
         if threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        if checkpoint is not None:
-            if subcommand in ("trg", "oracle"):
-                raise ConfigError("--checkpoint applies only to dmrg, tebd and thermal")
-            if len(rc.runs) > 1:
-                raise ConfigError("--checkpoint cannot be combined with a scan")
-    except ConfigError as exc:
-        _write_error(out_dir, "config", str(exc), exc.field)
-        print(f"tnkit: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    runs = rc.runs
-    digest = config_hash(rc.raw)
-    try:
+            raise ConfigError("--threads must be >= 1", field="--threads")
+        runs = rc.runs
+        warm = _warm_start(subcommand, runs, checkpoint)
         if threads == 1 or len(runs) == 1:
-            outcomes = [_execute_run(r, checkpoint) for r in runs]
+            outcomes = [_execute_run(r, checkpoint, warm) for r in runs]
         else:
             workers = min(threads, len(runs))
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(_execute_run, runs, itertools.repeat(None)))
+    except ConfigError as exc:
+        return _fail(out_dir, "config", "config error", exc, EXIT_CONFIG)
     except NonConvergenceError as exc:
-        _write_error(out_dir, "non_convergence", str(exc))
-        print(f"tnkit: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        return _fail(out_dir, "non_convergence", "non-convergence", exc, EXIT_NONCONVERGENCE)
     except CheckpointError as exc:
-        _write_error(out_dir, "checkpoint", str(exc))
-        print(f"tnkit: checkpoint error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail(out_dir, "checkpoint", "checkpoint error", exc, EXIT_NUMERICAL)
     except (ValueError, ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
-        _write_error(out_dir, "numerical", str(exc))
-        print(f"tnkit: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail(out_dir, "numerical", "numerical failure", exc, EXIT_NUMERICAL)
     wall_total = time.perf_counter() - t_start
 
-    results_path = os.path.join(out_dir, "results.jsonl")
-    with open(results_path, "w", encoding="utf-8") as fh:
-        for spec, (record, _) in zip(runs, outcomes):
-            line = {
-                "index": spec.index,
-                "run": spec.subcommand,
-                "scan": spec.scan_values,
-                "config_hash": digest,
-                "version": __version__,
-                "result": record,
-            }
-            fh.write(json.dumps(line, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    digest = config_hash(rc.raw)
+    lines = []
+    for spec, (record, _) in zip(runs, outcomes):
+        line = {
+            "index": spec.index,
+            "run": spec.subcommand,
+            "scan": spec.scan_values,
+            "config_hash": digest,
+            "version": __version__,
+            "result": record,
+        }
+        lines.append(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_text(out_dir, "results.jsonl", "".join(lines))
 
     run_meta = {
         "subcommand": subcommand,
@@ -452,9 +408,7 @@ def _drive(
         "per_run_wall_s": [w for (_, w) in outcomes],
         "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
-        json.dump(run_meta, fh, indent=2)
-        fh.write("\n")
+    _write_text(out_dir, "run.json", json.dumps(run_meta, indent=2) + "\n")
 
     lines = [
         f"tnkit {subcommand} (version {__version__})",
@@ -472,9 +426,7 @@ def _drive(
             f"run {spec.index}: {scan_txt}  {_headline(subcommand, record)}  [{w:.2f}s]"
         )
     lines.append(f"total wall time: {wall_total:.2f}s")
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write_text(out_dir, "summary.txt", "\n".join(lines) + "\n")
 
     print(f"ok: {len(runs)} run(s), results in {out_dir}")
     return EXIT_OK
@@ -491,21 +443,7 @@ def run(
     The subcommand comes from the config's 'run' field, which is required
     on this path (the command line supplies it as the subcommand instead).
     """
-    try:
-        sub = load_config(config_path).get("run")
-        if sub not in ("dmrg", "tebd", "thermal", "trg", "oracle"):
-            raise ConfigError(
-                "config must name its subcommand in the 'run' field", field="run"
-            )
-    except ConfigError as exc:
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-            _write_error(out_dir, "config", str(exc), exc.field)
-        except OSError:
-            pass
-        print(f"tnkit: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return _drive(sub, config_path, out_dir, threads, checkpoint)
+    return _drive(None, config_path, out_dir, threads, checkpoint)
 
 
 def main(argv=None) -> int:

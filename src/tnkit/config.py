@@ -1,4 +1,4 @@
-"""Run configuration: JSON schema, validation, and scan expansion.
+"""Run configuration: JSON schema, typed settings, and scan expansion.
 
 A config is one JSON object. Common keys: ``run`` (optional, must match the
 subcommand when present), ``seed`` (required integer, even for
@@ -7,38 +7,53 @@ to lists of values), plus the settings of the subcommand. Scans expand to
 the cross product of the listed values, ordered by sorted path name then
 list position, which fixes the run indexing.
 
-Validation errors carry the dotted path of the offending field.
+Each resolved run is parsed once into the frozen settings dataclass of its
+subcommand. The dataclass fields are the accepted keys, their defaults are
+the config defaults, and their ``__post_init__`` rules (with those of
+``TruncationSpec`` and the model specs) are the range checks. Errors carry
+the dotted path of the offending field.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import json
+import sys
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dmrg import DmrgConfig
-from .models import (
-    ClassicalModelSpec,
-    HamiltonianSpec,
-    PAULI,
-)
-from .tebd import TebdConfig
-
-SUBCOMMANDS = ("dmrg", "tebd", "thermal", "trg", "oracle")
+from .dmrg import DmrgConfig, check_penalty_weight
+from .models import PAULI, ClassicalModelSpec, HamiltonianSpec
+from .tebd import TebdConfig, check_thermal
+from .tensor import ConfigError, TruncationSpec
+from .trg import check_flow
 
 
-class ConfigError(Exception):
-    """Invalid configuration; ``field`` is the dotted path when known."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
+def _non_finite_path(value, path: str) -> str | None:
+    """The dotted path of the first number in a JSON tree that is NaN or
+    infinite, or too large to be a float."""
+    if isinstance(value, dict):
+        children = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        children = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        finite = not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max
+        return None if finite else path
+    for child, item in children:
+        found = _non_finite_path(item, child)
+        if found is not None:
+            return found
+    return None
 
 
 def load_config(path: str) -> dict:
+    """The JSON object of a config file. NaN, Infinity and literals that
+    overflow to infinity are rejected with the dotted path of the value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -48,82 +63,98 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    where = _non_finite_path(raw, "")
+    if where is not None:
+        raise ConfigError(f"field '{where}' must be a finite number", field=where)
     return raw
 
 
-def _get(settings: dict, field: str, kind, default=..., prefix: str = ""):
-    path = f"{prefix}{field}"
-    if field not in settings:
-        if default is ...:
-            raise ConfigError(f"missing required field '{path}'", field=path)
-        return default
-    value = settings[field]
+def _coerce(value, kind, path: str):
+    """``value`` checked against the type annotation ``kind``; ints widen to
+    float, lists become tuples or arrays, objects become dataclasses."""
+    if isinstance(kind, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (kind,) = [k for k in typing.get_args(kind) if k is not type(None)]
+    elif value is None:
+        raise ConfigError(f"missing required field '{path}'", field=path)
+    if kind in _SPECS:
+        return _SPECS[kind]({"model": value})
+    if dataclasses.is_dataclass(kind):
+        return _typed(kind, _coerce(value, dict, path), f"{path}.")
+    if typing.get_origin(kind) is tuple:  # tuple[X, ...]
+        item, items = typing.get_args(kind)[0], _coerce(value, list, path)
+        return tuple(_coerce(v, item, f"{path}[{i}]") for i, v in enumerate(items))
+    if kind is np.ndarray:
+        try:
+            return np.array(_coerce(value, list, path), dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"field '{path}' is not a real matrix: {exc}", field=path) from None
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is not None and not isinstance(value, kind):
+        return float(value)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(
-            f"field '{path}' must be {getattr(kind, '__name__', kind)}, "
-            f"got {type(value).__name__}",
-            field=path,
+            f"field '{path}' must be {kind.__name__}, got {type(value).__name__}", path
         )
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"field '{path}' must be int, got bool", field=path)
     return value
 
 
-def _reject_unknown(settings: dict, allowed: set, prefix: str = ""):
-    for key in settings:
+def _reject_unknown(node: dict, allowed, prefix: str = "") -> None:
+    for key in node:
         if key not in allowed:
             raise ConfigError(f"unknown field '{prefix}{key}'", field=f"{prefix}{key}")
 
 
-def chain_spec(settings: dict) -> HamiltonianSpec:
-    model = _get(settings, "model", dict)
-    name = _get(model, "name", str, prefix="model.")
-    n_sites = _get(model, "n_sites", int, prefix="model.")
+def _typed(cls, node: dict, prefix: str = ""):
+    """Dataclass ``cls`` from the JSON object ``node``. Every key must name a
+    field, absent fields take the dataclass default, and a rule broken in
+    the dataclass comes back with ``prefix`` on its field."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    _reject_unknown(node, {f.name for f in fields}, prefix)
+    kwargs = {
+        f.name: _coerce(node.get(f.name), hints[f.name], prefix + f.name)
+        for f in fields
+        if f.name in node or f.default is dataclasses.MISSING
+    }
     try:
-        if name == "transverse_field_ising":
-            _reject_unknown(model, {"name", "n_sites", "J", "h"}, "model.")
-            return HamiltonianSpec(
-                model=name,
-                n_sites=n_sites,
-                J=_get(model, "J", float, 1.0, "model."),
-                h=_get(model, "h", float, 0.0, "model."),
-            )
-        if name == "heisenberg_xxz":
-            _reject_unknown(model, {"name", "n_sites", "J", "delta", "field"}, "model.")
-            return HamiltonianSpec(
-                model=name,
-                n_sites=n_sites,
-                J=_get(model, "J", float, 1.0, "model."),
-                delta=_get(model, "delta", float, 1.0, "model."),
-                field=_get(model, "field", float, 0.0, "model."),
-            )
-        if name == "custom_nn":
-            _reject_unknown(model, {"name", "n_sites", "two_site", "one_site"}, "model.")
-            two = np.array(_get(model, "two_site", list, prefix="model."), dtype=float)
-            one = model.get("one_site")
-            if one is not None:
-                one = np.array(one, dtype=float)
-            return HamiltonianSpec(model=name, n_sites=n_sites, two_site=two, one_site=one)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid model: {exc}", field="model") from None
-    raise ConfigError(f"unknown model name {name!r}", field="model.name")
+        return cls(**kwargs)
+    except ValueError as exc:
+        field = getattr(exc, "field", None)
+        path = prefix + field if field else prefix.rstrip(".") or None
+        raise ConfigError(str(exc), path) from None
+
+
+def _spec_fields(node: dict) -> dict:
+    """A ``model`` object with its ``name`` key renamed to the spec field."""
+    return {("model" if k == "name" else k): v for k, v in node.items()}
+
+
+_CHAIN_KEYS = {
+    "transverse_field_ising": ("J", "h"),
+    "heisenberg_xxz": ("J", "delta", "field"),
+    "custom_nn": ("two_site", "one_site"),
+}
+
+
+def chain_spec(settings: dict) -> HamiltonianSpec:
+    """The chain Hamiltonian of the ``model`` object of ``settings``."""
+    node = _coerce(settings.get("model"), dict, "model")
+    name = _coerce(node.get("name"), str, "model.name")
+    if name not in _CHAIN_KEYS:
+        raise ConfigError(f"unknown model name {name!r}", field="model.name")
+    _reject_unknown(node, ("name", "n_sites") + _CHAIN_KEYS[name], "model.")
+    return _typed(HamiltonianSpec, _spec_fields(node), "model.")
 
 
 def classical_spec(settings: dict) -> ClassicalModelSpec:
-    model = _get(settings, "model", dict)
-    _reject_unknown(model, {"name", "beta", "J"}, "model.")
-    name = _get(model, "name", str, "ising_2d", "model.")
-    beta = _get(model, "beta", float, prefix="model.")
-    try:
-        return ClassicalModelSpec(
-            model=name, beta=beta, J=_get(model, "J", float, 1.0, "model.")
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid model: {exc}", field="model") from None
+    """The 2D classical model of the ``model`` object of ``settings``."""
+    node = _coerce(settings.get("model"), dict, "model")
+    _reject_unknown(node, ("name", "beta", "J"), "model.")
+    return _typed(ClassicalModelSpec, _spec_fields(node), "model.")
+
+
+_SPECS = {HamiltonianSpec: chain_spec, ClassicalModelSpec: classical_spec}
 
 
 def pauli_by_name(name: str, field: str) -> np.ndarray:
@@ -134,175 +165,162 @@ def pauli_by_name(name: str, field: str) -> np.ndarray:
     return PAULI[name]
 
 
-_COMMON_KEYS = {"run", "seed", "scan"}
+@dataclass(frozen=True, kw_only=True)
+class _RunSettings:
+    """The ``seed`` every run requires; ``settings[key]`` reads the run's
+    resolved JSON value of ``key``, as the config gave it after scans."""
 
-_ALLOWED = {
-    "dmrg": _COMMON_KEYS
-    | {
-        "model",
-        "max_bond",
-        "n_sweeps",
-        "tol",
-        "lanczos_max_iter",
-        "lanczos_tol",
-        "noise",
-        "n_excited",
-        "penalty_weight",
-        "observables",
-    },
-    "tebd": _COMMON_KEYS
-    | {
-        "model",
-        "dt",
-        "n_steps",
-        "max_bond",
-        "order",
-        "imag",
-        "rel_cutoff",
-        "abort_threshold",
-        "state",
-        "observables",
-    },
-    "thermal": _COMMON_KEYS
-    | {"model", "beta", "dt", "max_bond", "order", "rel_cutoff", "observables"},
-    "trg": _COMMON_KEYS | {"model", "method", "max_bond", "n_iters", "rel_cutoff"},
-    "oracle": _COMMON_KEYS
-    | {"task", "model", "beta", "J", "k", "length", "width", "site_op"},
+    seed: int
+
+    def __getitem__(self, key):
+        return self._json[key]
+
+
+@dataclass(frozen=True, kw_only=True)
+class DmrgSettings(_RunSettings, DmrgConfig):
+    """Variational ground and excited states of a chain model."""
+
+    model: HamiltonianSpec
+    n_excited: int = 0
+    penalty_weight: float = 10.0
+    observables: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_excited < 0:
+            raise ConfigError("n_excited must be >= 0", field="n_excited")
+        check_penalty_weight(self.penalty_weight)
+        for i, name in enumerate(self.observables):
+            pauli_by_name(name, f"observables[{i}]")
+
+
+@dataclass(frozen=True)
+class SiteObservable:
+    """One Pauli operator recorded at one site after every step."""
+
+    op: str
+    site: int
+
+    def __post_init__(self):
+        pauli_by_name(self.op, "op")
+
+
+@dataclass(frozen=True, kw_only=True)
+class TebdSettings(_RunSettings, TebdConfig):
+    """Real- or imaginary-time evolution of a chain model."""
+
+    model: HamiltonianSpec
+    state: str = "neel"
+    observables: tuple[SiteObservable, ...] = ()
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.state not in ("neel", "all_up", "uniform", "random"):
+            raise ConfigError(
+                f"state must be neel|all_up|uniform|random, got {self.state!r}", "state"
+            )
+        for i, obs in enumerate(self.observables):
+            if not 0 <= obs.site < self.model.n_sites:
+                raise ConfigError("site is outside the chain", field=f"observables[{i}].site")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ThermalSettings(_RunSettings):
+    """Purified Gibbs state of a chain model."""
+
+    model: HamiltonianSpec
+    beta: float
+    dt: float
+    max_bond: int
+    order: int = 2
+    rel_cutoff: float = 0.0
+    observables: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        check_thermal(self.beta, self.dt, self.order)
+        TruncationSpec(self.max_bond, self.rel_cutoff)
+        for i, name in enumerate(self.observables):
+            pauli_by_name(name, f"observables[{i}]")
+
+
+@dataclass(frozen=True, kw_only=True)
+class TrgSettings(_RunSettings):
+    """Free energy of the 2D Ising model by coarse graining."""
+
+    model: ClassicalModelSpec
+    max_bond: int
+    n_iters: int
+    method: str = "trg"
+    rel_cutoff: float = 0.0
+
+    def __post_init__(self):
+        check_flow(self.method, self.n_iters)
+        TruncationSpec(self.max_bond, self.rel_cutoff)
+
+
+# the fields each oracle task needs besides ``J`` and ``site_op``
+_ORACLE_TASKS = {
+    "ed_ground": ("model",),
+    "ed_spectrum": ("model", "k"),
+    "gibbs": ("model", "beta"),
+    "onsager": ("beta",),
+    "brute_force": ("length", "beta"),
+    "transfer_matrix": ("width", "beta"),
 }
 
 
-def validate_settings(subcommand: str, settings: dict) -> None:
-    """Full schema check for one resolved run; raises ConfigError."""
-    if subcommand not in SUBCOMMANDS:
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
-    _reject_unknown(settings, _ALLOWED[subcommand])
-    _get(settings, "seed", int)
+@dataclass(frozen=True, kw_only=True)
+class OracleSettings(_RunSettings):
+    """Brute-force reference computations."""
 
-    if subcommand == "dmrg":
-        chain_spec(settings)
-        try:
-            DmrgConfig(
-                max_bond=_get(settings, "max_bond", int),
-                n_sweeps=_get(settings, "n_sweeps", int, 30),
-                tol=_get(settings, "tol", float, 1e-12),
-                lanczos_max_iter=_get(settings, "lanczos_max_iter", int, 100),
-                lanczos_tol=_get(settings, "lanczos_tol", float, 1e-12),
-                noise=_get(settings, "noise", float, 0.0),
-                seed=settings["seed"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if _get(settings, "n_excited", int, 0) < 0:
-            raise ConfigError("field 'n_excited' must be >= 0", field="n_excited")
-        if _get(settings, "penalty_weight", float, 10.0) <= 0:
-            raise ConfigError("field 'penalty_weight' must be positive", field="penalty_weight")
-        for i, name in enumerate(_get(settings, "observables", list, [])):
-            pauli_by_name(name, f"observables[{i}]")
-    elif subcommand == "tebd":
-        spec = chain_spec(settings)
-        try:
-            TebdConfig(
-                dt=_get(settings, "dt", float),
-                n_steps=_get(settings, "n_steps", int),
-                max_bond=_get(settings, "max_bond", int),
-                order=_get(settings, "order", int, 2),
-                imag=_get(settings, "imag", bool, False),
-                rel_cutoff=_get(settings, "rel_cutoff", float, 0.0),
-                abort_threshold=_get(settings, "abort_threshold", float, 1e-3),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        state = _get(settings, "state", str, "neel")
-        if state not in ("neel", "all_up", "uniform", "random"):
-            raise ConfigError(
-                f"field 'state' must be neel|all_up|uniform|random, got {state!r}",
-                field="state",
-            )
-        for i, obs in enumerate(_get(settings, "observables", list, [])):
-            if not isinstance(obs, dict):
-                raise ConfigError(
-                    f"field 'observables[{i}]' must be an object", field=f"observables[{i}]"
-                )
-            pauli_by_name(obs.get("op"), f"observables[{i}].op")
-            site = _get(obs, "site", int, prefix=f"observables[{i}].")
-            if not 0 <= site < spec.n_sites:
-                raise ConfigError(
-                    f"field 'observables[{i}].site' is outside the chain",
-                    field=f"observables[{i}].site",
-                )
-    elif subcommand == "thermal":
-        chain_spec(settings)
-        if _get(settings, "beta", float) < 0:
-            raise ConfigError("field 'beta' must be nonnegative", field="beta")
-        if _get(settings, "dt", float) <= 0:
-            raise ConfigError("field 'dt' must be positive", field="dt")
-        if _get(settings, "max_bond", int) < 1:
-            raise ConfigError("field 'max_bond' must be >= 1", field="max_bond")
-        if _get(settings, "order", int, 2) not in (1, 2):
-            raise ConfigError("field 'order' must be 1 or 2", field="order")
-        if _get(settings, "rel_cutoff", float, 0.0) < 0:
-            raise ConfigError("field 'rel_cutoff' must be >= 0", field="rel_cutoff")
-        for i, name in enumerate(_get(settings, "observables", list, [])):
-            pauli_by_name(name, f"observables[{i}]")
-    elif subcommand == "trg":
-        classical_spec(settings)
-        method = _get(settings, "method", str, "trg")
-        if method not in ("trg", "hotrg"):
-            raise ConfigError(
-                f"field 'method' must be trg|hotrg, got {method!r}", field="method"
-            )
-        if _get(settings, "max_bond", int) < 1:
-            raise ConfigError("field 'max_bond' must be >= 1", field="max_bond")
-        if _get(settings, "n_iters", int) < 1:
-            raise ConfigError("field 'n_iters' must be >= 1", field="n_iters")
-        if _get(settings, "rel_cutoff", float, 0.0) < 0:
-            raise ConfigError("field 'rel_cutoff' must be >= 0", field="rel_cutoff")
-    else:
-        task = _get(settings, "task", str)
-        if task == "ed_ground":
-            chain_spec(settings)
-        elif task == "ed_spectrum":
-            chain_spec(settings)
-            if _get(settings, "k", int) < 1:
-                raise ConfigError("field 'k' must be >= 1", field="k")
-        elif task == "gibbs":
-            chain_spec(settings)
-            if _get(settings, "beta", float) < 0:
-                raise ConfigError("field 'beta' must be nonnegative", field="beta")
-            if "site_op" in settings:
-                pauli_by_name(settings["site_op"], "site_op")
-        elif task == "onsager":
-            _get(settings, "beta", float)
-            _get(settings, "J", float, 1.0)
-        elif task == "brute_force":
-            if _get(settings, "length", int) < 1:
-                raise ConfigError("field 'length' must be >= 1", field="length")
-            _get(settings, "beta", float)
-            _get(settings, "J", float, 1.0)
-        elif task == "transfer_matrix":
-            if _get(settings, "width", int) < 1:
-                raise ConfigError("field 'width' must be >= 1", field="width")
-            _get(settings, "beta", float)
-            _get(settings, "J", float, 1.0)
-        else:
-            raise ConfigError(f"unknown oracle task {task!r}", field="task")
+    task: str
+    model: HamiltonianSpec | None = None
+    beta: float | None = None
+    J: float = 1.0
+    k: int | None = None
+    length: int | None = None
+    width: int | None = None
+    site_op: str = "sz"
+
+    def __post_init__(self):
+        if self.task not in _ORACLE_TASKS:
+            raise ConfigError(f"unknown oracle task {self.task!r}", field="task")
+        for name in _ORACLE_TASKS[self.task]:
+            if getattr(self, name) is None:
+                raise ConfigError(f"missing required field '{name}'", field=name)
+        for name in ("k", "length", "width"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1", field=name)
+        if self.task == "gibbs" and self.beta < 0:
+            raise ConfigError("beta must be nonnegative", field="beta")
+        pauli_by_name(self.site_op, "site_op")
+
+
+SETTINGS = {
+    "dmrg": DmrgSettings,
+    "tebd": TebdSettings,
+    "thermal": ThermalSettings,
+    "trg": TrgSettings,
+    "oracle": OracleSettings,
+}
+SUBCOMMANDS = tuple(SETTINGS)
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One fully resolved run of a (possibly scanned) config."""
+    """One fully resolved run of a (possibly scanned) config; ``settings`` is
+    the typed settings object of its subcommand."""
 
     index: int
     subcommand: str
-    settings: dict
+    settings: DmrgSettings | TebdSettings | ThermalSettings | TrgSettings | OracleSettings
     scan_values: dict
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """A validated configuration: the subcommand, the raw mapping as loaded
-    (the source of the config hash), and the scan-expanded runs, each
-    schema-checked."""
+    (the source of the config hash), and the scan-expanded, typed runs."""
 
     subcommand: str
     raw: dict
@@ -329,7 +347,9 @@ def _assign_dotted(settings: dict, path: str, value) -> None:
 
 
 def resolve_runs(subcommand: str, cfg: dict) -> list[RunSpec]:
-    """Expand scans and validate every resolved run."""
+    """Expand scans and parse every resolved run into typed settings."""
+    if subcommand not in SETTINGS:
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
     declared = cfg.get("run")
     if declared is not None and declared != subcommand:
         raise ConfigError(
@@ -356,8 +376,7 @@ def resolve_runs(subcommand: str, cfg: dict) -> list[RunSpec]:
         for path, value in zip(paths, combo):
             _assign_dotted(settings, path, value)
             values[path] = value
-        validate_settings(subcommand, settings)
-        runs.append(
-            RunSpec(index=index, subcommand=subcommand, settings=settings, scan_values=values)
-        )
+        typed = _typed(SETTINGS[subcommand], settings)
+        object.__setattr__(typed, "_json", settings)
+        runs.append(RunSpec(index=index, subcommand=subcommand, settings=typed, scan_values=values))
     return runs

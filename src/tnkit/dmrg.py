@@ -25,7 +25,7 @@ from .mpo import (
     expect_mpo,
 )
 from .mps import MatrixProductState, canonicalize, inner, random_mps
-from .tensor import qr_matrix, rq_matrix
+from .tensor import ConfigError, TruncationSpec, qr_matrix, rq_matrix
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,19 @@ class DmrgConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_bond < 1:
-            raise ValueError(f"max_bond must be >= 1, got {self.max_bond}")
-        if self.n_sweeps < 1:
-            raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
-        if self.tol < 0 or self.lanczos_tol < 0 or self.noise < 0:
-            raise ValueError("tolerances and noise must be nonnegative")
-        if self.lanczos_max_iter < 1:
-            raise ValueError("lanczos_max_iter must be >= 1")
+        TruncationSpec(self.max_bond)
+        for name in ("n_sweeps", "lanczos_max_iter"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}", field=name)
+        for name in ("tol", "lanczos_tol", "noise"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative", field=name)
+
+
+def check_penalty_weight(penalty_weight: float) -> None:
+    """The rule on the penalty of excited-state searches."""
+    if not penalty_weight > 0.0:
+        raise ConfigError("penalty_weight must be positive", field="penalty_weight")
 
 
 @dataclass(frozen=True)
@@ -298,7 +303,7 @@ def excited_state(
     op: MatrixProductOperator,
     config: DmrgConfig,
     below: list[MatrixProductState],
-    penalty_weight: float = 10.0,
+    penalty_weight: float,
     psi0: MatrixProductState | None = None,
 ) -> tuple[float, MatrixProductState, DmrgTrace]:
     """Lowest eigenstate orthogonal to the given states, found by penalizing
@@ -307,8 +312,7 @@ def excited_state(
     penalized Ritz values."""
     if not below:
         return ground_state(op, config, psi0)
-    if penalty_weight <= 0.0:
-        raise ValueError("penalty_weight must be positive")
+    check_penalty_weight(penalty_weight)
     for c in below:
         if c.n_sites != op.n_sites:
             raise ValueError("penalized state lives on a different lattice")

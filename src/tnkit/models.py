@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import ConfigError
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -131,8 +133,8 @@ class ClassicalModelSpec:
     """The 2D classical model for real-space coarse graining. Only the
     zero-field square-lattice Ising model is supported."""
 
+    beta: float
     model: str = "ising_2d"
-    beta: float = 1.0
     J: float = 1.0
     field: float = 0.0
 
@@ -140,6 +142,6 @@ class ClassicalModelSpec:
         if self.model != "ising_2d":
             raise ValueError(f"unknown classical model {self.model!r}")
         if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            raise ConfigError(f"beta must be positive, got {self.beta}", field="beta")
         if self.field != 0.0:
             raise ValueError("nonzero field is not supported")

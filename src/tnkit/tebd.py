@@ -23,7 +23,7 @@ import numpy as np
 from .models import HamiltonianSpec, bond_terms
 from .mpo import MatrixProductOperator
 from .mps import MatrixProductState, _move_center, canonicalize, product_state
-from .tensor import TruncationSpec, svd_matrix
+from .tensor import ConfigError, TruncationSpec, svd_matrix
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,27 @@ def _herm_gate(h: np.ndarray, z: complex) -> np.ndarray:
     return (v * np.exp(z * w)) @ v.conj().T
 
 
+def check_step(dt: float, order: int) -> None:
+    """The rules on a Trotter step size and order."""
+    if not dt > 0.0:
+        raise ConfigError(f"dt must be positive, got {dt}", field="dt")
+    if order not in (1, 2):
+        raise ConfigError(f"order must be 1 or 2, got {order}", field="order")
+
+
+def check_thermal(beta: float, dt: float, order: int) -> None:
+    """The rules on the inputs of a purified thermal state."""
+    if not beta >= 0.0:
+        raise ConfigError(f"beta must be nonnegative, got {beta}", field="beta")
+    check_step(dt, order)
+
+
 def build_trotter(
     spec: HamiltonianSpec, dt: float, order: int = 2, imag: bool = False
 ) -> TrotterScheme:
     """Gate layers for one step of size dt. Real-time gates are verified
     unitary to 1e-12 before the scheme is returned."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+    check_step(dt, order)
     terms = bond_terms(spec)
     even = [b for b in range(len(terms)) if b % 2 == 0]
     odd = [b for b in range(len(terms)) if b % 2 == 1]
@@ -137,16 +149,12 @@ class TebdConfig:
     abort_threshold: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        check_step(self.dt, self.order)
+        TruncationSpec(self.max_bond, self.rel_cutoff)
         if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.max_bond < 1:
-            raise ValueError(f"max_bond must be >= 1, got {self.max_bond}")
-        if self.order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {self.order}")
-        if self.rel_cutoff < 0.0 or self.abort_threshold <= 0.0:
-            raise ValueError("rel_cutoff must be >= 0 and abort_threshold > 0")
+            raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}", field="n_steps")
+        if not self.abort_threshold > 0.0:
+            raise ConfigError("abort_threshold must be positive", field="abort_threshold")
 
 
 def evolve_gates(
@@ -338,10 +346,7 @@ def thermal_state(
     The step count is beta / (2 dt) rounded to the nearest integer (at
     least one), with dt adjusted to land on beta/2 exactly.
     """
-    if beta < 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_thermal(beta, dt, order)
     n, d = spec.n_sites, spec.phys_dim
     psi = infinite_temperature_state(n, d)
     if beta == 0.0:

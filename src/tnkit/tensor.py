@@ -112,6 +112,16 @@ class DenseTensor:
         return complex(self.data.reshape(()))
 
 
+class ConfigError(ValueError):
+    """An invalid configuration value; ``field`` is its dotted path when
+    known. The config dataclasses of every module raise it, so it lives in
+    this bottom module beside ``TruncationSpec``."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class TruncationSpec:
     """How to truncate a singular-value spectrum.
@@ -128,9 +138,9 @@ class TruncationSpec:
 
     def __post_init__(self):
         if not isinstance(self.max_bond, (int, np.integer)) or self.max_bond < 1:
-            raise ValueError(f"max_bond must be a positive integer, got {self.max_bond}")
+            raise ConfigError(f"max_bond must be a positive int, got {self.max_bond}", "max_bond")
         if not 0.0 <= self.rel_cutoff < 1.0:
-            raise ValueError(f"rel_cutoff must lie in [0, 1), got {self.rel_cutoff}")
+            raise ConfigError(f"rel_cutoff must lie in [0, 1), got {self.rel_cutoff}", "rel_cutoff")
         if self.norm_policy not in ("keep", "renormalize"):
             raise ValueError(f"norm_policy must be 'keep' or 'renormalize', got {self.norm_policy!r}")
 

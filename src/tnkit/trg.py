@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .models import ClassicalModelSpec
-from .tensor import TruncationSpec, truncate_spectrum
+from .tensor import ConfigError, TruncationSpec, truncate_spectrum
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,14 @@ def hotrg_step(
     return _rescaled(new, state), err
 
 
+def check_flow(method: str, n_iters: int) -> None:
+    """The rules on the scheme and length of a coarse-graining flow."""
+    if method not in ("trg", "hotrg"):
+        raise ConfigError(f"method must be 'trg' or 'hotrg', got {method!r}", field="method")
+    if n_iters < 1:
+        raise ConfigError(f"n_iters must be >= 1, got {n_iters}", field="n_iters")
+
+
 @dataclass(frozen=True)
 class CoarseGrainTrace:
     """free_energies[i] is the estimate after i+1 steps; bond_dims the
@@ -239,10 +247,7 @@ def coarse_grain(
     """Free energy per site of the infinite lattice, approached by iterated
     coarse graining. The merging scheme alternates directions starting
     vertically."""
-    if method not in ("trg", "hotrg"):
-        raise ValueError(f"method must be 'trg' or 'hotrg', got {method!r}")
-    if n_iters < 1:
-        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
+    check_flow(method, n_iters)
     spec = TruncationSpec(max_bond=max_bond, rel_cutoff=rel_cutoff)
     state = initial_state(model)
     fs: list[float] = []

@@ -98,3 +98,23 @@ def test_warm_start_converges_in_fewer_sweeps(tmp_path):
     assert trace_warm.converged
     assert trace_warm.n_sweeps < trace_cold.n_sweeps
     assert abs(e_warm - e_cold) <= 1e-10 * abs(e_cold)
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    old = _random_state(seed=1)
+    path = tmp_path / "state.mps"
+    checkpoint_write(old, str(path))
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError("no space left on device")
+
+    # the new bytes are written out but never made durable
+    monkeypatch.setattr("tnkit.checkpoint.os.fsync", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        checkpoint_write(_random_state(seed=2), str(path))
+    assert path.read_bytes() == before
+    back = checkpoint_read(str(path))
+    for a, b in zip(old.sites, back.sites):
+        assert a.tobytes() == b.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["state.mps"]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tnkit.checkpoint import checkpoint_read
+from tnkit.checkpoint import checkpoint_read, checkpoint_write
 from tnkit.cli import (
     EXIT_CONFIG,
     EXIT_NONCONVERGENCE,
@@ -15,6 +15,7 @@ from tnkit.cli import (
     run,
 )
 from tnkit.models import transverse_field_ising
+from tnkit.mps import random_mps
 from tnkit.oracle import dense_gibbs, dense_hamiltonian, ed_ground
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -184,6 +185,80 @@ class TestFailureModes:
         assert code == EXIT_NUMERICAL
         assert json.loads((out / "error.json").read_text())["error"]["kind"] == "checkpoint"
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {
+                "run": "tebd",
+                "model": {"name": "transverse_field_ising", "n_sites": 4, "h": 1.0},
+                "dt": 0.05,
+                "n_steps": 2,
+                "max_bond": 8,
+            },
+            {
+                "run": "thermal",
+                "model": {"name": "transverse_field_ising", "n_sites": 4, "h": 1.0},
+                "beta": 0.5,
+                "dt": 0.05,
+                "max_bond": 8,
+            },
+            {"run": "trg", "model": {"name": "ising_2d", "beta": 0.3}, "max_bond": 4, "n_iters": 2},
+        ],
+        ids=["tebd", "thermal", "trg"],
+    )
+    @pytest.mark.parametrize("rel_cutoff", [1.0, 2.5])
+    def test_rel_cutoff_of_one_or_more_is_config_error(self, tmp_path, cfg, rel_cutoff):
+        cfg = {**cfg, "seed": 1, "rel_cutoff": rel_cutoff}
+        out = tmp_path / "out"
+        code = main([cfg["run"], "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == "rel_cutoff"
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('"dt": NaN', "dt"),
+            ('"dt": 1e999', "dt"),
+            ('"dt": -Infinity', "dt"),
+            ('"dt": 0.05, "scan": {"model.h": [0.5, Infinity]}', "scan.model.h[1]"),
+        ],
+        ids=["nan", "overflowing-literal", "infinity", "in-scan-list"],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, text, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"run": "tebd", "seed": 1, "n_steps": 2, "max_bond": 8, '
+            '"model": {"name": "transverse_field_ising", "n_sites": 4, "h": 1.0}, '
+            + text + "}"
+        )
+        out = tmp_path / "out"
+        assert main(["tebd", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == field
+
+    def test_thermal_infinite_beta_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"run": "thermal", "seed": 1, "beta": Infinity, "dt": 0.05, "max_bond": 8, '
+            '"model": {"name": "transverse_field_ising", "n_sites": 4, "h": 1.0}}'
+        )
+        out = tmp_path / "out"
+        assert main(["thermal", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert json.loads((out / "error.json").read_text())["error"]["field"] == "beta"
+
+    def test_warm_start_checkpoint_wider_than_max_bond_is_config_error(self, tmp_path):
+        ck = tmp_path / "state.mps"
+        checkpoint_write(random_mps((2,) * 8, 8, np.random.default_rng(0)), str(ck))
+        out = tmp_path / "out"
+        code = main(
+            ["dmrg", "--config", _write_cfg(tmp_path, _dmrg_cfg(max_bond=4)), "--out", str(out),
+             "--checkpoint", str(ck)]
+        )
+        assert code == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == "max_bond"
+
     def test_unconverged_dmrg_exits_nonconvergence(self, tmp_path):
         cfg = _dmrg_cfg(n_sweeps=1, tol=0.0)
         out = tmp_path / "out"
@@ -224,6 +299,10 @@ class TestFailureModes:
         good = _write_cfg(tmp_path, _dmrg_cfg(), "good.json")
         assert main(["dmrg", "--config", good, "--out", str(out)]) == EXIT_OK
         assert not (out / "error.json").exists()
+        # a failed rerun leaves only its own error record
+        bad_path = str(tmp_path / "bad.json")
+        assert main(["dmrg", "--config", bad_path, "--out", str(out)]) == EXIT_CONFIG
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
 class TestOtherSubcommands:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from tnkit.config import (
     chain_spec,
     classical_spec,
     load_config,
+    parse_run_config,
     resolve_runs,
 )
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write(tmp_path, obj, name="cfg.json"):
@@ -108,6 +113,19 @@ class TestValidation:
             resolve_runs("tebd", cfg)
         assert err.value.field == "observables[0].site"
 
+    def test_tebd_observable_takes_only_op_and_site(self):
+        cfg = {
+            "seed": 1,
+            "model": {"name": "transverse_field_ising", "n_sites": 4, "h": 1.0},
+            "dt": 0.05,
+            "n_steps": 3,
+            "max_bond": 8,
+            "observables": [{"op": "sz", "site": 1, "name": "mid"}],
+        }
+        with pytest.raises(ConfigError) as err:
+            resolve_runs("tebd", cfg)
+        assert err.value.field == "observables[0].name"
+
     def test_trg_method_checked(self):
         cfg = {
             "seed": 1,
@@ -196,3 +214,61 @@ class TestScans:
         runs = resolve_runs("dmrg", _dmrg_cfg(scan={"model.h": [0.5, 1.5]}))
         runs[0].settings["model"]["h"] = 99.0
         assert runs[1].settings["model"]["h"] == 1.5
+
+
+def _tfi(n_sites, h):
+    return {
+        "model": "transverse_field_ising", "n_sites": n_sites, "J": 1.0, "h": h,
+        "delta": 1.0, "field": 0.0, "two_site": None, "one_site": None,
+    }
+
+
+def _dmrg(h, observables):
+    return {
+        "max_bond": 32, "n_sweeps": 30, "tol": 1e-12, "lanczos_max_iter": 100,
+        "lanczos_tol": 1e-12, "noise": 0.0, "seed": 1, "model": _tfi(12, h),
+        "n_excited": 0, "penalty_weight": 10.0, "observables": observables,
+    }
+
+
+def _thermal(beta):
+    return {
+        "seed": 1, "model": _tfi(6, 1.25), "beta": beta, "dt": 0.01, "max_bond": 32,
+        "order": 2, "rel_cutoff": 0.0, "observables": ("sz", "sx"),
+    }
+
+
+def _trg(beta):
+    return {
+        "seed": 1, "model": {"beta": beta, "model": "ising_2d", "J": 1.0, "field": 0.0},
+        "max_bond": 16, "n_iters": 25, "method": "trg", "rel_cutoff": 0.0,
+    }
+
+
+# every field of every resolved run, defaults included, as the bundled
+# configs resolved before the settings became typed objects
+BUNDLED_SETTINGS = {
+    "dmrg_scan": ("dmrg", [_dmrg(0.5, ()), _dmrg(1.0, ()), _dmrg(1.5, ())]),
+    "dmrg_tfi": ("dmrg", [_dmrg(1.0, ("sz", "sx"))]),
+    "oracle_ed": ("oracle", [{
+        "seed": 1, "task": "ed_ground", "model": _tfi(12, 1.0), "beta": None, "J": 1.0,
+        "k": None, "length": None, "width": None, "site_op": "sz",
+    }]),
+    "tebd_quench": ("tebd", [{
+        "dt": 0.02, "n_steps": 100, "max_bond": 64, "order": 2, "imag": False,
+        "rel_cutoff": 0.0, "abort_threshold": 1e-3, "seed": 1, "model": _tfi(8, 1.0),
+        "state": "neel", "observables": ({"op": "sz", "site": 0}, {"op": "sz", "site": 3}),
+    }]),
+    "thermal_tfi": ("thermal", [_thermal(0.5), _thermal(1.0), _thermal(2.0)]),
+    "trg_ising": ("trg", [_trg(0.2), _trg(0.3), _trg(0.4406867935097715)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SETTINGS))
+def test_bundled_configs_resolve_to_pinned_settings(name):
+    subcommand, expected = BUNDLED_SETTINGS[name]
+    rc = parse_run_config(subcommand, str(CONFIGS_DIR / f"{name}.json"))
+    got = [dataclasses.asdict(r.settings) for r in rc.runs]
+    assert got == expected
+    for a, b in zip(got, expected):
+        assert [type(v) for v in a.values()] == [type(v) for v in b.values()]
