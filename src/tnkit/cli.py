@@ -129,6 +129,7 @@ def _run_dmrg(s: DmrgSettings, checkpoint: str | None, warm) -> dict:
         "energy": energy,
         "n_sweeps": trace.n_sweeps,
         "sweep_energies": list(trace.sweep_energies),
+        "unconverged_solves": trace.unconverged_solves,
         "bond_dims": list(psi.bond_dims),
         "warm_start": warm is not None,
     }
@@ -139,6 +140,7 @@ def _run_dmrg(s: DmrgSettings, checkpoint: str | None, warm) -> dict:
             raise NonConvergenceError(f"excited level {k + 1} did not converge")
         states.append(pk)
         energies.append(ek)
+        record["unconverged_solves"] += tk.unconverged_solves
     if len(energies) > 1:
         record["energies"] = energies
     obs = {}

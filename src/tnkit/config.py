@@ -28,7 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dmrg import DmrgConfig, check_penalty_weight
-from .models import PAULI, ClassicalModelSpec, HamiltonianSpec
+from .models import (
+    PAULI,
+    ClassicalModelSpec,
+    HamiltonianSpec,
+    check_brute_force,
+    check_dense_size,
+    check_gibbs,
+    check_onsager,
+    check_spectrum,
+    check_transfer_matrix,
+)
 from .tebd import TebdConfig, check_thermal
 from .tensor import ConfigError, TruncationSpec
 from .trg import check_flow
@@ -288,11 +298,19 @@ class OracleSettings(_RunSettings):
         for name in _ORACLE_TASKS[self.task]:
             if getattr(self, name) is None:
                 raise ConfigError(f"missing required field '{name}'", field=name)
-        for name in ("k", "length", "width"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1", field=name)
-        if self.task == "gibbs" and self.beta < 0:
-            raise ConfigError("beta must be nonnegative", field="beta")
+        # the oracle functions apply the same rules
+        if "model" in _ORACLE_TASKS[self.task]:
+            check_dense_size(self.model.n_sites)
+        if self.task == "ed_spectrum":
+            check_spectrum(self.k, self.model.phys_dim**self.model.n_sites)
+        elif self.task == "gibbs":
+            check_gibbs(self.beta)
+        elif self.task == "onsager":
+            check_onsager(self.beta)
+        elif self.task == "brute_force":
+            check_brute_force(self.length)
+        elif self.task == "transfer_matrix":
+            check_transfer_matrix(self.width, self.beta)
         pauli_by_name(self.site_op, "site_op")
 
 

@@ -24,8 +24,17 @@ from .mpo import (
     _transfer_right,
     expect_mpo,
 )
-from .mps import MatrixProductState, canonicalize, inner, random_mps
-from .tensor import ConfigError, TruncationSpec, qr_matrix, rq_matrix
+from .mps import (
+    MatrixProductState,
+    _orth_left_step,
+    _orth_right_step,
+    _overlap_left,
+    _overlap_right,
+    canonicalize,
+    inner,
+    random_mps,
+)
+from .tensor import ConfigError, TruncationSpec
 
 
 @dataclass(frozen=True)
@@ -86,48 +95,50 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float):
     """Smallest Ritz pair of a Hermitian operator given as a matvec.
 
     Full reorthogonalization keeps the basis clean at these small subspace
-    sizes. Returns (value, normalized vector, converged). Raises if the
-    operator is detectably non-Hermitian.
+    sizes. The basis is the rows of one array, filled row by row, so each
+    reorthogonalization pass is two matrix-vector products. Returns (value,
+    normalized vector, converged). Raises if the operator is detectably
+    non-Hermitian.
     """
     v = np.asarray(v0, dtype=complex).reshape(-1)
     nv = np.linalg.norm(v)
     if nv == 0.0:
         raise ValueError("Lanczos start vector is zero")
-    v = v / nv
-    basis = [v]
+    # at most dim orthonormal vectors exist; rows never written cost no memory
+    basis = np.empty((min(max_iter, v.size), v.size), dtype=complex)
+    basis[0] = v / nv
+    k = 1
     alphas: list[float] = []
     betas: list[float] = []
-    hv = matvec(v)
+    hv = matvec(basis[0])
     scale = max(1.0, float(np.linalg.norm(hv)))
-    a = np.vdot(v, hv)
+    a = np.vdot(basis[0], hv)
     if abs(a.imag) > 1e-8 * scale:
         raise ValueError("operator is not Hermitian: <v|Hv> has an imaginary part")
     alphas.append(a.real)
-    w = hv - a.real * v
+    w = hv - a.real * basis[0]
     theta, u = _tridiag_ground(alphas, betas)
     converged = False
     for _ in range(max_iter - 1):
-        for q in basis:  # two passes keep orthogonality at machine precision
-            w = w - np.vdot(q, w) * q
-        for q in basis:
-            w = w - np.vdot(q, w) * q
+        q = basis[:k]
+        for _ in range(2):  # two passes keep orthogonality at machine precision
+            w -= (q @ w.conj()).conj() @ q
         beta = float(np.linalg.norm(w))
         if beta * abs(u[-1]) <= tol * max(1.0, abs(theta)):
             converged = True
             break
-        if beta <= 1e-14 * scale:  # exact invariant subspace
+        if beta <= 1e-14 * scale or k == basis.shape[0]:  # invariant subspace
             converged = True
             break
-        basis.append(w / beta)
+        basis[k] = w / beta
         betas.append(beta)
-        hv = matvec(basis[-1])
-        a = np.vdot(basis[-1], hv).real
+        hv = matvec(basis[k])
+        a = np.vdot(basis[k], hv).real
         alphas.append(a)
-        w = hv - a * basis[-1] - beta * basis[-2]
+        w = hv - a * basis[k] - beta * basis[k - 1]
+        k += 1
         theta, u = _tridiag_ground(alphas, betas)
-    vec = np.zeros_like(v)
-    for c, q in zip(u, basis):
-        vec += c * q
+    vec = u @ basis[:k]
     vec /= np.linalg.norm(vec)
     return float(theta), vec, converged
 
@@ -135,17 +146,6 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float):
 # ---------------------------------------------------------------------------
 # environments
 # ---------------------------------------------------------------------------
-
-
-def _overlap_left(env, lower_site, psi_site):
-    """Grow a <lower|psi> environment (lower bond, psi bond) leftward."""
-    tmp = np.tensordot(env, psi_site, axes=(1, 0))  # (c, s, p')
-    return np.tensordot(lower_site.conj(), tmp, axes=([0, 1], [0, 1]))  # (c', p')
-
-
-def _overlap_right(env, lower_site, psi_site):
-    tmp = np.tensordot(psi_site, env, axes=(2, 1))  # (p, s, c)
-    return np.tensordot(lower_site.conj(), tmp, axes=([1, 2], [1, 2]))  # (c', p)
 
 
 def _penalty_vector(left, right, lower_site):
@@ -254,17 +254,11 @@ def _sweep(op, config, psi, lowers, weight):
         first_update = len(update_energies)
         for k in range(n - 1):
             solve(k)
-            dl, d, dr = ws.sites[k].shape
-            q, r = qr_matrix(ws.sites[k].reshape(dl * d, dr))
-            ws.sites[k] = q.reshape(dl, d, -1)
-            ws.sites[k + 1] = np.tensordot(r, ws.sites[k + 1], axes=(1, 0))
+            _orth_left_step(ws.sites, k)
             ws._grow_left(k)
         for k in range(n - 1, 0, -1):
             solve(k)
-            dl, d, dr = ws.sites[k].shape
-            l_, q = rq_matrix(ws.sites[k].reshape(dl, d * dr))
-            ws.sites[k] = q.reshape(-1, d, dr)
-            ws.sites[k - 1] = np.tensordot(ws.sites[k - 1], l_, axes=(2, 0))
+            _orth_right_step(ws.sites, k)
             ws._grow_right(k)
         solve(0)
         sweep_energies.append(update_energies[-1])

@@ -1,5 +1,6 @@
 """Model definitions shared by the MPO builders, the evolution gates, and
-the brute-force oracles.
+the brute-force oracles, and the input limits of those oracles, which the
+command-line settings apply too.
 
 Spin-1/2 conventions (Pauli matrices, not spin operators):
 
@@ -50,29 +51,34 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
+            raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}", "model")
         if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 2:
-            raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
+            raise ConfigError(f"n_sites must be an integer >= 2, got {self.n_sites}", "n_sites")
         if self.model == "custom_nn":
             if self.two_site is None:
-                raise ValueError("custom_nn needs a two_site matrix")
+                raise ConfigError("custom_nn needs a two_site matrix", "two_site")
             ts = np.asarray(self.two_site, dtype=complex)
             d2 = ts.shape[0]
             d = int(round(np.sqrt(d2)))
             if ts.ndim != 2 or ts.shape != (d2, d2) or d * d != d2:
-                raise ValueError(f"two_site must be square d^2 x d^2, got shape {ts.shape}")
+                raise ConfigError(
+                    f"two_site must be square d^2 x d^2, got shape {ts.shape}", "two_site"
+                )
             if _hermiticity(ts) > 1e-12:
-                raise ValueError("two_site matrix is not Hermitian")
+                raise ConfigError("two_site matrix is not Hermitian", "two_site")
             object.__setattr__(self, "two_site", ts)
             if self.one_site is not None:
                 os = np.asarray(self.one_site, dtype=complex)
                 if os.shape != (d, d):
-                    raise ValueError(f"one_site must be {d} x {d}, got shape {os.shape}")
+                    raise ConfigError(
+                        f"one_site must be {d} x {d}, got shape {os.shape}", "one_site"
+                    )
                 if _hermiticity(os) > 1e-12:
-                    raise ValueError("one_site matrix is not Hermitian")
+                    raise ConfigError("one_site matrix is not Hermitian", "one_site")
                 object.__setattr__(self, "one_site", os)
         elif self.two_site is not None or self.one_site is not None:
-            raise ValueError("two_site/one_site are only valid for custom_nn")
+            field = "two_site" if self.two_site is not None else "one_site"
+            raise ConfigError("two_site/one_site are only valid for custom_nn", field)
 
     @property
     def phys_dim(self) -> int:
@@ -145,3 +151,49 @@ class ClassicalModelSpec:
             raise ConfigError(f"beta must be positive, got {self.beta}", field="beta")
         if self.field != 0.0:
             raise ValueError("nonzero field is not supported")
+
+
+# ---------------------------------------------------------------------------
+# limits of the brute-force oracles: each rule is shared by the oracle
+# function it guards and the oracle settings of the command line, and names
+# the config field it checks
+# ---------------------------------------------------------------------------
+
+MAX_SITES = 14  # largest chain the oracles assemble on the full Hilbert space
+
+
+def check_dense_size(n_sites: int) -> None:
+    """The chain length the full-Hilbert-space assembly accepts."""
+    if n_sites > MAX_SITES:
+        raise ConfigError(
+            f"n_sites {n_sites} exceeds the brute-force cap {MAX_SITES}", field="model.n_sites"
+        )
+
+
+def check_spectrum(k: int, dim: int) -> None:
+    """The number of levels ``ed_spectrum`` can return for a space of ``dim``."""
+    if not 1 <= k < dim:
+        raise ConfigError(f"need 1 <= k < {dim}, got {k}", field="k")
+
+
+def check_gibbs(beta: float) -> None:
+    if not beta >= 0.0:
+        raise ConfigError(f"beta must be >= 0, got {beta}", field="beta")
+
+
+def check_onsager(beta: float) -> None:
+    if not beta > 0.0:
+        raise ConfigError(f"beta must be positive, got {beta}", field="beta")
+
+
+def check_brute_force(length: int) -> None:
+    if not 1 <= length <= 4:
+        raise ConfigError(f"brute force supports 1 <= L <= 4, got {length}", field="length")
+
+
+def check_transfer_matrix(width: int, beta: float) -> None:
+    if not 1 <= width <= 12:
+        raise ConfigError(
+            f"transfer matrix supports 1 <= width <= 12, got {width}", field="width"
+        )
+    check_onsager(beta)

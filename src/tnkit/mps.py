@@ -4,7 +4,9 @@ Site tensors are rank-3 arrays with index order ``(left bond, physical,
 right bond)``; the outermost bonds have extent 1. A state may carry an
 orthogonality center: sites to its left are then left-isometries, sites to
 its right right-isometries, which the algorithms below maintain via QR
-moves. ``center=None`` means no canonical structure is claimed.
+moves. ``center=None`` means no canonical structure is claimed. On a state
+with a center, ``expect_local`` costs no factorization: it carries an
+environment from the site to the center through the isometries between.
 
 States are values: stored arrays are frozen, operations return new states.
 Dense reconstructions order the basis with site 0 as the most significant
@@ -190,14 +192,27 @@ def gauge_transform(psi: MatrixProductState, bond: int, x: np.ndarray) -> Matrix
 # ---------------------------------------------------------------------------
 
 
+def _overlap_left(env, bra_site, ket_site):
+    """Carry a <bra|ket> environment (bra bond, ket bond) across one site
+    from its left bond to its right bond."""
+    tmp = np.tensordot(env, ket_site, axes=(1, 0))  # (bra, s, ket')
+    return np.tensordot(bra_site.conj(), tmp, axes=([0, 1], [0, 1]))  # (bra', ket')
+
+
+def _overlap_right(env, bra_site, ket_site):
+    """Carry a <bra|ket> environment (bra bond, ket bond) across one site
+    from its right bond to its left bond."""
+    tmp = np.tensordot(ket_site, env, axes=(2, 1))  # (ket', s, bra)
+    return np.tensordot(bra_site.conj(), tmp, axes=([1, 2], [1, 2]))  # (bra', ket')
+
+
 def inner(a: MatrixProductState, b: MatrixProductState) -> complex:
     """<a|b> (conjugation on ``a``)."""
     if a.n_sites != b.n_sites or a.phys_dims != b.phys_dims:
         raise ValueError("states live on different lattices")
     env = np.ones((1, 1), dtype=complex)
     for sa, sb in zip(a.sites, b.sites):
-        tmp = np.tensordot(env, sb, axes=(1, 0))  # (Da, d, Drb)
-        env = np.tensordot(sa.conj(), tmp, axes=([0, 1], [0, 1]))  # (Dra, Drb)
+        env = _overlap_left(env, sa, sb)
     return complex(env[0, 0])
 
 
@@ -224,16 +239,34 @@ def _site_op(op, d: int) -> np.ndarray:
 
 
 def expect_local(psi: MatrixProductState, op, site: int) -> complex:
-    """<op_site>, normalized by the state norm."""
+    """<op_site>, normalized by the state norm.
+
+    On a state with a center no factorization is made: the sites between
+    ``site`` and the center are isometries, so an environment carried from
+    ``site`` to the center closes on the center tensor. A state without a
+    center is canonicalized around ``site`` first.
+    """
     if not 0 <= site < psi.n_sites:
         raise ValueError(f"site {site} out of range")
     op = _site_op(op, psi.phys_dims[site])
-    c = canonicalize(psi, site)
-    a = c.sites[site]
+    if psi.center is None:
+        psi = canonicalize(psi, site)
+    sites, c = psi.sites, psi.center
+    a = sites[c]
     n2 = np.vdot(a, a).real
     if n2 == 0.0:
         raise ValueError("cannot take expectation values in the zero state")
-    oa = np.einsum("st,ltr->lsr", op, a)
+    oa = np.einsum("st,ltr->lsr", op, sites[site])
+    if site < c:
+        env = np.tensordot(sites[site].conj(), oa, axes=([0, 1], [0, 1]))
+        for k in range(site + 1, c):
+            env = _overlap_left(env, sites[k], sites[k])
+        oa = np.tensordot(env, a, axes=(1, 0))
+    elif site > c:
+        env = np.tensordot(sites[site].conj(), oa, axes=([1, 2], [1, 2]))
+        for k in range(site - 1, c, -1):
+            env = _overlap_right(env, sites[k], sites[k])
+        oa = np.tensordot(a, env, axes=(2, 1))
     return complex(np.vdot(a, oa) / n2)
 
 
@@ -260,9 +293,7 @@ def correlator(psi: MatrixProductState, op_a, site_a: int, op_b, site_b: int) ->
     oa = np.einsum("st,ltr->lsr", op_a, a)
     env = np.tensordot(a.conj(), oa, axes=([0, 1], [0, 1]))  # (bra_r, ket_r)
     for k in range(site_a + 1, site_b):
-        s = c.sites[k]
-        tmp = np.tensordot(env, s, axes=(1, 0))
-        env = np.tensordot(s.conj(), tmp, axes=([0, 1], [0, 1]))
+        env = _overlap_left(env, c.sites[k], c.sites[k])
     b = c.sites[site_b]
     ob = np.einsum("st,ltr->lsr", op_b, b)
     tmp = np.tensordot(env, ob, axes=(1, 0))

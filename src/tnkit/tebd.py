@@ -109,8 +109,11 @@ def apply_gate(
     return MatrixProductState(sites, center=bond + 1), report
 
 
-def _gate_inplace(sites: list, bond: int, gate: np.ndarray, spec: TruncationSpec):
-    """Center must already sit at ``bond`` (or bond+1). Leaves it at bond+1."""
+def _gate_inplace(
+    sites: list, bond: int, gate: np.ndarray, spec: TruncationSpec, leftward: bool = False
+):
+    """Center must already sit at ``bond`` (or bond+1). Leaves it at bond+1,
+    or at ``bond`` when ``leftward`` absorbs the singular values to the left."""
     a, b = sites[bond], sites[bond + 1]
     dl, d1, _ = a.shape
     _, d2, dr = b.shape
@@ -120,8 +123,12 @@ def _gate_inplace(sites: list, bond: int, gate: np.ndarray, spec: TruncationSpec
     g4 = gate.reshape(d1, d2, d1, d2)
     theta = np.einsum("abij,lijr->labr", g4, theta)
     u, s, vh, report = svd_matrix(theta.reshape(dl * d1, d2 * dr), spec)
+    if leftward:
+        u = u * s
+    else:
+        vh = s[:, None] * vh
     sites[bond] = u.reshape(dl, d1, -1)
-    sites[bond + 1] = (s[:, None] * vh).reshape(-1, d2, dr)
+    sites[bond + 1] = vh.reshape(-1, d2, dr)
     return report
 
 
@@ -170,7 +177,9 @@ def evolve_gates(
 
     Real time keeps the raw norm so drift stays measurable; imaginary time
     renormalizes each truncation and pulls the state norm out once per step
-    into log_norms. A step whose summed discarded weight exceeds
+    into log_norms. The gates of one layer act on distinct bonds and
+    commute, so each layer is swept from whichever end is nearer the
+    current center. A step whose summed discarded weight exceeds
     abort_threshold still completes, but evolution stops there and the
     trace comes back with aborted=True.
     """
@@ -199,10 +208,14 @@ def evolve_gates(
     for step in range(n_steps):
         step_discarded = 0.0
         for layer in scheme.layers:
-            for gate in layer:
-                _move_center(sites, center, gate.bond)
-                report = _gate_inplace(sites, gate.bond, gate.matrix, trunc)
-                center = gate.bond + 1
+            if not layer:  # two sites have no odd bond
+                continue
+            leftward = abs(layer[-1].bond + 1 - center) < abs(layer[0].bond - center)
+            for gate in reversed(layer) if leftward else layer:
+                # either site of the gate may hold the center
+                _move_center(sites, center, min(max(center, gate.bond), gate.bond + 1))
+                report = _gate_inplace(sites, gate.bond, gate.matrix, trunc, leftward)
+                center = gate.bond if leftward else gate.bond + 1
                 step_discarded += report.discarded_weight
         if scheme.imag:
             scale = float(np.linalg.norm(sites[center]))

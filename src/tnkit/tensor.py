@@ -166,18 +166,14 @@ def _phase_fix_columns(u: np.ndarray, other: np.ndarray) -> None:
     """Phase each column of ``u`` so its largest-magnitude entry is real
     and positive, absorbing the inverse phase into the rows of ``other``.
 
-    Modifies both arrays in place; ``u @ other`` is unchanged.
+    Modifies both arrays in place; ``u @ other`` is unchanged. The first
+    of tied maxima decides, and an all-zero column keeps phase 1.
     """
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        a = col[i]
-        mag = abs(a)
-        if mag == 0.0:
-            continue
-        ph = a / mag
-        u[:, j] *= np.conj(ph)
-        other[j, :] *= ph
+    a = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    mag = np.abs(a)
+    ph = np.divide(a, mag, out=np.ones_like(a), where=mag != 0.0)
+    u *= ph.conj()
+    other *= ph[:, None]
 
 
 def truncate_spectrum(s: np.ndarray, max_bond: int, rel_cutoff: float) -> tuple[int, float]:

@@ -61,6 +61,7 @@ class TestDmrgRuns:
         e_ref, _ = ed_ground(dense_hamiltonian(transverse_field_ising(8, 1.0, 1.0)))
         assert abs(rec["result"]["energy"] - e_ref) <= 1e-8 * abs(e_ref)
         assert len(rec["result"]["observables"]["sz"]) == 8
+        assert rec["result"]["unconverged_solves"] == 0
 
         assert (out / "run.json").exists()
         assert (out / "summary.txt").exists()
@@ -68,6 +69,13 @@ class TestDmrgRuns:
         meta = json.loads((out / "run.json").read_text())
         assert meta["wall_time_s"] > 0 and meta["config_hash"] == rec["config_hash"]
         assert "wall" not in (out / "results.jsonl").read_text()
+
+    def test_unconverged_local_solves_are_reported(self, tmp_path):
+        # two Lanczos steps never meet the tolerance, yet the sweeps settle
+        cfg = _dmrg_cfg(lanczos_max_iter=2)
+        out = tmp_path / "out"
+        assert main(["dmrg", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        assert _read_results(out)[0]["result"]["unconverged_solves"] > 0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = _write_cfg(tmp_path, _dmrg_cfg())
@@ -289,6 +297,53 @@ class TestFailureModes:
             code = main(["oracle", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
         assert code == EXIT_NUMERICAL
         assert json.loads((out / "error.json").read_text())["error"]["kind"] == "numerical"
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"task": "brute_force", "length": 5, "beta": 0.3}, "length"),
+            ({"task": "transfer_matrix", "width": 13, "beta": 0.3}, "width"),
+            ({"task": "transfer_matrix", "width": 4, "beta": 0.0}, "beta"),
+            ({"task": "onsager", "beta": -0.2}, "beta"),
+            ({"task": "gibbs", "beta": -1.0, "model": {"name": "heisenberg_xxz", "n_sites": 3}},
+             "beta"),
+            ({"task": "ed_spectrum", "k": 8, "model": {"name": "heisenberg_xxz", "n_sites": 3}},
+             "k"),
+            ({"task": "ed_ground", "model": {"name": "heisenberg_xxz", "n_sites": 15}},
+             "model.n_sites"),
+        ],
+        ids=["brute-force-length", "transfer-width", "transfer-beta", "onsager-beta",
+             "gibbs-beta", "spectrum-k", "dense-n-sites"],
+    )
+    def test_oracle_limit_is_config_error(self, tmp_path, extra, field):
+        cfg = {"run": "oracle", "seed": 1, **extra}
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == field
+
+    @pytest.mark.parametrize(
+        "model, field",
+        [
+            ({"name": "transverse_field_ising", "n_sites": 1, "h": 1.0}, "model.n_sites"),
+            ({"name": "custom_nn", "n_sites": 4, "two_site": [[0, 1, 0, 0]] * 4},
+             "model.two_site"),
+            ({"name": "custom_nn", "n_sites": 4, "two_site": np.eye(3).tolist()},
+             "model.two_site"),
+            ({"name": "custom_nn", "n_sites": 4, "two_site": np.eye(4).tolist(),
+              "one_site": np.eye(3).tolist()}, "model.one_site"),
+            ({"name": "custom_nn", "n_sites": 4, "two_site": np.eye(4).tolist(),
+              "one_site": [[0, 1], [0, 0]]}, "model.one_site"),
+        ],
+        ids=["n-sites", "two-site-hermiticity", "two-site-shape", "one-site-shape",
+             "one-site-hermiticity"],
+    )
+    def test_model_error_names_its_field(self, tmp_path, model, field):
+        cfg = {"run": "tebd", "seed": 1, "model": model, "dt": 0.05, "n_steps": 2, "max_bond": 4}
+        out = tmp_path / "out"
+        assert main(["tebd", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == field
 
     def test_stale_error_record_is_cleared(self, tmp_path):
         out = tmp_path / "out"

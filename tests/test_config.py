@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tnkit import oracle
 from tnkit.config import (
     ConfigError,
     chain_spec,
@@ -13,6 +14,7 @@ from tnkit.config import (
     parse_run_config,
     resolve_runs,
 )
+from tnkit.models import heisenberg_xxz
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -140,6 +142,33 @@ class TestValidation:
     def test_oracle_task_checked(self):
         with pytest.raises(ConfigError, match="task"):
             resolve_runs("oracle", {"seed": 1, "task": "guess"})
+
+    @pytest.mark.parametrize(
+        "extra, field, direct",
+        [
+            ({"task": "brute_force", "length": 5, "beta": 0.3}, "length",
+             lambda: oracle.ising_brute_force(5, 0.3)),
+            ({"task": "transfer_matrix", "width": 13, "beta": 0.3}, "width",
+             lambda: oracle.ising_transfer_matrix(13, 0.3)),
+            ({"task": "transfer_matrix", "width": 4, "beta": -0.3}, "beta",
+             lambda: oracle.ising_transfer_matrix(4, -0.3)),
+            ({"task": "onsager", "beta": 0.0}, "beta", lambda: oracle.onsager_f(0.0)),
+            ({"task": "ed_spectrum", "k": 16, "model": {"name": "heisenberg_xxz", "n_sites": 4}},
+             "k", lambda: oracle.ed_spectrum(oracle.dense_hamiltonian(heisenberg_xxz(4)), 16)),
+            ({"task": "gibbs", "beta": -1.0, "model": {"name": "heisenberg_xxz", "n_sites": 4}},
+             "beta", lambda: oracle.dense_gibbs(oracle.dense_hamiltonian(heisenberg_xxz(4)), -1.0)),
+            ({"task": "ed_ground", "model": {"name": "heisenberg_xxz", "n_sites": 15}},
+             "model.n_sites", lambda: oracle.dense_hamiltonian(heisenberg_xxz(15))),
+        ],
+        ids=["length", "width", "transfer-beta", "onsager-beta", "k", "gibbs-beta", "n-sites"],
+    )
+    def test_oracle_limits_are_shared_rules(self, extra, field, direct):
+        # the settings and the oracle function break the same rule on the same field
+        with pytest.raises(ConfigError) as parsed:
+            resolve_runs("oracle", {"seed": 1, **extra})
+        with pytest.raises(ConfigError) as called:
+            direct()
+        assert parsed.value.field == called.value.field == field
 
     def test_run_field_must_match_subcommand(self):
         with pytest.raises(ConfigError, match="subcommand"):

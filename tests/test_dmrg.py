@@ -43,6 +43,24 @@ def test_lanczos_invariant_subspace():
     assert theta == pytest.approx(2.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("dim, max_iter", [(6, 50), (300, 120)])
+def test_lanczos_matches_dense_eigh(dim, max_iter):
+    # dim < max_iter: the Krylov space fills the whole space, an invariant
+    # subspace, and the basis never needs more than dim rows
+    rng = np.random.default_rng(dim)
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(x)
+    spectrum = np.linspace(0.0, 1.0, dim)
+    spectrum[0] = -1.0  # a gap that converges within max_iter
+    m = (q * spectrum) @ q.conj().T
+    w, v = np.linalg.eigh(m)
+    theta, vec, ok = lanczos_ground(lambda y: m @ y, rng.normal(size=dim), max_iter, 1e-12)
+    assert ok
+    assert theta == pytest.approx(w[0], abs=1e-12)
+    assert abs(np.vdot(v[:, 0], vec)) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+
+
 @pytest.mark.parametrize("h", [0.4, 1.0, 1.6])
 def test_tfi_ground_energy_matches_ed(h):
     spec = transverse_field_ising(8, J=1.0, h=h)

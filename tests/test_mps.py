@@ -179,6 +179,37 @@ def test_expect_local_matches_dense():
         assert got.real == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("center", [0, 3, 6])
+def test_expect_local_on_centered_state_needs_no_qr(monkeypatch, center):
+    import tnkit.mps as mps_module
+
+    rng = np.random.default_rng(center)
+    psi = canonicalize(random_mps([2] * 7, max_bond=6, rng=rng), center)
+    work = list(psi.sites)
+    work[center] = work[center] * 2.5  # unnormalized on purpose
+    psi = MatrixProductState(work, center=center)
+    v = to_dense(psi)
+    ops = [SZ, SX, np.array([[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -1.2]])]
+    want = {}
+    for site in range(7):
+        for i, op in enumerate(ops):
+            full = np.kron(np.eye(2**site), np.kron(op, np.eye(2 ** (6 - site))))
+            want[site, i] = np.vdot(v, full @ v) / np.vdot(v, v)
+    calls = []
+    for name in ("qr_matrix", "rq_matrix"):
+        real = getattr(mps_module, name)
+        monkeypatch.setattr(
+            mps_module, name, lambda m, real=real: calls.append(1) or real(m)
+        )
+    for (site, i), value in want.items():
+        assert expect_local(psi, ops[i], site) == pytest.approx(value, abs=1e-12)
+    assert calls == []
+    # the same state without a center still goes through QR moves
+    uncentered = MatrixProductState(psi.sites, center=None)
+    assert expect_local(uncentered, SZ, 3) == pytest.approx(want[3, 0], abs=1e-12)
+    assert calls
+
+
 def test_expect_local_normalizes():
     psi = product_state([UP, DOWN])
     scaled = MatrixProductState([psi.sites[0] * 3.0, psi.sites[1]])

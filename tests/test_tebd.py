@@ -5,13 +5,24 @@ import pytest
 
 from tnkit.models import SZ, heisenberg_xxz, transverse_field_ising
 from tnkit.mpo import build_mpo, expect_mpo, mpo_to_dense
-from tnkit.mps import expect_local, norm, product_state, to_dense
+from tnkit.mps import (
+    MatrixProductState,
+    _move_center,
+    canonical_residual,
+    canonicalize,
+    expect_local,
+    norm,
+    product_state,
+    to_dense,
+)
 from tnkit.oracle import dense_evolve, dense_gibbs, dense_hamiltonian, ed_ground
 from tnkit.tebd import (
     TebdConfig,
+    _gate_inplace,
     apply_gate,
     build_trotter,
     evolve,
+    evolve_gates,
     imaginary_time_ground_state,
     infinite_temperature_state,
     lift_gate,
@@ -113,6 +124,64 @@ def test_observable_series_and_times():
     op = np.kron(SZ, np.eye(8))
     want = np.vdot(v, op @ v).real
     assert trace.observables["sz0"][-1] == pytest.approx(want, abs=1e-4)
+
+
+def _forward_only(psi, scheme, n_steps, max_bond):
+    """Every layer swept left to right, the center walked back each time."""
+    trunc = TruncationSpec(max_bond=max_bond)
+    sites, center = list(canonicalize(psi, 0).sites), 0
+    for _ in range(n_steps):
+        for layer in scheme.layers:
+            for gate in layer:
+                _move_center(sites, center, gate.bond)
+                _gate_inplace(sites, gate.bond, gate.matrix, trunc)
+                center = gate.bond + 1
+    return MatrixProductState(sites, center=center)
+
+
+def _count_center_moves(monkeypatch):
+    import tnkit.mps as mps_module
+
+    calls = []
+    for name in ("qr_matrix", "rq_matrix"):
+        real = getattr(mps_module, name)
+        monkeypatch.setattr(
+            mps_module, name, lambda m, real=real: calls.append(1) or real(m)
+        )
+    return calls
+
+
+def test_gate_sweeps_skip_the_center_walk_back(monkeypatch):
+    spec = transverse_field_ising(14, h=1.0)
+    scheme = build_trotter(spec, 0.05, order=2)
+    psi0 = neel(14)
+    calls = _count_center_moves(monkeypatch)
+    n_steps = 6
+    out, _ = evolve_gates(psi0, scheme, n_steps, max_bond=32)
+    # a forward-only sweep walks the center back before each layer: 54 per step
+    assert len(calls) / n_steps <= 20
+    assert canonical_residual(out) < 1e-12
+
+
+def test_gate_sweeps_match_forward_only_order_without_truncation():
+    spec = heisenberg_xxz(14, J=1.0, delta=0.6)
+    scheme = build_trotter(spec, 0.05, order=2)
+    out, trace = evolve_gates(neel(14), scheme, 4, max_bond=128)
+    assert max(trace.discarded) == 0.0
+    ref = _forward_only(neel(14), scheme, 4, max_bond=128)
+    np.testing.assert_allclose(to_dense(out), to_dense(ref), rtol=0, atol=1e-12)
+    for site in (0, 6, 13):
+        assert expect_local(out, SZ, site) == pytest.approx(
+            expect_local(ref, SZ, site), abs=1e-12
+        )
+
+
+def test_two_site_chain_with_an_empty_layer():
+    spec = transverse_field_ising(2, h=0.7)
+    assert build_trotter(spec, 0.01).layers[1] == ()
+    out, _ = evolve(neel(2), spec, TebdConfig(dt=0.01, n_steps=50, max_bond=2))
+    want = dense_evolve(dense_hamiltonian(spec), to_dense(neel(2)), 0.5)
+    assert abs(np.vdot(want, to_dense(out))) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_truncated_quench_aborts_on_weight_threshold():

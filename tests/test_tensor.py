@@ -15,6 +15,7 @@ from tnkit.tensor import (
     trace,
     truncate_spectrum,
     _greedy_pair,
+    _phase_fix_columns,
 )
 
 
@@ -303,3 +304,35 @@ def test_split_argument_validation():
         svd_split(t, ["a"], bond_label="b")
     with pytest.raises(ValueError):
         qr_matrix(np.array([[np.inf, 1.0], [0.0, 1.0]]))
+
+
+def _phase_fix_columns_loop(u, other):
+    """The column-by-column form of the phase convention, as a reference."""
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        a = col[int(np.argmax(np.abs(col)))]
+        if abs(a) == 0.0:
+            continue
+        ph = a / abs(a)
+        u[:, j] *= np.conj(ph)
+        other[j, :] *= ph
+
+
+def test_phase_fix_matches_column_loop():
+    rng = np.random.default_rng(17)
+    u = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+    other = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    u[:, 2] = 0.0  # zero column keeps phase 1
+    u[:, 4] = 0.0
+    u[[1, 3, 7], 4] = [0.6j, -0.6, 0.6]  # tied maxima: the first one decides
+    product = u @ other
+    want_u, want_other = u.copy(), other.copy()
+    _phase_fix_columns_loop(want_u, want_other)
+    _phase_fix_columns(u, other)
+    np.testing.assert_allclose(u, want_u, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(other, want_other, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(u @ other, product, rtol=0, atol=1e-13)
+    assert u[1, 4] == 0.6 and np.all(u[:, 2] == 0.0)
+    leading = u[np.argmax(np.abs(u), axis=0), np.arange(6)]
+    assert np.all(np.abs(leading[[0, 1, 3, 4, 5]].imag) < 1e-15)
+    assert np.all(leading[[0, 1, 3, 4, 5]].real > 0.0)
