@@ -54,7 +54,7 @@ from .config import (
 from .dmrg import excited_state, ground_state
 from .models import PAULI
 from .mpo import build_mpo, expect_mpo
-from .mps import expect_local, norm, product_state
+from .mps import expect_local, expect_profile, norm, product_state
 from .oracle import (
     dense_gibbs,
     dense_hamiltonian,
@@ -130,6 +130,7 @@ def _run_dmrg(s: DmrgSettings, checkpoint: str | None, warm) -> dict:
         "n_sweeps": trace.n_sweeps,
         "sweep_energies": list(trace.sweep_energies),
         "unconverged_solves": trace.unconverged_solves,
+        "lanczos_matvecs": trace.lanczos_matvecs,
         "bond_dims": list(psi.bond_dims),
         "warm_start": warm is not None,
     }
@@ -141,11 +142,12 @@ def _run_dmrg(s: DmrgSettings, checkpoint: str | None, warm) -> dict:
         states.append(pk)
         energies.append(ek)
         record["unconverged_solves"] += tk.unconverged_solves
+        record["lanczos_matvecs"] += tk.lanczos_matvecs
     if len(energies) > 1:
         record["energies"] = energies
     obs = {}
     for name in s.observables:
-        obs[name] = [expect_local(psi, PAULI[name], i).real for i in range(s.model.n_sites)]
+        obs[name] = expect_profile(psi, PAULI[name]).real.tolist()
     if obs:
         record["observables"] = obs
     if checkpoint:
@@ -196,8 +198,7 @@ def _run_thermal(s: ThermalSettings, checkpoint: str | None, warm) -> dict:
     obs = {}
     d = s.model.phys_dim
     for name in s.observables:
-        lifted = lift_site_operator(PAULI[name], d)
-        obs[name] = [expect_local(psi, lifted, i).real for i in range(s.model.n_sites)]
+        obs[name] = expect_profile(psi, lift_site_operator(PAULI[name], d)).real.tolist()
     if obs:
         record["observables"] = obs
     if checkpoint:

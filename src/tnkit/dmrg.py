@@ -6,20 +6,30 @@ cached left/right environments. With zero noise every local solve is a
 Rayleigh-quotient minimization seeded with the current tensor, so recorded
 energies never increase.
 
+Each local solve is Lanczos on the operator of one site. It is built once
+per site (``mpo._site_operator``): the left environment times the site's
+MPO tensor as a ``(f·o·w', k·s)`` matrix and the right environment as a
+``(w'·k', f')`` matrix, so every Krylov vector costs two matrix products
+and no transposed copy. The Ritz pair of the small tridiagonal matrix is
+found on each iteration by calling LAPACK directly (dstebz for the lowest
+eigenvalue, dstein for its vector) on coefficients kept in preallocated
+arrays; non-finite coefficients raise before anything divides by them.
+
 Excited states reuse the same machinery on H + sum_c w |c><c| with the
 already-found states penalized out of the low end of the spectrum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dstebz, dstein
 
 from .mpo import (
     MatrixProductOperator,
-    _fit_local,
+    _site_operator,
     _transfer_left,
     _transfer_right,
     expect_mpo,
@@ -67,13 +77,16 @@ def check_penalty_weight(penalty_weight: float) -> None:
 class DmrgTrace:
     """sweep_energies has one entry per completed sweep; update_energies one
     per local solve (monotone nonincreasing when noise is zero).
-    final_overlaps holds |<c|psi>| against each penalized state."""
+    lanczos_matvecs counts the effective-Hamiltonian applications of all
+    local solves, retries included. final_overlaps holds |<c|psi>| against
+    each penalized state."""
 
     sweep_energies: tuple[float, ...]
     update_energies: tuple[float, ...]
     converged: bool
     n_sweeps: int
     unconverged_solves: int
+    lanczos_matvecs: int
     final_overlaps: tuple[float, ...] = ()
 
 
@@ -82,13 +95,29 @@ class DmrgTrace:
 # ---------------------------------------------------------------------------
 
 
-def _tridiag_ground(alphas, betas) -> tuple[float, np.ndarray]:
-    if len(alphas) == 1:
+def _tridiag_ground(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the real symmetric tridiagonal matrix with
+    diagonal ``alphas`` and off-diagonal ``betas``: bisection for the one
+    eigenvalue (LAPACK dstebz, by index) and inverse iteration for its
+    vector (dstein). These are the routines behind
+    ``scipy.linalg.eigh_tridiagonal(select="i")``, called without its input
+    validation; the caller passes finite float64 arrays."""
+    if alphas.size == 1:
         return float(alphas[0]), np.ones(1)
-    w, v = scipy.linalg.eigh_tridiagonal(
-        alphas, betas, select="i", select_range=(0, 0)
-    )
+    _, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed with info {info}")
+    v, info = dstein(alphas, betas, w[:1], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein failed with info {info}")
     return float(w[0]), v[:, 0]
+
+
+def _check_finite(name: str, x) -> None:
+    if not cmath.isfinite(x):
+        raise ValueError(
+            f"Lanczos {name} is not finite (NaN or inf in the operator or the start vector)"
+        )
 
 
 def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float):
@@ -96,48 +125,55 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float):
 
     Full reorthogonalization keeps the basis clean at these small subspace
     sizes. The basis is the rows of one array, filled row by row, so each
-    reorthogonalization pass is two matrix-vector products. Returns (value,
-    normalized vector, converged). Raises if the operator is detectably
-    non-Hermitian.
+    reorthogonalization pass is two matrix-vector products; the tridiagonal
+    coefficients live in preallocated arrays. Returns (value, normalized
+    vector, converged). Raises if the operator is detectably non-Hermitian,
+    or as soon as the start-vector norm or a Lanczos coefficient is not
+    finite.
     """
     v = np.asarray(v0, dtype=complex).reshape(-1)
     nv = np.linalg.norm(v)
+    _check_finite("start-vector norm", nv)
     if nv == 0.0:
         raise ValueError("Lanczos start vector is zero")
     # at most dim orthonormal vectors exist; rows never written cost no memory
-    basis = np.empty((min(max_iter, v.size), v.size), dtype=complex)
+    m = min(max_iter, v.size)
+    basis = np.empty((m, v.size), dtype=complex)
+    alphas = np.empty(m)
+    betas = np.empty(m)  # betas[j] couples rows j and j + 1
     basis[0] = v / nv
     k = 1
-    alphas: list[float] = []
-    betas: list[float] = []
     hv = matvec(basis[0])
-    scale = max(1.0, float(np.linalg.norm(hv)))
     a = np.vdot(basis[0], hv)
+    _check_finite("alpha", a)
+    scale = max(1.0, float(np.linalg.norm(hv)))
     if abs(a.imag) > 1e-8 * scale:
         raise ValueError("operator is not Hermitian: <v|Hv> has an imaginary part")
-    alphas.append(a.real)
+    alphas[0] = a.real
     w = hv - a.real * basis[0]
-    theta, u = _tridiag_ground(alphas, betas)
+    theta, u = _tridiag_ground(alphas[:1], betas[:0])
     converged = False
     for _ in range(max_iter - 1):
         q = basis[:k]
         for _ in range(2):  # two passes keep orthogonality at machine precision
             w -= (q @ w.conj()).conj() @ q
         beta = float(np.linalg.norm(w))
+        _check_finite("beta", beta)
         if beta * abs(u[-1]) <= tol * max(1.0, abs(theta)):
             converged = True
             break
-        if beta <= 1e-14 * scale or k == basis.shape[0]:  # invariant subspace
+        if beta <= 1e-14 * scale or k == m:  # invariant subspace
             converged = True
             break
         basis[k] = w / beta
-        betas.append(beta)
+        betas[k - 1] = beta
         hv = matvec(basis[k])
         a = np.vdot(basis[k], hv).real
-        alphas.append(a)
+        _check_finite("alpha", a)
+        alphas[k] = a
         w = hv - a * basis[k] - beta * basis[k - 1]
         k += 1
-        theta, u = _tridiag_ground(alphas, betas)
+        theta, u = _tridiag_ground(alphas[:k], betas[: k - 1])
     vec = u @ basis[:k]
     vec /= np.linalg.norm(vec)
     return float(theta), vec, converged
@@ -176,6 +212,7 @@ class _Workspace:
             self.oright[i][n] = np.ones((1, 1), dtype=complex)
         for k in range(n - 1, 0, -1):
             self._grow_right(k)
+        self.matvecs = 0
 
     def _grow_left(self, k):
         self.left[k + 1] = _transfer_left(
@@ -191,21 +228,34 @@ class _Workspace:
         for i, low in enumerate(self.lowers):
             self.oright[i][k] = _overlap_right(self.oright[i][k + 1], low[k], self.sites[k])
 
-    def solve_site(self, k, v0, max_iter, tol):
-        l, r, w = self.left[k], self.right[k + 1], self.op.sites[k]
-        shape = v0.shape
+    def site_matvec(self, k):
+        """The effective Hamiltonian of site k, plus the penalties, as a
+        matvec on the flattened center tensor. Counts its applications in
+        ``self.matvecs``."""
+        apply = _site_operator(self.left[k], self.op.sites[k], self.right[k + 1])
         gs = [
             _penalty_vector(self.oleft[i][k], self.oright[i][k + 1], low[k]).reshape(-1)
             for i, low in enumerate(self.lowers)
         ]
 
         def matvec(x):
-            y = _fit_local(l, r, w, x.reshape(shape)).reshape(-1)
+            self.matvecs += 1
+            y = apply(x).reshape(-1)
             for g in gs:
                 y = y + self.weight * g * np.vdot(g, x)
             return y
 
-        theta, vec, ok = lanczos_ground(matvec, v0.reshape(-1), max_iter, tol)
+        return matvec
+
+    def solve_site(self, k, max_iter, tol):
+        """Lowest Ritz pair of site k, seeded with its current tensor. An
+        unconverged solve is retried once from its Ritz vector with twice
+        the iterations. Returns (value, tensor, converged)."""
+        shape = self.sites[k].shape
+        matvec = self.site_matvec(k)
+        theta, vec, ok = lanczos_ground(matvec, self.sites[k].reshape(-1), max_iter, tol)
+        if not ok:
+            theta, vec, ok = lanczos_ground(matvec, vec, 2 * max_iter, tol)
         return theta, vec.reshape(shape), ok
 
 
@@ -234,15 +284,9 @@ def _sweep(op, config, psi, lowers, weight):
 
     def solve(k):
         nonlocal unconverged
-        theta, vec, ok = ws.solve_site(
-            k, ws.sites[k], config.lanczos_max_iter, config.lanczos_tol
-        )
+        theta, vec, ok = ws.solve_site(k, config.lanczos_max_iter, config.lanczos_tol)
         if not ok:
-            theta, vec, ok = ws.solve_site(
-                k, vec, 2 * config.lanczos_max_iter, config.lanczos_tol
-            )
-            if not ok:
-                unconverged += 1
+            unconverged += 1
         if config.noise > 0.0:
             bump = rng.normal(size=vec.shape) + 1j * rng.normal(size=vec.shape)
             vec = vec + config.noise * bump * np.linalg.norm(vec) / np.linalg.norm(bump)
@@ -268,8 +312,15 @@ def _sweep(op, config, psi, lowers, weight):
         if spread <= config.tol * max(1.0, abs(sweep_energies[-1])):
             converged = True
             break
-    out = MatrixProductState(ws.sites, center=0)
-    return out, sweep_energies, update_energies, converged, unconverged
+    trace = DmrgTrace(
+        sweep_energies=tuple(sweep_energies),
+        update_energies=tuple(update_energies),
+        converged=converged,
+        n_sweeps=len(sweep_energies),
+        unconverged_solves=unconverged,
+        lanczos_matvecs=ws.matvecs,
+    )
+    return MatrixProductState(ws.sites, center=0), trace
 
 
 def ground_state(
@@ -282,15 +333,8 @@ def ground_state(
     Returns (energy, normalized state with center at site 0, trace).
     """
     psi = _prepare_initial(op, config, psi0)
-    out, sweep_e, update_e, converged, unconv = _sweep(op, config, psi, [], 0.0)
-    trace = DmrgTrace(
-        sweep_energies=tuple(sweep_e),
-        update_energies=tuple(update_e),
-        converged=converged,
-        n_sweeps=len(sweep_e),
-        unconverged_solves=unconv,
-    )
-    return sweep_e[-1], out, trace
+    out, trace = _sweep(op, config, psi, [], 0.0)
+    return trace.sweep_energies[-1], out, trace
 
 
 def excited_state(
@@ -311,17 +355,7 @@ def excited_state(
         if c.n_sites != op.n_sites:
             raise ValueError("penalized state lives on a different lattice")
     psi = _prepare_initial(op, config, psi0)
-    out, sweep_e, update_e, converged, unconv = _sweep(
-        op, config, psi, list(below), penalty_weight
-    )
+    out, trace = _sweep(op, config, psi, list(below), penalty_weight)
     overlaps = tuple(float(abs(inner(c, out))) for c in below)
     energy = float(expect_mpo(out, op).real)
-    trace = DmrgTrace(
-        sweep_energies=tuple(sweep_e),
-        update_energies=tuple(update_e),
-        converged=converged,
-        n_sweeps=len(sweep_e),
-        unconverged_solves=unconv,
-        final_overlaps=overlaps,
-    )
-    return energy, out, trace
+    return energy, out, replace(trace, final_overlaps=overlaps)

@@ -206,13 +206,35 @@ class FitTrace:
     converged: bool
 
 
+def _site_operator(left, op_site, right):
+    """The operator that one site sees through its environments, as a
+    function of the ket tensor (flattened or not) giving the bra tensor
+    ``(f, o, f')``.
+
+    The left environment and the site's MPO tensor are contracted once into
+    a ``(f·o·w', k·s)`` matrix and the right environment is laid out as
+    ``(w'·k', f')``, so each application is two matrix products and pure
+    reshapes.
+    """
+    f, _, k = left.shape
+    _, o, s, w = op_site.shape
+    fr, _, kr = right.shape
+    lw = np.tensordot(left, op_site, axes=(1, 0))  # (f, k, o, s, w')
+    lw = lw.transpose(0, 2, 4, 1, 3).reshape(f * o * w, k * s)
+    r = right.transpose(1, 2, 0).reshape(w * kr, fr)
+
+    def apply(ket):
+        y = lw @ ket.reshape(k * s, kr)  # (f·o·w', k')
+        return (y.reshape(f * o, w * kr) @ r).reshape(f, o, fr)
+
+    return apply
+
+
 def _fit_local(left, right, op_site, ket_site):
     """Optimal center tensor of the fit at one site: the target projected
     onto the fixed environment, since the gauge makes the normal matrix the
     identity."""
-    tmp = np.tensordot(left, ket_site, axes=(2, 0))  # (f, w, s, k')
-    tmp = np.tensordot(tmp, op_site, axes=([1, 2], [0, 2]))  # (f, k', o, w')
-    return np.tensordot(tmp, right, axes=([1, 3], [2, 1]))  # (f, o, f')
+    return _site_operator(left, op_site, right)(ket_site)
 
 
 def apply_mpo_variational(

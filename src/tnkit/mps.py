@@ -5,8 +5,9 @@ right bond)``; the outermost bonds have extent 1. A state may carry an
 orthogonality center: sites to its left are then left-isometries, sites to
 its right right-isometries, which the algorithms below maintain via QR
 moves. ``center=None`` means no canonical structure is claimed. On a state
-with a center, ``expect_local`` costs no factorization: it carries an
-environment from the site to the center through the isometries between.
+with a center, ``expect_local``, ``expect_profile`` and ``correlator`` cost
+no factorization: they carry environments between the measured sites and
+the center, and the isometries outside contract to identities.
 
 States are values: stored arrays are frozen, operations return new states.
 Dense reconstructions order the basis with site 0 as the most significant
@@ -270,10 +271,48 @@ def expect_local(psi: MatrixProductState, op, site: int) -> complex:
     return complex(np.vdot(a, oa) / n2)
 
 
+def expect_profile(psi: MatrixProductState, op) -> np.ndarray:
+    """<op_i> at every site i, normalized by the state norm, in one pass.
+
+    On a state with a center no factorization is made: an environment is
+    carried once from the center to the right end and once from the center
+    to the left end, and each site's value closes it on that site (the
+    isometries beyond it contract to identities), so the profile costs
+    O(N) transfers. A state without a center is canonicalized around site
+    0 first.
+    """
+    if psi.center is None:
+        psi = canonicalize(psi, 0)
+    sites, c = psi.sites, psi.center
+    ops = [_site_op(op, d) for d in psi.phys_dims]
+    n2 = np.vdot(sites[c], sites[c]).real
+    if n2 == 0.0:
+        raise ValueError("cannot take expectation values in the zero state")
+    out = np.empty(len(sites), dtype=complex)
+    env = np.eye(sites[c].shape[0], dtype=complex)  # (bra, ket) left of site k
+    for k in range(c, len(sites)):
+        tmp = np.tensordot(env, sites[k], axes=(1, 0))  # (bra, s, ket')
+        out[k] = np.vdot(sites[k], np.einsum("st,ltr->lsr", ops[k], tmp))
+        env = np.tensordot(sites[k].conj(), tmp, axes=([0, 1], [0, 1]))
+    # (bra, ket) right of site c - 1
+    env = np.tensordot(sites[c].conj(), sites[c], axes=([1, 2], [1, 2]))
+    for k in range(c - 1, -1, -1):
+        tmp = np.tensordot(sites[k], env, axes=(2, 1))  # (ket, s, bra')
+        out[k] = np.vdot(sites[k], np.einsum("st,ltr->lsr", ops[k], tmp))
+        env = np.tensordot(sites[k].conj(), tmp, axes=([1, 2], [1, 2]))
+    return out / n2
+
+
 def correlator(psi: MatrixProductState, op_a, site_a: int, op_b, site_b: int) -> complex:
     """<op_a(site_a) op_b(site_b)>, normalized. Operators on distinct sites
     commute, so only the site indices matter; equal sites multiply the
-    operators in the given order."""
+    operators in the given order.
+
+    On a state with a center no factorization is made: the window from the
+    leftmost to the rightmost of the two sites and the center is contracted
+    left to right, and the isometries outside it contract to identities. A
+    state without a center is canonicalized around ``site_a`` first.
+    """
     n = psi.n_sites
     if not (0 <= site_a < n and 0 <= site_b < n):
         raise ValueError("correlator site out of range")
@@ -283,22 +322,22 @@ def correlator(psi: MatrixProductState, op_a, site_a: int, op_b, site_b: int) ->
     if site_a > site_b:
         site_a, site_b = site_b, site_a
         op_a, op_b = op_b, op_a
-    op_a = _site_op(op_a, psi.phys_dims[site_a])
-    op_b = _site_op(op_b, psi.phys_dims[site_b])
-    c = canonicalize(psi, site_a)
-    a = c.sites[site_a]
-    n2 = np.vdot(a, a).real
+    ops = {
+        site_a: _site_op(op_a, psi.phys_dims[site_a]),
+        site_b: _site_op(op_b, psi.phys_dims[site_b]),
+    }
+    if psi.center is None:
+        psi = canonicalize(psi, site_a)
+    sites, c = psi.sites, psi.center
+    n2 = np.vdot(sites[c], sites[c]).real
     if n2 == 0.0:
         raise ValueError("cannot take expectation values in the zero state")
-    oa = np.einsum("st,ltr->lsr", op_a, a)
-    env = np.tensordot(a.conj(), oa, axes=([0, 1], [0, 1]))  # (bra_r, ket_r)
-    for k in range(site_a + 1, site_b):
-        env = _overlap_left(env, c.sites[k], c.sites[k])
-    b = c.sites[site_b]
-    ob = np.einsum("st,ltr->lsr", op_b, b)
-    tmp = np.tensordot(env, ob, axes=(1, 0))
-    val = np.tensordot(b.conj(), tmp, axes=([0, 1, 2], [0, 1, 2]))
-    return complex(val / n2)
+    lo, hi = min(site_a, c), max(site_b, c)
+    env = np.eye(sites[lo].shape[0], dtype=complex)
+    for k in range(lo, hi + 1):
+        ket = np.einsum("st,ltr->lsr", ops[k], sites[k]) if k in ops else sites[k]
+        env = _overlap_left(env, sites[k], ket)
+    return complex(np.trace(env) / n2)
 
 
 # ---------------------------------------------------------------------------

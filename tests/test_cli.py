@@ -14,7 +14,9 @@ from tnkit.cli import (
     main,
     run,
 )
+from tnkit.dmrg import DmrgConfig, excited_state, ground_state
 from tnkit.models import transverse_field_ising
+from tnkit.mpo import build_mpo
 from tnkit.mps import random_mps
 from tnkit.oracle import dense_gibbs, dense_hamiltonian, ed_ground
 
@@ -76,6 +78,18 @@ class TestDmrgRuns:
         out = tmp_path / "out"
         assert main(["dmrg", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
         assert _read_results(out)[0]["result"]["unconverged_solves"] > 0
+
+    def test_lanczos_matvecs_sum_over_all_searches(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, _dmrg_cfg(n_excited=1))
+        assert main(["dmrg", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        op = build_mpo(transverse_field_ising(8, 1.0, 1.0))
+        config = DmrgConfig(max_bond=16, seed=1)
+        _, psi, ground = ground_state(op, config)
+        _, _, excited = excited_state(op, config, [psi], penalty_weight=10.0)
+        assert ground.lanczos_matvecs > 0 and excited.lanczos_matvecs > 0
+        want = ground.lanczos_matvecs + excited.lanczos_matvecs
+        assert _read_results(out)[0]["result"]["lanczos_matvecs"] == want
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = _write_cfg(tmp_path, _dmrg_cfg())
@@ -497,6 +511,13 @@ class TestRunEntry:
 
 
 class TestBundledConfigs:
+    def test_dmrg_config_lanczos_matvecs_are_pinned(self, tmp_path):
+        # measured before the two-product site operator and the direct
+        # LAPACK Ritz solve; a change to the Krylov path moves this count
+        out = tmp_path / "dmrg"
+        assert run(str(CONFIGS_DIR / "dmrg_tfi.json"), out_dir=str(out)) == EXIT_OK
+        assert _read_results(out)[0]["result"]["lanczos_matvecs"] == 343
+
     def test_dmrg_and_oracle_configs_agree(self, tmp_path):
         out_dmrg, out_ed = tmp_path / "dmrg", tmp_path / "ed"
         assert run(str(CONFIGS_DIR / "dmrg_tfi.json"), out_dir=str(out_dmrg)) == EXIT_OK

@@ -2,12 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tnkit.dmrg import DmrgConfig, excited_state, ground_state, lanczos_ground
+from tnkit.dmrg import (
+    DmrgConfig,
+    _tridiag_ground,
+    _Workspace,
+    excited_state,
+    ground_state,
+    lanczos_ground,
+)
 from tnkit.models import SZ, heisenberg_xxz, transverse_field_ising
-from tnkit.mpo import build_mpo, expect_mpo
+from tnkit.mpo import build_mpo, expect_mpo, mpo_to_dense
 from tnkit.mps import (
     canonical_residual,
+    canonicalize,
     entanglement_entropy,
     expect_local,
     inner,
@@ -59,6 +68,86 @@ def test_lanczos_matches_dense_eigh(dim, max_iter):
     assert theta == pytest.approx(w[0], abs=1e-12)
     assert abs(np.vdot(v[:, 0], vec)) == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 60, 100])
+def test_tridiag_ground_matches_eigh_tridiagonal(k):
+    rng = np.random.default_rng(k)
+    alphas = rng.normal(size=k)
+    betas = np.abs(rng.normal(size=k - 1)) + 0.1
+    w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+    theta, u = _tridiag_ground(alphas, betas)
+    assert abs(theta - w[0]) <= 1e-15 * max(1.0, abs(w[0]))
+    assert np.max(np.abs(u - v[:, 0])) <= 1e-15
+
+
+def _poisoned(value, from_call):
+    """A Hermitian matvec that returns ``value`` everywhere from its
+    ``from_call``-th application on."""
+    m = np.diag(np.arange(8.0)).astype(complex) + 0.5 * np.eye(8, k=1) + 0.5 * np.eye(8, k=-1)
+    calls = [0]
+
+    def matvec(x):
+        calls[0] += 1
+        return np.full(8, value, dtype=complex) if calls[0] >= from_call else m @ x
+
+    return matvec
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("max_iter, from_call", [(1, 1), (5, 1), (5, 3)])
+def test_lanczos_rejects_non_finite_matvec(value, max_iter, from_call):
+    with pytest.raises(ValueError, match="not finite"):
+        lanczos_ground(_poisoned(value, from_call), np.ones(8), max_iter, 1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("max_iter", [1, 5])
+def test_lanczos_rejects_non_finite_start_vector(max_iter):
+    v0 = np.ones(8)
+    v0[3] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        lanczos_ground(_poisoned(0.0, 99), v0, max_iter, 1e-12)
+
+
+def _dense_site_operator(psi_sites, op, site, lowers, weight):
+    """P^dag H P + weight * sum_c P^dag |c><c| P, where P is the linear map
+    from the site tensor to the full state vector with the other sites
+    fixed; built with einsum from dense blocks, not from environments."""
+    left = np.ones((1, 1))
+    for a in psi_sites[:site]:
+        left = np.einsum("ia,asb->isb", left, a).reshape(-1, a.shape[2])
+    right = np.ones((1, 1))
+    for a in reversed(psi_sites[site + 1 :]):
+        right = np.einsum("asb,bj->asj", a, right).reshape(a.shape[0], -1)
+    d = psi_sites[site].shape[1]
+    p = np.einsum("ia,st,bj->isjatb", left, np.eye(d), right)
+    p = p.reshape(left.shape[0] * d * right.shape[1], -1)
+    h = p.conj().T @ mpo_to_dense(op) @ p
+    for c in lowers:
+        g = p.conj().T @ to_dense(c)
+        h = h + weight * np.einsum("i,j->ij", g, g.conj())
+    return h
+
+
+@pytest.mark.parametrize("penalized", [False, True])
+@pytest.mark.parametrize("site", [0, 3, 5])
+def test_site_operator_matches_dense_effective_hamiltonian(site, penalized):
+    op = build_mpo(heisenberg_xxz(6, J=1.0, delta=0.7, field=0.3))
+    psi = canonicalize(random_mps([2] * 6, max_bond=4, rng=5), site)
+    lowers = [random_mps([2] * 6, max_bond=3, rng=6)] if penalized else []
+    ws = _Workspace(op, list(psi.sites), lowers, 2.5)
+    for k in range(site):
+        ws._grow_left(k)
+    matvec = ws.site_matvec(site)
+    dim = psi.sites[site].size
+    got = np.column_stack([matvec(e) for e in np.eye(dim, dtype=complex)])
+    want = _dense_site_operator(psi.sites, op, site, lowers, 2.5)
+    scale = np.linalg.norm(want)
+    assert np.linalg.norm(got - want) <= 1e-12 * scale
+    assert np.linalg.norm(got - got.conj().T) <= 1e-12 * scale
+    assert ws.matvecs == dim
 
 
 @pytest.mark.parametrize("h", [0.4, 1.0, 1.6])

@@ -161,6 +161,31 @@ def test_variational_apply_truncated_behaves():
     assert fit_err == pytest.approx(residual, abs=1e-8)
 
 
+def test_variational_apply_matches_pinned_fit():
+    # literals from the three-tensordot contraction that preceded the shared
+    # site operator: the fit must follow the same path to rounding
+    op = build_mpo(transverse_field_ising(7, h=0.7))
+    psi = random_mps([2] * 7, max_bond=5, rng=3)
+    out, residual, trace = apply_mpo_variational(op, psi, TruncationSpec(max_bond=4))
+    assert trace.converged
+    want = [
+        0.20302204772561835,
+        0.20302157794659467,
+        0.20302156380152528,
+        0.203021563333009,
+        0.20302156331651486,
+        0.2030215633159041,
+    ]
+    np.testing.assert_allclose(trace.residuals, want, rtol=0, atol=1e-12)
+    amplitudes = [
+        -0.20901213302439847 - 0.33208662805799416j,
+        -0.7669793700405266 - 0.05263535626967598j,
+        0.014861038385788112 - 0.17650923841920593j,
+    ]
+    np.testing.assert_allclose(to_dense(out)[[0, 37, 101]], amplitudes, rtol=0, atol=1e-12)
+    assert abs(inner(psi, out) - (-0.3809627155052062 - 0.014435456429434085j)) < 1e-12
+
+
 def test_variational_apply_rejects_zero_target():
     psi = random_mps([2] * 3, max_bond=2, rng=1)
     zero = MatrixProductOperator(

@@ -11,6 +11,7 @@ from tnkit.mps import (
     correlator,
     entanglement_entropy,
     expect_local,
+    expect_profile,
     gauge_transform,
     inner,
     norm,
@@ -179,15 +180,30 @@ def test_expect_local_matches_dense():
         assert got.real == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("center", [0, 3, 6])
-def test_expect_local_on_centered_state_needs_no_qr(monkeypatch, center):
+def _count_factorizations(monkeypatch):
     import tnkit.mps as mps_module
 
-    rng = np.random.default_rng(center)
-    psi = canonicalize(random_mps([2] * 7, max_bond=6, rng=rng), center)
+    calls = []
+    for name in ("qr_matrix", "rq_matrix"):
+        real = getattr(mps_module, name)
+        monkeypatch.setattr(mps_module, name, lambda m, real=real: calls.append(1) or real(m))
+    return calls
+
+
+def _unnormalized_state(center, seed):
+    """A random 7-site state, scaled away from norm 1 on purpose."""
+    psi = random_mps([2] * 7, max_bond=6, rng=np.random.default_rng(seed))
+    if center is None:
+        return MatrixProductState([a * 1.3 for a in psi.sites], center=None)
+    psi = canonicalize(psi, center)
     work = list(psi.sites)
-    work[center] = work[center] * 2.5  # unnormalized on purpose
-    psi = MatrixProductState(work, center=center)
+    work[center] = work[center] * 2.5
+    return MatrixProductState(work, center=center)
+
+
+@pytest.mark.parametrize("center", [0, 3, 6])
+def test_expect_local_on_centered_state_needs_no_qr(monkeypatch, center):
+    psi = _unnormalized_state(center, seed=center)
     v = to_dense(psi)
     ops = [SZ, SX, np.array([[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -1.2]])]
     want = {}
@@ -195,12 +211,7 @@ def test_expect_local_on_centered_state_needs_no_qr(monkeypatch, center):
         for i, op in enumerate(ops):
             full = np.kron(np.eye(2**site), np.kron(op, np.eye(2 ** (6 - site))))
             want[site, i] = np.vdot(v, full @ v) / np.vdot(v, v)
-    calls = []
-    for name in ("qr_matrix", "rq_matrix"):
-        real = getattr(mps_module, name)
-        monkeypatch.setattr(
-            mps_module, name, lambda m, real=real: calls.append(1) or real(m)
-        )
+    calls = _count_factorizations(monkeypatch)
     for (site, i), value in want.items():
         assert expect_local(psi, ops[i], site) == pytest.approx(value, abs=1e-12)
     assert calls == []
@@ -208,6 +219,49 @@ def test_expect_local_on_centered_state_needs_no_qr(monkeypatch, center):
     uncentered = MatrixProductState(psi.sites, center=None)
     assert expect_local(uncentered, SZ, 3) == pytest.approx(want[3, 0], abs=1e-12)
     assert calls
+
+
+@pytest.mark.parametrize("center", [0, 3, 6, None])
+def test_expect_profile_matches_expect_local(monkeypatch, center):
+    psi = _unnormalized_state(center, seed=40)
+    ops = [SZ, SX, np.array([[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -1.2]])]
+    want = [[expect_local(psi, op, site) for site in range(7)] for op in ops]
+    calls = _count_factorizations(monkeypatch)
+    for op, w in zip(ops, want):
+        got = expect_profile(psi, op)
+        assert got.shape == (7,)
+        np.testing.assert_allclose(got, w, rtol=0, atol=1e-12)
+    if center is not None:
+        assert calls == []
+
+
+def test_expect_profile_validation():
+    psi = product_state([UP, UP])
+    with pytest.raises(ValueError):
+        expect_profile(psi, np.eye(3))
+    zero = MatrixProductState([np.zeros((1, 2, 1))] * 2, center=0)
+    with pytest.raises(ValueError):
+        expect_profile(zero, SZ)
+
+
+@pytest.mark.parametrize("center", [0, 3, 6])
+def test_correlator_on_centered_state_needs_no_qr(monkeypatch, center):
+    psi = _unnormalized_state(center, seed=50 + center)
+    v = to_dense(psi)
+    op_b = np.array([[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -1.2]])
+    pairs = [(0, 6), (1, 2), (2, 5), (4, 6), (3, 4), (5, 1)]
+    want = {}
+    for i, j in pairs:
+        full = [np.eye(2)] * 7
+        full[i], full[j] = SX, op_b
+        m = full[0]
+        for f in full[1:]:
+            m = np.kron(m, f)
+        want[i, j] = np.vdot(v, m @ v) / np.vdot(v, v)
+    calls = _count_factorizations(monkeypatch)
+    for (i, j), value in want.items():
+        assert abs(correlator(psi, SX, i, op_b, j) - value) < 1e-12
+    assert calls == []
 
 
 def test_expect_local_normalizes():
