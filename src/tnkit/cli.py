@@ -55,15 +55,6 @@ from .dmrg import excited_state, ground_state
 from .models import PAULI
 from .mpo import build_mpo, expect_mpo
 from .mps import expect_local, expect_profile, norm, product_state
-from .oracle import (
-    dense_gibbs,
-    dense_hamiltonian,
-    ed_ground,
-    ed_spectrum,
-    ising_brute_force,
-    ising_transfer_matrix,
-    onsager_f,
-)
 from .tebd import evolve, lift_mpo, lift_site_operator, thermal_state
 from .trg import coarse_grain
 
@@ -207,6 +198,10 @@ def _run_thermal(s: ThermalSettings, checkpoint: str | None, warm) -> dict:
 
 
 def _run_trg(s: TrgSettings, checkpoint: str | None, warm) -> dict:
+    # imported here: the oracle pulls in scipy.integrate and scipy.optimize,
+    # which only the trg and oracle runners need
+    from .oracle import onsager_f
+
     f, trace = coarse_grain(
         s.model, method=s.method, max_bond=s.max_bond, n_iters=s.n_iters, rel_cutoff=s.rel_cutoff
     )
@@ -226,6 +221,16 @@ def _run_trg(s: TrgSettings, checkpoint: str | None, warm) -> dict:
 
 
 def _run_oracle(s: OracleSettings, checkpoint: str | None, warm) -> dict:
+    from .oracle import (
+        dense_gibbs,
+        dense_hamiltonian,
+        ed_ground,
+        ed_spectrum,
+        ising_brute_force,
+        ising_transfer_matrix,
+        onsager_f,
+    )
+
     task = s.task
     if task == "ed_ground":
         e, _ = ed_ground(dense_hamiltonian(s.model))

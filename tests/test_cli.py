@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tnkit
 from tnkit.checkpoint import checkpoint_read, checkpoint_write
 from tnkit.cli import (
     EXIT_CONFIG,
@@ -21,6 +25,21 @@ from tnkit.mps import random_mps
 from tnkit.oracle import dense_gibbs, dense_hamiltonian, ed_ground
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_import_leaves_the_oracle_unloaded():
+    # only the trg and oracle runners need the oracle and the scipy modules
+    # it pulls in; every other run skips their import time
+    src = str(Path(tnkit.__file__).resolve().parent.parent)
+    code = (
+        "import sys, tnkit.cli; "
+        "print([m for m in ('tnkit.oracle', 'scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _write_cfg(tmp_path, obj, name="cfg.json"):

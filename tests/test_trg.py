@@ -8,6 +8,7 @@ from tnkit.models import ClassicalModelSpec
 from tnkit.oracle import ising_brute_force, onsager_f
 from tnkit.tensor import TruncationSpec
 from tnkit.trg import (
+    _bond_root,
     _merge_isometry,
     _merge_vertical,
     _split,
@@ -24,27 +25,45 @@ from tnkit.trg import (
 FULL = TruncationSpec(max_bond=64)
 BETA_C = 0.4406867935097715
 
-# per-step free energies at beta_c, max_bond 32, n_iters 7, as computed by
-# full SVD / full eigh before the top-k eigensolver replaced them
+# the flows at beta_c, max_bond 32, n_iters 7: per-step free energies as
+# computed by full SVD / full eigh before the top-k eigensolver replaced
+# them; bond dimensions and discarded weights as computed by the dense Gram
+# route before the parity blocks replaced it
 PINNED_FLOWS = {
-    "trg": (
-        -2.8193568384446035,
-        -2.4859076214730687,
-        -2.28929769613372,
-        -2.201381412966471,
-        -2.154868555415273,
-        -2.132387235934684,
-        -2.1209841907511633,
-    ),
-    "hotrg": (
-        -2.9660992533934856,
-        -2.48590762147307,
-        -2.326463622233654,
-        -2.2013814129664726,
-        -2.161115098034319,
-        -2.1323879864635975,
-        -2.1223043516072146,
-    ),
+    "trg": {
+        "free_energies": (
+            -2.8193568384446035,
+            -2.4859076214730687,
+            -2.28929769613372,
+            -2.201381412966471,
+            -2.154868555415273,
+            -2.132387235934684,
+            -2.1209841907511633,
+        ),
+        "bond_dims": (4, 16, 32, 32, 32, 32, 32),
+        "discarded": (0.0, 0.0, 0.0, 0.0, 0.0, 1.6850706787581414e-07, 3.625157481061911e-06),
+    },
+    "hotrg": {
+        "free_energies": (
+            -2.9660992533934856,
+            -2.48590762147307,
+            -2.326463622233654,
+            -2.2013814129664726,
+            -2.161115098034319,
+            -2.1323879864635975,
+            -2.1223043516072146,
+        ),
+        "bond_dims": (4, 4, 16, 16, 32, 32, 32),
+        "discarded": (
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            7.398924622727712e-06,
+            6.654206191573616e-07,
+            0.00010975675403720934,
+        ),
+    },
 }
 
 
@@ -64,14 +83,30 @@ def test_plaquette_tensor_closes_to_small_tori():
         assert z4 == pytest.approx(ising_brute_force(2, beta), rel=1e-12)
 
 
-def test_plaquette_tensor_splits_bond_weight_symmetrically():
-    beta = 0.6
-    x = beta * 1.0
-    m = np.array([[np.exp(x), np.exp(-x)], [np.exp(-x), np.exp(x)]])
-    w, v = np.linalg.eigh(m)
-    root = (v * np.sqrt(w)) @ v.T
-    np.testing.assert_allclose(root @ root, m, atol=1e-14)
-    np.testing.assert_allclose(root, root.T, atol=1e-14)
+def _odd_entries(tensor, even):
+    """Mask of the entries whose indices have odd total parity under the
+    grading ``even`` (each leg sorted even-first)."""
+    parity = np.zeros((1,) * tensor.ndim, dtype=int)
+    for axis, (dim, e) in enumerate(zip(tensor.shape, even)):
+        shape = [1] * tensor.ndim
+        shape[axis] = dim
+        parity = parity + (np.arange(dim) >= e).reshape(shape)
+    return np.broadcast_to(parity % 2 == 1, tensor.shape)
+
+
+def test_plaquette_tensor_is_z2_graded():
+    for beta in (0.05, 0.6, 1.3):
+        x = beta * 1.0
+        m = np.array([[np.exp(x), np.exp(-x)], [np.exp(-x), np.exp(x)]])
+        root = _bond_root(ClassicalModelSpec(beta=beta))
+        np.testing.assert_allclose(root @ root.T, m, rtol=1e-14)
+        # column 0 is the even eigenvector (1, 1), column 1 the odd (1, -1)
+        assert root[0, 0] == root[1, 0] and root[0, 1] == -root[1, 1]
+        t = build_plaquette_tensor(ClassicalModelSpec(beta=beta))
+        odd = _odd_entries(t, (1, 1, 1, 1))
+        assert np.all(t[odd] == 0.0)
+        assert np.all(t[~odd] > 0.0)
+        assert initial_state(ClassicalModelSpec(beta=beta)).even == (1, 1, 1, 1)
 
 
 def test_ferromagnetic_coupling_required():
@@ -109,9 +144,9 @@ def test_step_validation():
     with pytest.raises(ValueError):
         hotrg_step(state, FULL, "x")
     with pytest.raises(ValueError):
-        coarse_grain(ClassicalModelSpec(beta=0.4), method="dmrg")
+        coarse_grain(ClassicalModelSpec(beta=0.4), method="dmrg", max_bond=32, n_iters=25)
     with pytest.raises(ValueError):
-        coarse_grain(ClassicalModelSpec(beta=0.4), n_iters=0)
+        coarse_grain(ClassicalModelSpec(beta=0.4), max_bond=32, n_iters=0)
 
 
 def test_plaquette_flow_converges_to_onsager():
@@ -178,66 +213,155 @@ def _rank_k(m, k):
     return (u[:, :k] * s[:k]) @ vh[:k]
 
 
+def _graded_matrix(rows, cols, spectra, rng):
+    """A matrix that vanishes unless the parities of its row and column
+    indices agree, with singular values spectra[p] in the block of parity
+    p; rows and cols are parity vectors in any order."""
+    m = np.zeros((len(rows), len(cols)))
+    for p, s in enumerate(spectra):
+        r, c = np.flatnonzero(rows == p), np.flatnonzero(cols == p)
+        if len(s):
+            m[np.ix_(r, c)] = _with_spectrum(np.asarray(s), (len(r), len(c)), rng)
+    return m
+
+
+def _graded_tensor(shape, even, rng):
+    """A random tensor whose odd-parity entries are 0.0."""
+    t = rng.standard_normal(shape)
+    t[_odd_entries(t, even)] = 0.0
+    return t
+
+
+def _embed(v_even, v_odd, parity):
+    """Columns of v_even on the even entries of a parity vector, then those
+    of v_odd on the odd entries."""
+    v = np.zeros((len(parity), v_even.shape[1] + v_odd.shape[1]))
+    v[np.ix_(parity == 0, np.arange(v_even.shape[1]))] = v_even
+    v[np.ix_(parity == 1, np.arange(v_even.shape[1], v.shape[1]))] = v_odd
+    return v
+
+
+# parities in a shuffled order, uneven counts, and one without odd entries
+GRAM_PARITIES = [
+    np.array([0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1]),
+    np.zeros(20, dtype=int),
+]
+
+
 def test_top_eigh_matches_full_eigh():
     rng = np.random.default_rng(11)
-    m = rng.standard_normal((20, 30))
+    for parity in GRAM_PARITIES:
+        _check_top_eigh(parity, rng)
+
+
+def _check_top_eigh(parity, rng):
+    cols = (np.arange(30) % 3 == 0).astype(int)
+    m = rng.standard_normal((20, 30)) * (parity[:, None] == cols[None, :])
     gram = m @ m.T
+    blocks = [gram[np.ix_(parity == p, parity == p)] for p in (0, 1)]
     full_w, full_v = np.linalg.eigh(gram)
     full_w, full_v = full_w[::-1], full_v[:, ::-1]
-    v, discarded = _top_eigh(gram, TruncationSpec(max_bond=6))
-    np.testing.assert_allclose(v.T @ gram @ v, np.diag(full_w[:6]), rtol=1e-12, atol=1e-12)
+    v_even, v_odd, discarded = _top_eigh(blocks, TruncationSpec(max_bond=6))
+    v = _embed(v_even, v_odd, parity)
+    assert v.shape[1] == 6
+    # the kept values are the top of the merged spectrum, each block largest first
+    kept = np.diag(v.T @ gram @ v)
+    np.testing.assert_allclose(np.sort(kept)[::-1], full_w[:6], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(v.T @ gram @ v, np.diag(kept), atol=1e-12)
+    for part in np.split(kept, [v_even.shape[1]]):
+        assert np.all(np.diff(part) <= 0.0)
     np.testing.assert_allclose(v @ v.T, full_v[:, :6] @ full_v[:, :6].T, atol=1e-12)
     assert discarded == pytest.approx(np.sum(full_w[6:]) / np.sum(full_w), abs=1e-12)
-    # a cap at or beyond the size returns the whole spectrum, nothing discarded
-    v, discarded = _top_eigh(gram, TruncationSpec(max_bond=20))
-    np.testing.assert_allclose(v.T @ gram @ v, np.diag(full_w), rtol=1e-12, atol=1e-12)
+    # a cap at or beyond the size of each block returns the whole spectrum
+    v_even, v_odd, discarded = _top_eigh(blocks, TruncationSpec(max_bond=20))
+    v = _embed(v_even, v_odd, parity)
+    kept = np.sort(np.diag(v.T @ gram @ v))[::-1]
+    np.testing.assert_allclose(kept, full_w, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(v @ v.T, np.eye(20), atol=1e-12)
     assert discarded == 0.0
 
 
+SPLIT_CASES = [
+    # (row parity, column parity, singular values of the even and odd block, cap)
+    (np.arange(16) % 2, np.arange(24) % 3 == 1, ([1.0, 0.7, 0.3, 0.1, 0.05], [0.9, 0.5, 0.2]), 5),
+    (
+        np.arange(24) % 4 == 0,
+        np.arange(16) % 2,
+        ([0.8, 0.4, 0.25, 0.12, 0.04, 0.02], [1.0, 0.6, 0.35, 0.15, 0.07, 0.01]),
+        9,
+    ),
+    (np.zeros(10, dtype=int), np.zeros(10, dtype=int), (0.8 ** np.arange(10), []), 10),
+]
+
+
 def test_split_matches_truncated_svd():
     rng = np.random.default_rng(12)
-    for shape, k in (((16, 24), 5), ((24, 16), 9), ((10, 10), 10)):
-        m = _with_spectrum(0.8 ** np.arange(min(shape)), shape, rng)
-        s = np.linalg.svd(m, compute_uv=False)
-        a, b, discarded = _split(m, TruncationSpec(max_bond=k))
-        assert a.shape == (shape[0], k) and b.shape == (k, shape[1])
-        np.testing.assert_allclose(np.sum(a * a, axis=0), s[:k], rtol=1e-12)
-        np.testing.assert_allclose(np.sum(b * b, axis=1), s[:k], rtol=1e-12)
-        want = _rank_k(m, k)
-        assert np.linalg.norm(a @ b - want) <= 1e-12 * np.linalg.norm(want)
-        assert discarded == pytest.approx(np.sum(s[k:] ** 2) / np.sum(s**2), abs=1e-12)
-        if k == min(shape):
-            assert discarded == 0.0
+    for rows, cols, spectra, k in SPLIT_CASES:
+        _check_split(rows, cols, spectra, k, rng)
+
+
+def _check_split(rows, cols, spectra, k, rng):
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    m = _graded_matrix(rows, cols, spectra, rng)
+    s = np.linalg.svd(m, compute_uv=False)
+    a, b, k_even, discarded = _split(m, rows, cols, TruncationSpec(max_bond=k))
+    assert a.shape == (len(rows), k) and b.shape == (k, len(cols))
+    # the new index is sorted even-first and keeps the grading
+    new = (np.arange(k) >= k_even).astype(int)
+    assert np.all(a[rows[:, None] != new[None, :]] == 0.0)
+    assert np.all(b[new[:, None] != cols[None, :]] == 0.0)
+    assert k_even == np.count_nonzero(np.asarray(spectra[0]) >= s[k - 1])
+    np.testing.assert_allclose(np.sort(np.sum(a * a, axis=0))[::-1], s[:k], rtol=1e-12)
+    np.testing.assert_allclose(np.sum(a * a, axis=0), np.sum(b * b, axis=1), rtol=1e-12)
+    want = _rank_k(m, k)
+    assert np.linalg.norm(a @ b - want) <= 1e-12 * np.linalg.norm(want)
+    assert discarded == pytest.approx(np.sum(s[k:] ** 2) / np.sum(s**2), abs=1e-12)
+    if k == min(m.shape):
+        assert discarded == 0.0
 
 
 def test_split_with_zero_singular_values_in_kept_set():
     rng = np.random.default_rng(13)
-    m = _with_spectrum(np.array([1.0, 0.5, 0.25]), (8, 8), rng)
-    a, b, discarded = _split(m, TruncationSpec(max_bond=5))
+    parity = np.array([0, 1, 0, 0, 1, 0, 1, 0])
+    m = _graded_matrix(parity, parity, ([1.0, 0.25], [0.5]), rng)
+    a, b, k_even, discarded = _split(m, parity, parity, TruncationSpec(max_bond=5))
     assert np.isfinite(a).all() and np.isfinite(b).all()
     np.testing.assert_allclose(a @ b, m, atol=1e-12)
     assert 0.0 <= discarded <= 1e-14
-    a, b, discarded = _split(np.zeros((4, 4)), TruncationSpec(max_bond=2))
+    zero = np.array([0, 1, 0, 1])
+    a, b, k_even, discarded = _split(np.zeros((4, 4)), zero, zero, TruncationSpec(max_bond=2))
     assert not a.any() and not b.any() and discarded == 0.0
 
 
 def test_split_keeps_degenerate_group_at_relative_cutoff():
     rng = np.random.default_rng(14)
     # the group at 0.5 straddles the cutoff by far less than the
-    # degeneracy tolerance, so all three members are kept
+    # degeneracy tolerance, and its members sit in both parity blocks,
+    # so all three are kept
     s = np.array([1.0, 0.5 * (1 + 2e-15), 0.5, 0.5 * (1 - 2e-15), 0.2, 0.1])
-    m = _with_spectrum(s, (9, 7), rng)
-    a, b, discarded = _split(m, TruncationSpec(max_bond=6, rel_cutoff=0.5))
-    assert a.shape[1] == 4
+    rows = np.array([0, 1, 0, 1, 0, 1, 1, 0, 1])
+    cols = np.array([1, 0, 0, 1, 1, 0, 0])
+    m = _graded_matrix(rows, cols, (s[[0, 2, 4]], s[[1, 3, 5]]), rng)
+    a, b, k_even, discarded = _split(m, rows, cols, TruncationSpec(max_bond=6, rel_cutoff=0.5))
+    assert a.shape[1] == 4 and k_even == 2
     want = _rank_k(m, 4)
     assert np.linalg.norm(a @ b - want) <= 1e-12 * np.linalg.norm(want)
     assert discarded == pytest.approx(np.sum(s[4:] ** 2) / np.sum(s**2), abs=1e-12)
 
 
+# gradings of a (3, 4, 3, 4) tensor: uneven counts, and one whose
+# horizontal legs have no odd index, so every odd block is empty
+MERGE_GRADINGS = [(2, 1, 2, 1), (1, 3, 1, 3), (2, 4, 2, 4)]
+
+
 def test_merge_isometry_matches_full_eigh():
     rng = np.random.default_rng(15)
-    t = rng.standard_normal((3, 4, 3, 4))
+    for even in MERGE_GRADINGS:
+        _check_merge_isometry(even, rng)
+
+
+def _check_merge_isometry(even, rng):
+    t = _graded_tensor((3, 4, 3, 4), even, rng)
     k = 5
     # the vertical pair with the two left legs, then the two right legs, as rows
     pair = np.einsum("uamc,mbdn->abucdn", t, t)
@@ -249,35 +373,77 @@ def test_merge_isometry_matches_full_eigh():
         err = np.sum(w[k:]) / np.sum(w)
         if best is None or err < best[0]:
             best = (err, v[:, :k])
-    iso, discarded = _merge_isometry(t, TruncationSpec(max_bond=k))
+    iso, k_even, discarded = _merge_isometry(t, even, TruncationSpec(max_bond=k))
     np.testing.assert_allclose(iso.T @ iso, np.eye(k), atol=1e-12)
     np.testing.assert_allclose(iso @ iso.T, best[1] @ best[1].T, atol=1e-12)
     assert discarded == pytest.approx(best[0], abs=1e-12)
+    # columns even-first, each supported on the rows of its own parity
+    leg = (np.arange(4) >= even[1]).astype(int)
+    rows = (np.add.outer(leg, leg) % 2).ravel()
+    new = (np.arange(k) >= k_even).astype(int)
+    assert np.all(iso[rows[:, None] != new[None, :]] == 0.0)
 
 
 def test_merge_vertical_matches_dense_contraction():
     rng = np.random.default_rng(16)
+    for even in MERGE_GRADINGS:
+        _check_merge_vertical(_graded_tensor((3, 4, 3, 4), even, rng), even)
+
+
+def _check_merge_vertical(t, even):
     spec = TruncationSpec(max_bond=5)
-    t = rng.standard_normal((3, 4, 3, 4))
     # a contiguous tensor and the transposed view a horizontal merge passes
     for tensor in (t, t.transpose(1, 2, 3, 0).copy().transpose(3, 0, 1, 2)):
-        iso, _ = _merge_isometry(tensor, spec)
+        iso, k_even, _ = _merge_isometry(tensor, even, spec)
         u3 = iso.reshape(4, 4, -1)
         want = np.einsum("xya,uxmr,mydn,rnb->uadb", u3, tensor, tensor, u3)
-        got, _ = _merge_vertical(tensor, spec)
+        got, got_even, _ = _merge_vertical(tensor, even, spec)
+        assert got_even == k_even
         np.testing.assert_allclose(got, want, atol=1e-12)
+        assert np.all(got[_odd_entries(got, (even[0], k_even, even[2], k_even))] == 0.0)
 
 
 def test_non_finite_gram_raises():
     spec = TruncationSpec(max_bond=2)
     with pytest.raises(ValueError):
-        _top_eigh(np.full((3, 3), np.nan), spec)
+        _top_eigh([np.full((3, 3), np.nan), np.eye(2)], spec)
     with pytest.raises(ValueError):
-        _split(np.array([[1.0, np.inf], [0.0, 1.0]]), spec)
+        _top_eigh([np.eye(2), np.full((3, 3), np.nan)], spec)
+    even = np.zeros(2, dtype=int)
+    with pytest.raises(ValueError):
+        _split(np.array([[1.0, np.inf], [0.0, 1.0]]), even, even, spec)
 
 
 @pytest.mark.parametrize("method", ["trg", "hotrg"])
 def test_flow_at_criticality_is_pinned(method):
     _, trace = coarse_grain(ClassicalModelSpec(beta=BETA_C), method, max_bond=32, n_iters=7)
-    np.testing.assert_allclose(trace.free_energies, PINNED_FLOWS[method], rtol=1e-10, atol=0)
-    assert trace.bond_dims[-1] == 32
+    pinned = PINNED_FLOWS[method]
+    np.testing.assert_allclose(trace.free_energies, pinned["free_energies"], rtol=1e-10, atol=0)
+    assert trace.bond_dims == pinned["bond_dims"]
+    np.testing.assert_allclose(trace.discarded, pinned["discarded"], rtol=0, atol=1e-14)
+
+
+def _check_grading(state):
+    t, even = state.tensor, state.even
+    assert np.all(t[_odd_entries(t, even)] == 0.0)
+    # no other even count of any leg fits the nonzero pattern: moving a
+    # boundary by one index puts a nonzero entry at odd total parity
+    for axis in range(4):
+        for moved in (even[axis] - 1, even[axis] + 1):
+            if 0 <= moved <= t.shape[axis]:
+                other = even[:axis] + (moved,) + even[axis + 1 :]
+                assert np.any(t[_odd_entries(t, other)] != 0.0)
+
+
+@pytest.mark.parametrize("method", ["trg", "hotrg"])
+@pytest.mark.parametrize("beta,rel_cutoff", [(BETA_C, 0.0), (0.2, 0.0), (BETA_C, 1e-3)])
+def test_flows_keep_the_z2_grading(method, beta, rel_cutoff):
+    spec = TruncationSpec(max_bond=32, rel_cutoff=rel_cutoff)
+    state = initial_state(ClassicalModelSpec(beta=beta))
+    _check_grading(state)
+    for i in range(7):
+        if method == "trg":
+            state, _ = trg_step(state, spec)
+        else:
+            state, _ = hotrg_step(state, spec, "v" if i % 2 == 0 else "h")
+        _check_grading(state)
