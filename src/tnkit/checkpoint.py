@@ -11,6 +11,10 @@ File layout, all integers little-endian:
     int32            orthogonality center index, -1 when none
   uint32  CRC-32 of the payload
 
+The format is complex128 whatever the dtype of the state. A read returns
+float64 sites when every imaginary part in the file is exactly 0.0 and
+complex128 sites otherwise, so a real state comes back real (and a warm
+start of a real model stays in real arithmetic) and a complex one complex.
 Round trips are bit exact. Reads verify the magic, the declared sizes and
 the checksum before constructing anything, so truncated or corrupted files
 fail with CheckpointError rather than producing a wrong state.
@@ -90,6 +94,8 @@ def checkpoint_read(path: str) -> MatrixProductState:
         data = np.frombuffer(take(16 * count), dtype="<c16")
         sites.append(data.reshape(shape))
     (center,) = struct.unpack("<i", take(4))
+    if not any(a.imag.any() for a in sites):
+        sites = [a.real for a in sites]
     if offset != len(payload):
         raise CheckpointError("checkpoint has trailing bytes after the declared payload")
     try:

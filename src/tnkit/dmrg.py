@@ -15,6 +15,11 @@ found on each iteration by calling LAPACK directly (dstebz for the lowest
 eigenvalue, dstein for its vector) on coefficients kept in preallocated
 arrays; non-finite coefficients raise before anything divides by them.
 
+Arithmetic is real when the problem is: the environments start from real
+seeds, a random start state takes the dtype of the MPO, and the Lanczos
+basis is complex only when the start vector or the operator is, so a real
+Hamiltonian runs every solve, environment transfer and QR in float64.
+
 Excited states reuse the same machinery on H + sum_c w |c><c| with the
 already-found states penalized out of the low end of the spectrum.
 """
@@ -126,24 +131,27 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float):
     Full reorthogonalization keeps the basis clean at these small subspace
     sizes. The basis is the rows of one array, filled row by row, so each
     reorthogonalization pass is two matrix-vector products; the tridiagonal
-    coefficients live in preallocated arrays. Returns (value, normalized
-    vector, converged). Raises if the operator is detectably non-Hermitian,
-    or as soon as the start-vector norm or a Lanczos coefficient is not
-    finite.
+    coefficients live in preallocated arrays. The basis is float64 when the
+    start vector and the operator's images are real and complex128 as soon
+    as either is complex, so an imaginary part is never dropped. Returns
+    (value, normalized vector, converged). Raises if the operator is
+    detectably non-Hermitian, or as soon as the start-vector norm or a
+    Lanczos coefficient is not finite.
     """
-    v = np.asarray(v0, dtype=complex).reshape(-1)
+    v = np.asarray(v0).reshape(-1)
     nv = np.linalg.norm(v)
     _check_finite("start-vector norm", nv)
     if nv == 0.0:
         raise ValueError("Lanczos start vector is zero")
+    v = v / nv
+    hv = matvec(v)
     # at most dim orthonormal vectors exist; rows never written cost no memory
     m = min(max_iter, v.size)
-    basis = np.empty((m, v.size), dtype=complex)
+    basis = np.empty((m, v.size), dtype=np.result_type(v, hv, float))
     alphas = np.empty(m)
     betas = np.empty(m)  # betas[j] couples rows j and j + 1
-    basis[0] = v / nv
+    basis[0] = v
     k = 1
-    hv = matvec(basis[0])
     a = np.vdot(basis[0], hv)
     _check_finite("alpha", a)
     scale = max(1.0, float(np.linalg.norm(hv)))
@@ -168,6 +176,9 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float):
         basis[k] = w / beta
         betas[k - 1] = beta
         hv = matvec(basis[k])
+        if np.iscomplexobj(hv) and not np.iscomplexobj(basis):
+            # a complex operator whose first images happened to be real
+            basis = basis.astype(complex)
         a = np.vdot(basis[k], hv).real
         _check_finite("alpha", a)
         alphas[k] = a
@@ -203,13 +214,13 @@ class _Workspace:
         n = len(sites)
         self.left = [None] * (n + 1)
         self.right = [None] * (n + 1)
-        self.left[0] = np.ones((1, 1, 1), dtype=complex)
-        self.right[n] = np.ones((1, 1, 1), dtype=complex)
+        self.left[0] = np.ones((1, 1, 1))
+        self.right[n] = np.ones((1, 1, 1))
         self.oleft = [[None] * (n + 1) for _ in self.lowers]
         self.oright = [[None] * (n + 1) for _ in self.lowers]
         for i in range(len(self.lowers)):
-            self.oleft[i][0] = np.ones((1, 1), dtype=complex)
-            self.oright[i][n] = np.ones((1, 1), dtype=complex)
+            self.oleft[i][0] = np.ones((1, 1))
+            self.oright[i][n] = np.ones((1, 1))
         for k in range(n - 1, 0, -1):
             self._grow_right(k)
         self.matvecs = 0
@@ -265,7 +276,8 @@ def _prepare_initial(op, config, psi0):
         if w.shape[1] != w.shape[2]:
             raise ValueError("DMRG needs a square operator")
     if psi0 is None:
-        return canonicalize(random_mps(phys, config.max_bond, rng=config.seed), 0)
+        dtype = np.result_type(*op.sites)
+        return canonicalize(random_mps(phys, config.max_bond, config.seed, dtype), 0)
     if psi0.phys_dims != phys:
         raise ValueError("initial state does not match the operator")
     if max(psi0.bond_dims, default=1) > config.max_bond:
@@ -288,7 +300,9 @@ def _sweep(op, config, psi, lowers, weight):
         if not ok:
             unconverged += 1
         if config.noise > 0.0:
-            bump = rng.normal(size=vec.shape) + 1j * rng.normal(size=vec.shape)
+            bump = rng.normal(size=vec.shape)
+            if np.iscomplexobj(vec):
+                bump = bump + 1j * rng.normal(size=vec.shape)
             vec = vec + config.noise * bump * np.linalg.norm(vec) / np.linalg.norm(bump)
             vec = vec / np.linalg.norm(vec)
         ws.sites[k] = vec

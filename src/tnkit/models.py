@@ -11,6 +11,14 @@ Spin-1/2 conventions (Pauli matrices, not spin operators):
 
 All chains are open. The classical model is the zero-field 2D Ising model
 E = -J sum_<ij> s_i s_j on the square lattice.
+
+``sx``, ``sz`` and the identity are real (float64); only ``sy`` is complex.
+The XXZ hopping is built as sx sx + sy sy = 2 (s+ s- + s- s+) with the real
+ladder operators s+ = (sx + i sy) / 2 and s- = (sx - i sy) / 2, as in
+Schollwoeck, Ann. Phys. 326, 96 (2011), section 6.1, so its matrices and
+MPO stay real. The ``custom_nn`` matrices keep the dtype of their data
+(float64 when real, complex128 when complex). Every algorithm downstream
+follows these dtypes, so a real model runs in real arithmetic.
 """
 
 from __future__ import annotations
@@ -19,12 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConfigError
+from .tensor import ConfigError, _freeze
 
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+ID2 = np.eye(2)
+SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # s+ = (sx + i sy) / 2
+SM = SP.T.copy()  # s- = (sx - i sy) / 2
 
 PAULI = {"sx": SX, "sy": SY, "sz": SZ, "id": ID2}
 
@@ -57,7 +67,7 @@ class HamiltonianSpec:
         if self.model == "custom_nn":
             if self.two_site is None:
                 raise ConfigError("custom_nn needs a two_site matrix", "two_site")
-            ts = np.asarray(self.two_site, dtype=complex)
+            ts = _freeze(self.two_site)
             d2 = ts.shape[0]
             d = int(round(np.sqrt(d2)))
             if ts.ndim != 2 or ts.shape != (d2, d2) or d * d != d2:
@@ -68,7 +78,7 @@ class HamiltonianSpec:
                 raise ConfigError("two_site matrix is not Hermitian", "two_site")
             object.__setattr__(self, "two_site", ts)
             if self.one_site is not None:
-                os = np.asarray(self.one_site, dtype=complex)
+                os = _freeze(self.one_site)
                 if os.shape != (d, d):
                     raise ConfigError(
                         f"one_site must be {d} x {d}, got shape {os.shape}", "one_site"
@@ -108,12 +118,13 @@ def term_matrices(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.model == "transverse_field_ising":
         return -spec.J * np.kron(SZ, SZ), -spec.h * SX
     if spec.model == "heisenberg_xxz":
-        two = spec.J * (np.kron(SX, SX) + np.kron(SY, SY) + spec.delta * np.kron(SZ, SZ))
+        hop = 2.0 * (np.kron(SP, SM) + np.kron(SM, SP))  # sx sx + sy sy
+        two = spec.J * (hop + spec.delta * np.kron(SZ, SZ))
         return two, -spec.field * SZ
     one = spec.one_site
     if one is None:
-        one = np.zeros((spec.phys_dim, spec.phys_dim), dtype=complex)
-    return np.array(spec.two_site, dtype=complex), np.array(one, dtype=complex)
+        one = np.zeros((spec.phys_dim, spec.phys_dim))
+    return np.array(spec.two_site), np.array(one)
 
 
 def bond_terms(spec: HamiltonianSpec) -> list[np.ndarray]:
@@ -124,7 +135,7 @@ def bond_terms(spec: HamiltonianSpec) -> list[np.ndarray]:
     """
     two, one = term_matrices(spec)
     d = spec.phys_dim
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(d)
     n = spec.n_sites
     out = []
     for b in range(n - 1):

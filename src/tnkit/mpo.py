@@ -7,7 +7,9 @@ bond dimension is 3 for the transverse-field Ising model, 5 for the XXZ
 model, and 2 + rank of the two-site term for custom models.
 
 Environments used throughout carry indices ``(bra bond, operator bond,
-ket bond)``.
+ket bond)``. Their seeds are real, so every tensor takes its dtype from
+the states and operators it is built from: a real Hamiltonian gives a
+float64 MPO, and real states and operators give float64 environments.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SX, SY, SZ, HamiltonianSpec, term_matrices
+from .models import SM, SP, SX, SZ, HamiltonianSpec, term_matrices
 from .mps import MatrixProductState, canonicalize, compress, inner
 from .tensor import TruncationSpec, _freeze, qr_matrix, rq_matrix
 
@@ -55,7 +57,7 @@ class MatrixProductOperator:
 
 def identity_mpo(phys_dims) -> MatrixProductOperator:
     return MatrixProductOperator(
-        [np.eye(int(d), dtype=complex).reshape(1, d, d, 1) for d in phys_dims]
+        [np.eye(int(d)).reshape(1, d, d, 1) for d in phys_dims]
     )
 
 
@@ -98,8 +100,8 @@ def _triangular_mpo(n: int, d: int, pairs, one: np.ndarray) -> MatrixProductOper
     right op), ...] plus a one-site term; first site keeps the bottom row,
     last site the first column."""
     w = 2 + len(pairs)
-    bulk = np.zeros((w, d, d, w), dtype=complex)
-    eye = np.eye(d, dtype=complex)
+    bulk = np.zeros((w, d, d, w), dtype=np.result_type(one, *(m for p in pairs for m in p)))
+    eye = np.eye(d)
     bulk[0, :, :, 0] = eye
     bulk[w - 1, :, :, w - 1] = eye
     bulk[w - 1, :, :, 0] = one
@@ -133,9 +135,10 @@ def build_mpo(spec: HamiltonianSpec) -> MatrixProductOperator:
         pairs = [(-spec.J * SZ, SZ)]
         one = -spec.h * SX
     elif spec.model == "heisenberg_xxz":
+        # sx sx + sy sy = 2 (s+ s- + s- s+) keeps the operator real
         pairs = [
-            (spec.J * SX, SX),
-            (spec.J * SY, SY),
+            (2.0 * spec.J * SP, SM),
+            (2.0 * spec.J * SM, SP),
             (spec.J * spec.delta * SZ, SZ),
         ]
         one = -spec.field * SZ
@@ -167,7 +170,7 @@ def _transfer_right(env, bra_site, op_site, ket_site):
 
 
 def _sandwich(bra: MatrixProductState, op: MatrixProductOperator, ket: MatrixProductState) -> complex:
-    env = np.ones((1, 1, 1), dtype=complex)
+    env = np.ones((1, 1, 1))
     for bs, os_, ks in zip(bra.sites, op.sites, ket.sites):
         env = _transfer_left(env, bs, os_, ks)
     return complex(env[0, 0, 0])
@@ -265,11 +268,11 @@ def apply_mpo_variational(
     phi = list(canonicalize(guess, 0).sites)
 
     right = [None] * (n + 1)
-    right[n] = np.ones((1, 1, 1), dtype=complex)
+    right[n] = np.ones((1, 1, 1))
     for k in range(n - 1, 0, -1):
         right[k] = _transfer_right(right[k + 1], phi[k], op.sites[k], psi.sites[k])
     left = [None] * (n + 1)
-    left[0] = np.ones((1, 1, 1), dtype=complex)
+    left[0] = np.ones((1, 1, 1))
 
     residuals = []
     converged = False

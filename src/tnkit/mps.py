@@ -10,6 +10,9 @@ no factorization: they carry environments between the measured sites and
 the center, and the isometries outside contract to identities.
 
 States are values: stored arrays are frozen, operations return new states.
+Site tensors are float64 when built from real data and complex128
+otherwise (see the tensor module); overlaps and environments start from
+real seeds and so follow the states they contract.
 Dense reconstructions order the basis with site 0 as the most significant
 digit, matching the Kronecker-product convention of the oracle module.
 """
@@ -66,16 +69,18 @@ def product_state(vectors) -> MatrixProductState:
     """Bond-dimension-1 state from one local vector per site."""
     sites = []
     for v in vectors:
-        v = np.asarray(v, dtype=complex)
+        v = np.asarray(v)
         if v.ndim != 1 or v.size < 1:
             raise ValueError(f"local vectors must be 1-d, got shape {v.shape}")
         sites.append(v.reshape(1, -1, 1))
     return canonicalize(MatrixProductState(sites), 0)
 
 
-def random_mps(phys_dims, max_bond: int, rng) -> MatrixProductState:
+def random_mps(phys_dims, max_bond: int, rng, dtype=complex) -> MatrixProductState:
     """Normalized random state with the full representable bond profile
-    capped at ``max_bond``. ``rng`` is a seed or a numpy Generator."""
+    capped at ``max_bond``. ``rng`` is a seed or a numpy Generator. Entries
+    are standard normal draws, with an independent imaginary part when
+    ``dtype`` is complex; a real ``dtype`` gives a float64 state."""
     rng = np.random.default_rng(rng)
     phys_dims = tuple(int(d) for d in phys_dims)
     n = len(phys_dims)
@@ -87,10 +92,12 @@ def random_mps(phys_dims, max_bond: int, rng) -> MatrixProductState:
         right = int(np.prod(phys_dims[k:], dtype=np.float64).clip(max=2**62))
         bonds.append(min(max_bond, left, right))
     bonds.append(1)
+    draw_imag = np.dtype(dtype).kind == "c"
     sites = []
     for k in range(n):
         shape = (bonds[k], phys_dims[k], bonds[k + 1])
-        sites.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        a = rng.normal(size=shape)
+        sites.append(a + 1j * rng.normal(size=shape) if draw_imag else a)
     psi = canonicalize(MatrixProductState(sites), 0)
     work = list(psi.sites)
     work[0] = work[0] / np.linalg.norm(work[0])
@@ -172,7 +179,7 @@ def gauge_transform(psi: MatrixProductState, bond: int, x: np.ndarray) -> Matrix
     n = psi.n_sites
     if not 0 <= bond < n - 1:
         raise ValueError(f"bond {bond} out of range")
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
     dim = psi.sites[bond].shape[2]
     if x.shape != (dim, dim):
         raise ValueError(f"gauge matrix must be {dim} x {dim}, got {x.shape}")
@@ -211,7 +218,7 @@ def inner(a: MatrixProductState, b: MatrixProductState) -> complex:
     """<a|b> (conjugation on ``a``)."""
     if a.n_sites != b.n_sites or a.phys_dims != b.phys_dims:
         raise ValueError("states live on different lattices")
-    env = np.ones((1, 1), dtype=complex)
+    env = np.ones((1, 1))
     for sa, sb in zip(a.sites, b.sites):
         env = _overlap_left(env, sa, sb)
     return complex(env[0, 0])
@@ -233,7 +240,7 @@ def to_dense(psi: MatrixProductState) -> np.ndarray:
 
 
 def _site_op(op, d: int) -> np.ndarray:
-    op = np.asarray(op, dtype=complex)
+    op = np.asarray(op)
     if op.shape != (d, d):
         raise ValueError(f"operator must be {d} x {d}, got {op.shape}")
     return op
@@ -289,7 +296,7 @@ def expect_profile(psi: MatrixProductState, op) -> np.ndarray:
     if n2 == 0.0:
         raise ValueError("cannot take expectation values in the zero state")
     out = np.empty(len(sites), dtype=complex)
-    env = np.eye(sites[c].shape[0], dtype=complex)  # (bra, ket) left of site k
+    env = np.eye(sites[c].shape[0])  # (bra, ket) left of site k
     for k in range(c, len(sites)):
         tmp = np.tensordot(env, sites[k], axes=(1, 0))  # (bra, s, ket')
         out[k] = np.vdot(sites[k], np.einsum("st,ltr->lsr", ops[k], tmp))
@@ -333,7 +340,7 @@ def correlator(psi: MatrixProductState, op_a, site_a: int, op_b, site_b: int) ->
     if n2 == 0.0:
         raise ValueError("cannot take expectation values in the zero state")
     lo, hi = min(site_a, c), max(site_b, c)
-    env = np.eye(sites[lo].shape[0], dtype=complex)
+    env = np.eye(sites[lo].shape[0])
     for k in range(lo, hi + 1):
         ket = np.einsum("st,ltr->lsr", ops[k], sites[k]) if k in ops else sites[k]
         env = _overlap_left(env, sites[k], ket)

@@ -7,6 +7,11 @@ as even(dt/2), odd(dt), even(dt/2). Real-time gates are unitary; imaginary
 time makes gates positive and build_trotter tracks that mode so evolution
 can renormalize after every step and account the removed factors.
 
+Gates take the dtype of their exponent: a real bond Hamiltonian gives
+real imaginary-time gates, so imaginary-time cooling and purified thermal
+states of real models run in float64, while real-time gates are complex by
+construction.
+
 Thermal states use purification: each physical site of dimension d is fused
 with an ancilla into a site of dimension d*d (system index major). Evolving
 the infinite-temperature product state to beta/2 in imaginary time gives
@@ -105,7 +110,7 @@ def apply_gate(
     if not 0 <= bond < n - 1:
         raise ValueError(f"bond {bond} out of range")
     sites = list(canonicalize(psi, bond).sites)
-    report = _gate_inplace(sites, bond, np.asarray(gate, dtype=complex), spec)
+    report = _gate_inplace(sites, bond, np.asarray(gate), spec)
     return MatrixProductState(sites, center=bond + 1), report
 
 
@@ -307,20 +312,20 @@ def imaginary_time_ground_state(
 
 def lift_site_operator(op: np.ndarray, d: int) -> np.ndarray:
     """A one-site observable on the fused (system x ancilla) site."""
-    op = np.asarray(op, dtype=complex)
+    op = np.asarray(op)
     if op.shape != (d, d):
         raise ValueError(f"operator must be {d} x {d}, got {op.shape}")
-    return np.kron(op, np.eye(d, dtype=complex))
+    return np.kron(op, np.eye(d))
 
 
 def lift_gate(gate: np.ndarray, d: int) -> np.ndarray:
     """A two-site system gate acting on two fused sites (identity on both
     ancillas)."""
-    gate = np.asarray(gate, dtype=complex)
+    gate = np.asarray(gate)
     if gate.shape != (d * d, d * d):
         raise ValueError(f"gate must be {d * d} x {d * d}, got {gate.shape}")
     g4 = gate.reshape(d, d, d, d)
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(d)
     big = np.einsum("pqrs,ab,cd->paqcrbsd", g4, eye, eye)
     return big.reshape(d**4, d**4)
 
@@ -332,7 +337,7 @@ def lift_mpo(op: MatrixProductOperator) -> MatrixProductOperator:
         d = w.shape[1]
         if w.shape[2] != d:
             raise ValueError("only square operators can be lifted")
-        eye = np.eye(d, dtype=complex)
+        eye = np.eye(d)
         t = np.einsum("wpqv,ab->wpaqbv", w, eye)
         sites.append(t.reshape(w.shape[0], d * d, d * d, w.shape[3]))
     return MatrixProductOperator(sites)
@@ -340,7 +345,7 @@ def lift_mpo(op: MatrixProductOperator) -> MatrixProductOperator:
 
 def infinite_temperature_state(n_sites: int, d: int) -> MatrixProductState:
     """Normalized purification of rho = (I/d)^N on fused sites."""
-    v = np.zeros(d * d, dtype=complex)
+    v = np.zeros(d * d)
     for s in range(d):
         v[s * d + s] = 1.0 / np.sqrt(d)
     return product_state([v] * n_sites)

@@ -2,14 +2,19 @@
 
 Conventions used throughout the package:
 
-* Tensor data is complex128 and row-major. Arrays handed to ``DenseTensor``
-  are copied unless they are already frozen (non-writeable); the stored
-  array is always non-writeable, so tensors behave as values.
+* Tensor data is row-major, and its dtype follows the data: real input
+  (ints and bools included) is stored as float64, complex input as
+  complex128. Real problems so run in real arithmetic, and anything that
+  meets a complex factor becomes complex by numpy's promotion. Arrays
+  handed to ``DenseTensor`` are copied unless they are already frozen
+  (non-writeable) and of that dtype; the stored array is always
+  non-writeable, so tensors behave as values.
 * Axis labels are strings, distinct within one tensor. Contraction matches
   labels by name.
 * Singular values are returned in descending order. The left factor of an
   SVD or QR is made unique by phasing each column so that its
-  largest-magnitude entry is real and positive.
+  largest-magnitude entry is real and positive; on real data the phase is
+  a sign.
 * Truncation keeps singular values ``>= rel_cutoff * s_max``, extends the
   kept set across any degenerate group at the cutoff boundary (equal within
   1e-14 relative), and finally caps at ``max_bond``. The discarded weight
@@ -29,12 +34,17 @@ DEGENERACY_RTOL = 1e-14
 
 
 def _freeze(arr) -> np.ndarray:
-    """Return ``arr`` as a non-writeable, C-contiguous complex128 array.
+    """Return ``arr`` as a non-writeable, C-contiguous array: complex128 when
+    the input is complex, float64 otherwise.
 
-    Frozen inputs are reused without copying; anything writeable is copied
-    first so later writes by the caller cannot leak into a tensor.
+    Frozen inputs of that dtype are reused without copying; anything
+    writeable is copied first so later writes by the caller cannot leak
+    into a tensor.
     """
-    out = np.asarray(arr, dtype=np.complex128, order="C")
+    out = np.asarray(arr)
+    out = np.asarray(
+        out, dtype=np.complex128 if np.iscomplexobj(out) else np.float64, order="C"
+    )
     if out is arr:
         if not out.flags.writeable:
             return out
@@ -45,7 +55,7 @@ def _freeze(arr) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DenseTensor:
-    """A dense complex tensor with one string label per axis."""
+    """A dense float64 or complex128 tensor with one string label per axis."""
 
     data: np.ndarray
     labels: tuple[str, ...]
@@ -165,6 +175,7 @@ class TruncationReport:
 def _phase_fix_columns(u: np.ndarray, other: np.ndarray) -> None:
     """Phase each column of ``u`` so its largest-magnitude entry is real
     and positive, absorbing the inverse phase into the rows of ``other``.
+    On real arrays the phase is a sign, so real data stays real.
 
     Modifies both arrays in place; ``u @ other`` is unchanged. The first
     of tied maxima decides, and an all-zero column keeps phase 1.

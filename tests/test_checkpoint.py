@@ -8,7 +8,7 @@ from tnkit.checkpoint import MAGIC, CheckpointError, checkpoint_read, checkpoint
 from tnkit.dmrg import DmrgConfig, ground_state
 from tnkit.models import transverse_field_ising
 from tnkit.mpo import build_mpo
-from tnkit.mps import gauge_transform, random_mps
+from tnkit.mps import MatrixProductState, gauge_transform, random_mps
 
 
 def _random_state(seed=0, dims=(2, 3, 2, 4), max_bond=5):
@@ -25,6 +25,30 @@ def test_round_trip_is_bit_exact(tmp_path):
     for a, b in zip(psi.sites, back.sites):
         assert a.shape == b.shape
         assert a.dtype == b.dtype == np.complex128
+        assert a.tobytes() == b.tobytes()
+
+
+def test_real_state_reads_back_real_and_bit_exact(tmp_path):
+    psi = random_mps((2, 3, 2, 4), 5, np.random.default_rng(11), dtype=float)
+    path = str(tmp_path / "state.mps")
+    checkpoint_write(psi, path)
+    back = checkpoint_read(path)
+    assert back.center == psi.center
+    for a, b in zip(psi.sites, back.sites):
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+
+
+def test_one_nonzero_imaginary_part_keeps_a_state_complex(tmp_path):
+    real = random_mps((2, 2, 2), 2, np.random.default_rng(12), dtype=float)
+    sites = [a.astype(complex) for a in real.sites]
+    sites[1][0, 1, 0] += 1e-300j
+    psi = MatrixProductState(sites, center=real.center)
+    path = str(tmp_path / "state.mps")
+    checkpoint_write(psi, path)
+    back = checkpoint_read(path)
+    for a, b in zip(psi.sites, back.sites):
+        assert b.dtype == np.complex128
         assert a.tobytes() == b.tobytes()
 
 

@@ -156,6 +156,11 @@ class TestDmrgRuns:
         warm = _read_results(out2)[0]["result"]
         assert not cold["warm_start"] and warm["warm_start"]
         assert warm["n_sweeps"] < cold["n_sweeps"]
+        # the real model's checkpoint reads back real, so the warm start runs
+        # real too; its energy is the one the all-complex code gave
+        assert all(a.dtype == np.float64 for a in psi.sites)
+        assert all(a.dtype == np.float64 for a in checkpoint_read(str(ck)).sites)
+        assert warm["energy"] == pytest.approx(-14.92597110990865, rel=1e-12, abs=0)
 
 
 class TestFailureModes:
@@ -531,11 +536,20 @@ class TestRunEntry:
 
 class TestBundledConfigs:
     def test_dmrg_config_lanczos_matvecs_are_pinned(self, tmp_path):
-        # measured before the two-product site operator and the direct
-        # LAPACK Ritz solve; a change to the Krylov path moves this count
+        # a change to the Krylov path moves this count: it was 343 while the
+        # random start state and the Lanczos basis were complex, and is 349
+        # with the real start a real Hamiltonian now gets
         out = tmp_path / "dmrg"
         assert run(str(CONFIGS_DIR / "dmrg_tfi.json"), out_dir=str(out)) == EXIT_OK
-        assert _read_results(out)[0]["result"]["lanczos_matvecs"] == 343
+        assert _read_results(out)[0]["result"]["lanczos_matvecs"] == 349
+
+    def test_dmrg_scan_lanczos_matvecs_are_pinned(self, tmp_path):
+        # 351, 343, 312 with a complex random start; the real start moves
+        # the two counts of h = 1.0 and 1.5
+        out = tmp_path / "scan"
+        assert run(str(CONFIGS_DIR / "dmrg_scan.json"), out_dir=str(out)) == EXIT_OK
+        counts = [rec["result"]["lanczos_matvecs"] for rec in _read_results(out)]
+        assert counts == [351, 349, 310]
 
     def test_dmrg_and_oracle_configs_agree(self, tmp_path):
         out_dmrg, out_ed = tmp_path / "dmrg", tmp_path / "ed"

@@ -12,7 +12,7 @@ from tnkit.dmrg import (
     ground_state,
     lanczos_ground,
 )
-from tnkit.models import SZ, heisenberg_xxz, transverse_field_ising
+from tnkit.models import SX, SY, SZ, custom_nn, heisenberg_xxz, transverse_field_ising
 from tnkit.mpo import build_mpo, expect_mpo, mpo_to_dense
 from tnkit.mps import (
     canonical_residual,
@@ -262,3 +262,98 @@ def test_ordered_phase_ground_state():
     assert energy == pytest.approx(e0, rel=1e-9)
     # magnetization vanishes in the symmetric state
     assert abs(expect_local(psi, SZ, 5).real) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# dtype contract: real problems run real, complex data is never made real
+# ---------------------------------------------------------------------------
+
+
+def _hermitian_with_gap(dim, complex_entries, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, dim))
+    if complex_entries:
+        x = x + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(x)
+    spectrum = np.linspace(0.0, 1.0, dim)
+    spectrum[0] = -1.0
+    return (q * spectrum) @ q.conj().T
+
+
+@pytest.mark.parametrize(
+    "complex_matrix, complex_start", [(True, False), (False, True)], ids=["real-start", "real-matrix"]
+)
+def test_lanczos_mixed_dtypes_match_dense_eigh(complex_matrix, complex_start):
+    dim = 40
+    m = _hermitian_with_gap(dim, complex_matrix, seed=dim)
+    rng = np.random.default_rng(1)
+    start = rng.normal(size=dim)
+    if complex_start:
+        start = start + 1j * rng.normal(size=dim)
+    w, v = np.linalg.eigh(m)
+    theta, vec, ok = lanczos_ground(lambda y: m @ y, start, 100, 1e-12)
+    assert ok
+    assert vec.dtype == np.complex128
+    assert theta == pytest.approx(w[0], abs=1e-12)
+    assert abs(np.vdot(v[:, 0], vec)) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_lanczos_keeps_a_complex_image_after_real_ones():
+    # an operator that hands back real arrays while its images are real: the
+    # real start and its first image are real, the second image is not
+    m = np.diag([0.3, -0.2, 0.5, 0.1, -0.4]).astype(complex)
+    m[0, 1] = m[1, 0] = 1.0
+    m[1, 2], m[2, 1] = 0.7j, -0.7j
+    m[2, 3] = m[3, 2] = 0.4
+    m[3, 4], m[4, 3] = 0.2 - 0.3j, 0.2 + 0.3j
+
+    def matvec(y):
+        out = m @ y
+        return out if out.imag.any() else out.real
+
+    start = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    assert matvec(start).dtype == np.float64
+    w, v = np.linalg.eigh(m)
+    theta, vec, ok = lanczos_ground(matvec, start, 50, 1e-12)
+    assert ok
+    assert theta == pytest.approx(w[0], abs=1e-12)
+    assert abs(np.vdot(v[:, 0], vec)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [transverse_field_ising(8, J=1.0, h=0.9), heisenberg_xxz(8, J=1.0, delta=0.6, field=0.2)],
+    ids=["tfi", "xxz"],
+)
+def test_real_models_run_real_and_match_complex_runs(spec):
+    op = build_mpo(spec)
+    config = DmrgConfig(max_bond=16, n_sweeps=30, seed=4)
+    energy, psi, trace = ground_state(op, config)
+    assert trace.converged
+    assert all(a.dtype == np.float64 for a in psi.sites)
+    start = random_mps([2] * spec.n_sites, max_bond=16, rng=4, dtype=complex)
+    e_complex, psi_complex, _ = ground_state(op, config, psi0=start)
+    assert all(a.dtype == np.complex128 for a in psi_complex.sites)
+    e0, _ = ed_ground(dense_hamiltonian(spec))
+    assert abs(energy - e_complex) <= 1e-12 * abs(e0)
+    assert abs(energy - e0) <= 1e-12 * abs(e0)
+
+
+def test_complex_custom_model_stays_complex():
+    # a Dzyaloshinskii-Moriya term sx sy - sy sx is Hermitian and complex
+    two = np.kron(SX, SY) - np.kron(SY, SX) + 0.5 * np.kron(SZ, SZ)
+    spec = custom_nn(6, two, one_site=-0.3 * SX)
+    op = build_mpo(spec)
+    assert all(w.dtype == np.complex128 for w in op.sites)
+    energy, psi, trace = ground_state(op, DmrgConfig(max_bond=8, n_sweeps=30, seed=2))
+    assert trace.converged
+    assert all(a.dtype == np.complex128 for a in psi.sites)
+    e0, _ = ed_ground(dense_hamiltonian(spec))
+    assert energy == pytest.approx(e0, abs=1e-10)
+
+
+def test_noise_keeps_a_real_model_real():
+    op = build_mpo(transverse_field_ising(6, h=1.2))
+    config = DmrgConfig(max_bond=8, n_sweeps=4, noise=1e-3, seed=5)
+    _, psi, _ = ground_state(op, config)
+    assert all(a.dtype == np.float64 for a in psi.sites)

@@ -63,6 +63,20 @@ def test_build_mpo_matches_oracle(spec):
     assert np.max(np.abs(got - got.conj().T)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [transverse_field_ising(6, J=1.0, h=0.7), heisenberg_xxz(6, J=1.3, delta=0.5, field=0.2)],
+    ids=["tfi", "xxz"],
+)
+def test_real_models_have_real_mpos(spec):
+    # XXZ hops through s+ s- + s- s+, so no imaginary sy enters its MPO
+    op = build_mpo(spec)
+    assert all(w.dtype == np.float64 for w in op.sites)
+    got = mpo_to_dense(op)
+    want = dense_hamiltonian(spec).to_array()
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_build_mpo_bond_dims():
     assert build_mpo(transverse_field_ising(7, h=0.3)).bond_dims == (3,) * 6
     assert build_mpo(heisenberg_xxz(5)).bond_dims == (5,) * 4

@@ -265,3 +265,14 @@ def test_evolve_rejects_wrong_lattice():
     spec = transverse_field_ising(5, h=1.0)
     with pytest.raises(ValueError):
         evolve(neel(4), spec, TebdConfig(dt=0.1, n_steps=1, max_bond=4))
+
+
+def test_imaginary_time_and_thermal_states_of_real_models_are_real():
+    spec = transverse_field_ising(5, J=1.0, h=0.8)
+    psi, _, _ = thermal_state(spec, beta=0.4, dt=0.05, max_bond=16)
+    assert all(a.dtype == np.float64 for a in psi.sites)
+    cooled = imaginary_time_ground_state(spec, max_bond=8, schedule=((0.1, 5),))
+    assert all(a.dtype == np.float64 for a in cooled.sites)
+    # real-time gates are complex by construction
+    out, _ = evolve(neel(5), spec, TebdConfig(dt=0.05, n_steps=1, max_bond=8))
+    assert all(a.dtype == np.complex128 for a in out.sites)

@@ -6,10 +6,12 @@ import pytest
 from tnkit.tensor import (
     DenseTensor,
     TruncationSpec,
+    _freeze,
     contract,
     contract_network,
     qr_split,
     qr_matrix,
+    svd_matrix,
     scale_axis,
     svd_split,
     trace,
@@ -336,3 +338,36 @@ def test_phase_fix_matches_column_loop():
     leading = u[np.argmax(np.abs(u), axis=0), np.arange(6)]
     assert np.all(np.abs(leading[[0, 1, 3, 4, 5]].imag) < 1e-15)
     assert np.all(leading[[0, 1, 3, 4, 5]].real > 0.0)
+
+
+@pytest.mark.parametrize(
+    "data, dtype",
+    [
+        (np.ones((2, 2), dtype=int), np.float64),
+        (np.ones((2, 2), dtype=bool), np.float64),
+        (np.ones((2, 2), dtype=np.float32), np.float64),
+        (np.ones((2, 2)), np.float64),
+        (np.ones((2, 2), dtype=np.complex64), np.complex128),
+        (np.ones((2, 2), dtype=complex), np.complex128),
+        ([[1.0, 2.0j]], np.complex128),
+    ],
+)
+def test_freeze_keeps_real_data_real(data, dtype):
+    out = _freeze(data)
+    assert out.dtype == dtype
+    assert not out.flags.writeable and out.flags.c_contiguous
+    np.testing.assert_array_equal(out, np.asarray(data))
+    assert _freeze(out) is out
+
+
+def test_real_factorizations_stay_real_with_sign_fixed_columns():
+    rng = np.random.default_rng(21)
+    m = rng.normal(size=(7, 5))
+    u, s, vh, _ = svd_matrix(m)
+    q, r = qr_matrix(m)
+    assert all(a.dtype == np.float64 for a in (u, vh, q, r))
+    for left in (u, q):
+        leading = left[np.argmax(np.abs(left), axis=0), np.arange(left.shape[1])]
+        assert np.all(leading > 0.0)
+    np.testing.assert_allclose((u * s) @ vh, m, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(q @ r, m, rtol=0, atol=1e-13)
