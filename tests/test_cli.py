@@ -157,7 +157,7 @@ class TestDmrgRuns:
         assert not cold["warm_start"] and warm["warm_start"]
         assert warm["n_sweeps"] < cold["n_sweeps"]
         # the real model's checkpoint reads back real, so the warm start runs
-        # real too; its energy is the one the all-complex code gave
+        # real too; the pinned energy was measured in complex arithmetic
         assert all(a.dtype == np.float64 for a in psi.sites)
         assert all(a.dtype == np.float64 for a in checkpoint_read(str(ck)).sites)
         assert warm["energy"] == pytest.approx(-14.92597110990865, rel=1e-12, abs=0)
@@ -536,16 +536,14 @@ class TestRunEntry:
 
 class TestBundledConfigs:
     def test_dmrg_config_lanczos_matvecs_are_pinned(self, tmp_path):
-        # a change to the Krylov path moves this count: it was 343 while the
-        # random start state and the Lanczos basis were complex, and is 349
-        # with the real start a real Hamiltonian now gets
+        # a change to the Krylov path moves this count, as the dtype of the
+        # random start state does
         out = tmp_path / "dmrg"
         assert run(str(CONFIGS_DIR / "dmrg_tfi.json"), out_dir=str(out)) == EXIT_OK
         assert _read_results(out)[0]["result"]["lanczos_matvecs"] == 349
 
     def test_dmrg_scan_lanczos_matvecs_are_pinned(self, tmp_path):
-        # 351, 343, 312 with a complex random start; the real start moves
-        # the two counts of h = 1.0 and 1.5
+        # a change to the Krylov path moves these counts
         out = tmp_path / "scan"
         assert run(str(CONFIGS_DIR / "dmrg_scan.json"), out_dir=str(out)) == EXIT_OK
         counts = [rec["result"]["lanczos_matvecs"] for rec in _read_results(out)]
