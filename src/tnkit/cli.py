@@ -52,7 +52,7 @@ from .config import (
     parse_run_config,
 )
 from .dmrg import excited_state, ground_state
-from .models import PAULI
+from .models import PAULI, bond_terms
 from .mpo import build_mpo, expect_mpo
 from .mps import expect_local, expect_profile, norm, product_state
 from .tebd import evolve, lift_mpo, lift_site_operator, thermal_state
@@ -94,7 +94,9 @@ def _pyify(value):
 # ---------------------------------------------------------------------------
 
 
-def _initial_state(kind: str, spec, seed: int):
+def _initial_state(kind: str, spec, seed: int, real: bool):
+    """Product start state; ``random`` draws real vectors when ``real``,
+    else complex ones."""
     d, n = spec.phys_dim, spec.n_sites
     if kind == "all_up":
         vecs = [np.eye(d)[0]] * n
@@ -106,7 +108,7 @@ def _initial_state(kind: str, spec, seed: int):
         rng = np.random.default_rng(seed)
         vecs = []
         for _ in range(n):
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v = rng.normal(size=d) if real else rng.normal(size=d) + 1j * rng.normal(size=d)
             vecs.append(v / np.linalg.norm(v))
     return product_state(vecs)
 
@@ -147,7 +149,10 @@ def _run_dmrg(s: DmrgSettings, checkpoint: str | None, warm) -> dict:
 
 
 def _run_tebd(s: TebdSettings, checkpoint: str | None, warm) -> dict:
-    psi0 = _initial_state(s.state, s.model, s.seed)
+    # imaginary-time gates of real bond terms are real, so a random start
+    # needs no imaginary part
+    real = s.imag and all(np.isrealobj(term) for term in bond_terms(s.model))
+    psi0 = _initial_state(s.state, s.model, s.seed, real)
     watchers = {}
     for item in s.observables:
 
@@ -176,7 +181,7 @@ def _run_tebd(s: TebdSettings, checkpoint: str | None, warm) -> dict:
 
 
 def _run_thermal(s: ThermalSettings, checkpoint: str | None, warm) -> dict:
-    psi, ln_z, _ = thermal_state(
+    psi, ln_z, trace = thermal_state(
         s.model, s.beta, s.dt, s.max_bond, order=s.order, rel_cutoff=s.rel_cutoff
     )
     energy = expect_mpo(psi, lift_mpo(build_mpo(s.model))).real
@@ -185,6 +190,8 @@ def _run_thermal(s: ThermalSettings, checkpoint: str | None, warm) -> dict:
         "ln_z": ln_z,
         "energy": energy,
         "bond_dims": list(psi.bond_dims),
+        "discarded": list(trace.discarded),
+        "log_norms": list(trace.log_norms),
     }
     obs = {}
     d = s.model.phys_dim
@@ -198,8 +205,8 @@ def _run_thermal(s: ThermalSettings, checkpoint: str | None, warm) -> dict:
 
 
 def _run_trg(s: TrgSettings, checkpoint: str | None, warm) -> dict:
-    # imported here: the oracle pulls in scipy.integrate and scipy.optimize,
-    # which only the trg and oracle runners need
+    # imported here: the oracle pulls in scipy.sparse, which only the trg
+    # and oracle runners need
     from .oracle import onsager_f
 
     f, trace = coarse_grain(

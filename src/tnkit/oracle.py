@@ -5,6 +5,7 @@ space for the classical model) and is deliberately independent of the
 tensor-network modules: Hamiltonians are assembled by Kronecker products,
 states are plain vectors, and partition functions come from explicit spin
 sums, transfer matrices, or quadrature. Intended for small sizes only.
+Importing this module loads no scipy module beyond ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.special import logsumexp
 
 from .models import (
     ID2,
@@ -156,7 +155,8 @@ def dense_gibbs(dh: DenseHamiltonian, beta: float, site_op: np.ndarray = SZ) -> 
     check_gibbs(beta)
     w, v = np.linalg.eigh(dh.to_array())
     logw = -beta * w
-    ln_z = float(logsumexp(logw))
+    top = np.max(logw)
+    ln_z = float(top + np.log(np.sum(np.exp(logw - top))))
     p = np.exp(logw - ln_z)
     energy = float(p @ w)
     local = np.empty(dh.n_sites)
@@ -203,24 +203,41 @@ def ising_transfer_matrix(width: int, beta: float, J: float = 1.0) -> float:
     return -np.log(lam) / (beta * width)
 
 
+def _graded_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, pi]: n_nodes nodes on each of
+    51 panels that halve toward 0, [0, pi 2^-50] and [pi 2^-k-1, pi 2^-k]
+    for k = 49, ..., 0. Returns (nodes, weights)."""
+    edges = np.concatenate(([0.0], np.pi * 2.0 ** -np.arange(50.0, -1.0, -1.0)))
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
 def onsager_f(beta: float, J: float = 1.0) -> float:
     """Exact free energy per site of the infinite square-lattice Ising model.
 
     The angular integral is reduced to one dimension analytically and then
-    evaluated by adaptive quadrature, converged well below 1e-10.
+    summed by a fixed composite Gauss-Legendre rule whose panels halve
+    toward theta = 0, the point that the square-root branch point of the
+    integrand approaches at beta_c. The rule with 20 nodes per panel must
+    agree with the one with 10 to 1e-10 relative, else RuntimeError.
     """
     check_onsager(beta)
-    c = np.cosh(2.0 * beta * J) ** 2
     sn = np.sinh(2.0 * beta * J)
 
-    def integrand(theta):
-        a = c - sn * np.cos(theta)
-        inner = max(a * a - sn * sn, 0.0)
-        return np.log(0.5 * (a + np.sqrt(inner)))
+    def ln_z(n_nodes):
+        # a = cosh^2(2 beta J) - sn cos(theta); a - sn and a + sn written
+        # as sums of nonnegative terms, so a^2 - sn^2 has no cancellation,
+        # and their roots taken apart, so it does not overflow
+        theta, weights = _graded_rule(n_nodes)
+        s2 = 2.0 * sn * np.sin(0.5 * theta) ** 2
+        a = 1.0 + sn * sn - sn + s2
+        root = np.sqrt((1.0 - sn) ** 2 + s2) * np.sqrt(1.0 + sn * sn + s2)
+        val = weights @ np.log(0.5 * (a + root))
+        return np.log(2.0) + val / (2.0 * np.pi)
 
-    val, err = scipy.integrate.quad(
-        integrand, 0.0, np.pi, epsabs=1e-13, epsrel=1e-13, limit=400, points=[0.0]
-    )
-    if err > 1e-10:
-        raise RuntimeError(f"quadrature did not converge: estimated error {err}")
-    return -(np.log(2.0) + val / (2.0 * np.pi)) / beta
+    fine, coarse = ln_z(20), ln_z(10)
+    if not abs(fine - coarse) <= 1e-10 * abs(fine):  # also when not finite
+        raise RuntimeError(f"quadrature did not converge: rules differ by {abs(fine - coarse)}")
+    return float(-fine / beta)

@@ -45,6 +45,18 @@ intermediate has more than chi^4 entries. On parity blocks each of these
 costs about a quarter of the dense one: at chi = 32 the eigensolver sees
 two blocks near 512 x 512 instead of one 1024 x 1024 matrix.
 
+Block layouts. With every leg sorted even-first, the entries of parity q
+of a combined index (i, j) are two contiguous sub-blocks, (i even, j q)
+then (i odd, j 1 - q) (``_pair_blocks``), in the C order of the combined
+index. So every parity block of a matrix view of a tensor is assembled
+from contiguous slices of the 4D array (``_block``), written in place with
+one transposed copy per sub-block, and every regrouping of a Gram matrix
+G[(i j), (i' j')] into H[(i i'), (j j')] moves sub-blocks the same way
+(``_regroup``); nothing is gathered or scattered by index arrays and no
+dense chi^4 array is transposed. The merged pair is written into a layout
+ordered by the parity of its merged legs, so each isometry block meets
+only the rows of its own parity.
+
 Degenerate cuts. When the cut falls inside a degenerate group the kept
 subspace is arbitrary: between blocks, exactly equal values are taken
 even-first, and inside a near-degenerate group the choice moves with
@@ -129,41 +141,71 @@ def _rescaled(tensor: np.ndarray, even, state: CoarseGrainState) -> CoarseGrainS
     return CoarseGrainState(tensor / scale, float(log_norm), n_new, tuple(even))
 
 
-def _parity(*legs) -> np.ndarray:
-    """Parity (0 even, 1 odd) of the C-order combined index of legs given as
-    (extent, even count) pairs, each leg sorted even-first."""
-    p = np.zeros(1, dtype=np.intp)
-    for dim, even in legs:
-        p = (p[:, None] ^ (np.arange(dim) >= even)).ravel()
-    return p
-
-
 def _halves(dim: int, even: int) -> tuple[slice, slice]:
     """The even and the odd index range of a leg sorted even-first."""
     return slice(0, even), slice(even, dim)
 
 
-def _sectors(parity: np.ndarray):
-    """Indices of the even and of the odd entries of a parity vector."""
-    return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+def _size(s: slice) -> int:
+    return s.stop - s.start
 
 
-def _block_matmul(x, y, rows, inner, cols) -> np.ndarray:
-    """x @ y for matrices that vanish unless the parities of their row and
-    column indices agree: one product per parity block."""
-    out = np.zeros((x.shape[0], y.shape[1]))
-    for r, i, c in zip(_sectors(rows), _sectors(inner), _sectors(cols)):
-        out[np.ix_(r, c)] = x[np.ix_(r, i)] @ y[np.ix_(i, c)]
+def _pair_blocks(first, second, q: int):
+    """The layout of the entries of parity q of a combined index (first,
+    second), given the even and odd ranges of each leg: for p = 0, 1 the
+    block (first p, second p ^ q), each in C order, one after the other.
+    Sorting both legs even-first makes this the C order of those entries.
+    Returns [(p, first range, second range, combined range)] by p."""
+    out, start = [], 0
+    for p in (0, 1):
+        a, b = first[p], second[p ^ q]
+        stop = start + _size(a) * _size(b)
+        out.append((p, a, b, slice(start, stop)))
+        start = stop
     return out
 
 
-def _block_gram(x, rows, cols) -> np.ndarray:
-    """x @ x^T for a matrix that vanishes unless the parities of its row and
-    column indices agree."""
-    out = np.zeros((x.shape[0], x.shape[0]))
-    for r, c in zip(_sectors(rows), _sectors(cols)):
-        xp = x[np.ix_(r, c)]
-        out[np.ix_(r, r)] = xp @ xp.T
+def _put(dst: np.ndarray, src: np.ndarray) -> None:
+    """Write src into dst, a view whose axes src's shape splits."""
+    dst.reshape(src.shape, copy=False)[...] = src
+
+
+def _block(t: np.ndarray, axes, halves, q: int) -> np.ndarray:
+    """The parity-q block of the matrix view of a graded tensor with rows
+    (axes[0], axes[1]) and columns (axes[2], axes[3]): rows and columns of
+    parity q, each laid out by ``_pair_blocks``, copied from contiguous
+    slices of t. halves holds the even and odd range of each leg of t."""
+    i, j, k, l = axes
+    rows = _pair_blocks(halves[i], halves[j], q)
+    cols = _pair_blocks(halves[k], halves[l], q)
+    out = np.empty((rows[1][3].stop, cols[1][3].stop))
+    for _, ri, rj, rr in rows:
+        for _, ck, cl, cc in cols:
+            index = [None] * 4
+            index[i], index[j], index[k], index[l] = ri, rj, ck, cl
+            _put(out[rr, cc], t[tuple(index)].transpose(axes))
+    return out
+
+
+def _regroup(blocks, first, second) -> list[np.ndarray]:
+    """From the blocks of G[(i j), (i' j')], rows and columns of parity s
+    in ``blocks[s]`` laid out by ``_pair_blocks(first, second, s)``, the
+    blocks of H[(i i'), (j j')] = G: rows (i i') and columns (j j') of
+    parity r in entry r, laid out by ``_pair_blocks`` of first and of
+    second. Each sub-block is one transposed copy of a slice."""
+    layouts = [_pair_blocks(first, second, s) for s in (0, 1)]
+    out = []
+    for r in (0, 1):
+        rows = _pair_blocks(first, first, r)
+        cols = _pair_blocks(second, second, r)
+        h = np.empty((rows[1][3].stop, cols[1][3].stop))
+        for a, i, i2, rr in rows:
+            for d, j, j2, cc in cols:
+                s = a ^ d  # parity of (i j) and of (i' j')
+                g = blocks[s][layouts[s][a][3], layouts[s][a ^ r][3]]
+                shape = (_size(i), _size(j), _size(i2), _size(j2))
+                _put(h[rr, cc], g.reshape(shape).transpose(0, 2, 1, 3))
+        out.append(h)
     return out
 
 
@@ -201,28 +243,31 @@ def _top_eigh(blocks, spec: TruncationSpec):
     return vectors[0][:, :k_even], vectors[1][:, : k - k_even], discarded
 
 
-def _split(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray, spec: TruncationSpec):
-    """Truncated symmetric split M ~ A @ B with the spectrum shared evenly:
-    A = U sqrt(s), B = sqrt(s) V, for an M that vanishes unless the
-    parities ``rows`` and ``cols`` of its row and column indices agree.
-    U are the leading eigenvectors of the two blocks of M M^T; the singular
-    values are the row norms of U^T M = s V. Returns (A, B, the even count
-    of the new index, discarded weight); the new index is sorted even-first."""
-    row_sets, col_sets = _sectors(rows), _sectors(cols)
-    blocks = [matrix[np.ix_(r, c)] for r, c in zip(row_sets, col_sets)]
+def _split(t: np.ndarray, axes, halves, spec: TruncationSpec):
+    """Truncated symmetric split M ~ A @ B of the matrix view M of a graded
+    tensor with rows (axes[0], axes[1]) and columns (axes[2], axes[3]),
+    with the spectrum shared evenly: A = U sqrt(s), B = sqrt(s) V. U are
+    the leading eigenvectors of the two blocks of M M^T (``_block``); the
+    singular values are the row norms of U^T M = s V. Returns (A as (row
+    legs, new), B^T as (column legs, new), the even count of the new
+    index, discarded weight); the new index is sorted even-first."""
+    i, j, k, l = axes
+    blocks = [_block(t, axes, halves, q) for q in (0, 1)]
     *us, discarded = _top_eigh([m @ m.T for m in blocks], spec)
     k_even = us[0].shape[1]
-    k = k_even + us[1].shape[1]
-    a = np.zeros((matrix.shape[0], k))
-    b = np.zeros((k, matrix.shape[1]))
-    new_sets = (slice(0, k_even), slice(k_even, k))
-    for u, block, r, c, new in zip(us, blocks, row_sets, col_sets, new_sets):
-        sv = u.T @ block
+    new = _halves(k_even + us[1].shape[1], k_even)
+    a = np.zeros((t.shape[i], t.shape[j], new[1].stop))
+    b = np.zeros((t.shape[k], t.shape[l], new[1].stop))
+    for q, u, m in zip((0, 1), us, blocks):
+        sv = u.T @ m
         root = np.sqrt(np.linalg.norm(sv, axis=1))
         # rows with s == 0 are zero in sv and stay zero
         inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
-        a[r, new] = u * root
-        b[new, c] = inv_root[:, None] * sv
+        us_q, vs_q = u * root, (inv_root[:, None] * sv).T
+        for _, ri, rj, rr in _pair_blocks(halves[i], halves[j], q):
+            a[ri, rj, new[q]] = us_q[rr].reshape(_size(ri), _size(rj), u.shape[1])
+        for _, ck, cl, cc in _pair_blocks(halves[k], halves[l], q):
+            b[ck, cl, new[q]] = vs_q[cc].reshape(_size(ck), _size(cl), u.shape[1])
     return a, b, k_even, discarded
 
 
@@ -230,109 +275,86 @@ def trg_step(state: CoarseGrainState, spec: TruncationSpec) -> tuple[CoarseGrain
     """One plaquette coarse-graining step; doubles the area per tensor.
     Returns the new state and the summed discarded weight of both splits."""
     t = state.tensor
-    chi_u, chi_l, chi_d, chi_r = t.shape
-    up, left, down, right = zip(t.shape, state.even)
-    # diagonal split 1: (right, up) x (left, down)
-    m1 = t.transpose(3, 0, 1, 2).reshape(chi_r * chi_u, chi_l * chi_d)
-    a1, b1, e1, w1 = _split(m1, _parity(right, up), _parity(left, down), spec)
-    t3 = a1.reshape(chi_r, chi_u, -1)  # (r, u, new)
-    t1 = b1.T.reshape(chi_l, chi_d, -1)  # (l, d, new)
-    # diagonal split 2: (left, up) x (right, down)
-    m2 = t.transpose(1, 0, 3, 2).reshape(chi_l * chi_u, chi_r * chi_d)
-    a2, b2, e2, w2 = _split(m2, _parity(left, up), _parity(right, down), spec)
-    t4 = a2.reshape(chi_l, chi_u, -1)  # (l, u, new)
-    t2 = b2.T.reshape(chi_r, chi_d, -1)  # (r, d, new)
-    new1, new2 = (t1.shape[2], e1), (t2.shape[2], e2)
-    # recombine four halves around a plaquette of the rotated lattice; the
-    # left leg of one half meets the right leg of the next (same grading)
-    hor = _parity(left)
-    top = _block_matmul(  # (d1 a, d2 b)
-        t1.reshape(chi_l, -1).T,
-        t2.reshape(chi_r, -1),
-        _parity(down, new1),
-        hor,
-        _parity(down, new2),
-    )
-    bot = _block_matmul(  # (u3 c, u4 e)
-        t3.reshape(chi_r, -1).T,
-        t4.reshape(chi_l, -1),
-        _parity(up, new1),
-        hor,
-        _parity(up, new2),
-    )
-    k1, k2 = new1[0], new2[0]
-    top = top.reshape(chi_d, k1, chi_d, k2).transpose(1, 3, 0, 2)  # (a, b, d1, d2)
-    bot = bot.reshape(chi_u, k1, chi_u, k2).transpose(2, 0, 1, 3)  # (u4, u3, c, e)
-    top, bot = top.reshape(k1 * k2, -1), bot.reshape(-1, k1 * k2)
-    pairs = _parity(new1, new2)
-    new = _block_matmul(top, bot, pairs, _parity(down, down), pairs).reshape(k1, k2, k1, k2)
-    new = new.transpose(1, 2, 3, 0)  # (a, b, c, e) -> (up, left, down, right)
-    return _rescaled(new, (e2, e1, e2, e1), state), float(w1 + w2)
+    halves = [_halves(n, e) for n, e in zip(t.shape, state.even)]
+    # diagonal split 1: (right, up) x (left, down); diagonal split 2:
+    # (left, up) x (right, down). The halves are t3 (r, u, a), t1 (l, d, a),
+    # t4 (l, u, b) and t2 (r, d, b)
+    t3, t1, e1, w1 = _split(t, (3, 0, 1, 2), halves, spec)
+    t4, t2, e2, w2 = _split(t, (1, 0, 3, 2), halves, spec)
+    n1, n2 = _halves(t1.shape[2], e1), _halves(t2.shape[2], e2)
+    # the four halves around a plaquette of the rotated lattice: the left
+    # leg x of one half meets the right leg of the next (same grading), and
+    # new[(a b), (c e)] = sum top[(a b), (d1 d2)] bot[(d1 d2), (c e)] with
+    # top = sum_x t1[x, d1, a] t2[x, d2, b], bot = sum_x t4[x, d1, e] t3[x, d2, c]
+    hor, down = halves[1], halves[2]
+    news = [_pair_blocks(n1, n2, q) for q in (0, 1)]  # (a b) and (c e)
+    legs = [_pair_blocks(down, down, q) for q in (0, 1)]  # (d1 d2)
+    top = [np.empty((news[q][1][3].stop, legs[q][1][3].stop)) for q in (0, 1)]
+    bot = [np.empty((legs[q][1][3].stop, news[q][1][3].stop)) for q in (0, 1)]
 
+    def view(half, x, new_leg):
+        """half[x, d, n] for x of parity x as the matrix (x, (d n) of
+        parity x), and the layout of (d n)."""
+        pieces = _pair_blocks(down, new_leg, x)
+        width = _size(hor[x])
+        blocks = [half[hor[x], d, n].reshape(width, _size(d) * _size(n)) for _, d, n, _ in pieces]
+        return np.concatenate(blocks, axis=1), pieces
 
-def _side_isometry(
-    g1: np.ndarray, g2: np.ndarray, leg, mid: np.ndarray, spec: TruncationSpec
-):
-    """Isometry of one side of a merged pair from its density rho[a, b, c, d]
-    = sum_mn g1[a, c, m, n] g2[m, n, b, d], formed as one product (a c) x
-    (m n) @ (m n) x (b d) blocked by the parity of (a c). leg is the
-    (extent, even count) of the merged legs, mid the parity of (m n).
-    Returns (isometry with its columns sorted even-first, even count of the
-    columns, discarded weight)."""
-    chi = leg[0]
-    pairs = _parity(leg, leg)
-    rho = _block_matmul(g1.reshape(chi * chi, -1), g2.reshape(-1, chi * chi), pairs, mid, pairs)
-    rho = rho.reshape(chi, chi, chi, chi).transpose(0, 2, 1, 3).reshape(chi * chi, -1)
-    sets = _sectors(pairs)
-    v_even, v_odd, err = _top_eigh([rho[np.ix_(s, s)] for s in sets], spec)
-    iso = np.zeros((chi * chi, v_even.shape[1] + v_odd.shape[1]))
-    iso[sets[0], : v_even.shape[1]] = v_even
-    iso[sets[1], v_even.shape[1] :] = v_odd
-    return iso, v_even.shape[1], err
+    for x in (0, 1):
+        # one product per parity of x; its (d n) pieces land in the blocks
+        # of parity p(n) + p(n') of top and bot
+        f1, p1 = view(t1, x, n1)
+        f2, p2 = view(t2, x, n2)
+        prod = f1.T @ f2  # ((d1 a), (d2 b))
+        for p_d1, d1, a, ra in p1:
+            for p_d2, d2, b, rb in p2:
+                q = p_d1 ^ p_d2
+                shape = (_size(d1), _size(a), _size(d2), _size(b))
+                dst = top[q][news[q][p_d1 ^ x][3], legs[q][p_d1][3]]
+                _put(dst, prod[ra, rb].reshape(shape).transpose(1, 3, 0, 2))
+        f3, p3 = view(t3, x, n1)
+        f4, p4 = view(t4, x, n2)
+        prod = f3.T @ f4  # ((d2 c), (d1 e))
+        for p_d2, d2, c, rc in p3:
+            for p_d1, d1, e, re in p4:
+                q = p_d1 ^ p_d2
+                shape = (_size(d2), _size(c), _size(d1), _size(e))
+                dst = bot[q][legs[q][p_d1][3], news[q][p_d2 ^ x][3]]
+                _put(dst, prod[rc, re].reshape(shape).transpose(2, 0, 1, 3))
+    out = np.zeros((t2.shape[2], t1.shape[2], t2.shape[2], t1.shape[2]))  # (b, c, e, a)
+    for q in (0, 1):
+        new = top[q] @ bot[q]
+        for _, a, b, rows in news[q]:
+            for _, c, e, cols in news[q]:
+                shape = (_size(a), _size(b), _size(c), _size(e))
+                out[b, c, e, a] = new[rows, cols].reshape(shape).transpose(1, 2, 3, 0)
+    return _rescaled(out, (e2, e1, e2, e1), state), float(w1 + w2)
 
 
 def _merge_isometry(t: np.ndarray, even, spec: TruncationSpec):
     """Projector for the doubled horizontal legs of a vertical pair, chosen
     from the side whose Gram spectrum loses less weight (ties pick left).
 
-    Returns (isometry with rows (top leg, bottom leg) and its columns sorted
-    even-first, even count of the columns, discarded weight).
+    Returns (v_even, v_odd, discarded): the kept columns of each parity,
+    rows (top leg, bottom leg) of that parity laid out by ``_pair_blocks``.
     """
-    chi_u, chi_l, chi_d, chi_r = t.shape
-    up, left, down, right = zip(t.shape, even)
+    halves = [_halves(n, e) for n, e in zip(t.shape, even)]
+    up, left, down, right = halves
     # the four half-row Gram matrices are products of two matrix views of t
     # with their own transposes: x is (l d, u r), y is (u l, d r)
-    x = t.transpose(1, 2, 0, 3).reshape(chi_l * chi_d, chi_u * chi_r)
-    y = t.reshape(chi_u * chi_l, chi_d * chi_r)
-    ld, ur = _parity(left, down), _parity(up, right)
-    ul, dr = _parity(up, left), _parity(down, right)
-    mid = _parity(down, down)
-    # one side at a time, so that only two of the Gram matrices are held
-    a1 = _block_gram(x, ld, ur).reshape(chi_l, chi_d, chi_l, chi_d)  # (l, m, l', m') top row
-    a2 = _block_gram(y, ul, dr).reshape(chi_u, chi_l, chi_u, chi_l)  # (m, l, m', l') bottom row
-    on_left = _side_isometry(a1.transpose(0, 2, 1, 3), a2.transpose(0, 2, 1, 3), left, mid, spec)
-    del a1, a2
-    b1 = _block_gram(y.T, dr, ul).reshape(chi_d, chi_r, chi_d, chi_r)  # (m, r, m', r') top row
-    b2 = _block_gram(x.T, ur, ld).reshape(chi_u, chi_r, chi_u, chi_r)  # (m, r, m', r') bottom row
-    on_right = _side_isometry(b1.transpose(1, 3, 0, 2), b2.transpose(0, 2, 1, 3), right, mid, spec)
+    x = [_block(t, (1, 2, 0, 3), halves, s) for s in (0, 1)]
+    y = [_block(t, (0, 1, 2, 3), halves, s) for s in (0, 1)]
+    # one side at a time, so that only two of the Gram matrices are held;
+    # the density of a side, rho[(a b), (c e)] = sum g1[(a c), (m m')]
+    # g2[(m m'), (b e)], pairs its top-row Gram g1 with its bottom-row g2
+    g1 = _regroup([b @ b.T for b in x], left, down)  # x x^T (l, m, l', m')
+    g2 = _regroup([b @ b.T for b in y], up, left)  # y y^T (m, l, m', l')
+    on_left = _top_eigh(_regroup([a @ b for a, b in zip(g1, g2)], left, left), spec)
+    del g1, g2
+    g1 = [g.T for g in _regroup([b.T @ b for b in y], down, right)]  # y^T y (m, r, m', r')
+    g2 = _regroup([b.T @ b for b in x], up, right)  # x^T x (m, r, m', r')
+    on_right = _top_eigh(_regroup([a @ b for a, b in zip(g1, g2)], right, right), spec)
     return on_left if on_left[2] <= on_right[2] else on_right
-
-
-def _pair_blocks(first, second, q: int):
-    """The sub-blocks of a combined index (first, second) of parity q, given
-    the even and odd ranges of each leg: for p = 0, 1 the block (first p,
-    second p ^ q) and its range in the concatenation of the two, each block
-    in C order. Yields (p, first range, second range, combined range)."""
-    start = 0
-    for p in (0, 1):
-        a, b = first[p], second[p ^ q]
-        stop = start + _size(a) * _size(b)
-        yield p, a, b, slice(start, stop)
-        start = stop
-
-
-def _size(s: slice) -> int:
-    return s.stop - s.start
 
 
 def _merge_vertical(t: np.ndarray, even, spec: TruncationSpec):
@@ -346,24 +368,19 @@ def _merge_vertical(t: np.ndarray, even, spec: TruncationSpec):
     (rb d)], with R = sum_lb iso[lt, lb, a] T[m, lb, d, rb], vanishes
     unless the rows have parity q and the columns q ^ p, so it is two
     products of half-size blocks, each combined index laid out by
-    ``_pair_blocks``.
+    ``_pair_blocks``. Each product is written into the pair layout P[(rt
+    rb), (u d)] ordered by the parity of (rt rb), and the isometry block
+    of each parity is applied to the rows of that parity only.
     """
-    chi_u, chi, chi_d, chi_r = t.shape
-    U, L, D, R = (_halves(n, e) for n, e in zip(t.shape, even))
-    iso, k_even, err = _merge_isometry(t, even, spec)
-    k = iso.shape[1]
-    iso_t = np.ascontiguousarray(iso.T)  # (new, top leg bottom leg)
-    top = t.transpose(0, 3, 1, 2)  # (u, rt, lt, m)
-    tops = [  # ((u rt) of parity q, (lt m) of parity q)
-        np.block([
-            [
-                top[u, rt, lt, m].reshape(_size(rows), _size(inner))
-                for _, lt, m, inner in _pair_blocks(L, D, q)
-            ]
-            for _, u, rt, rows in _pair_blocks(U, R, q)
-        ])
-        for q in (0, 1)
-    ]
+    chi_u, chi, chi_d, _ = t.shape
+    halves = [_halves(n, e) for n, e in zip(t.shape, even)]
+    U, L, D, R = halves
+    *vs, err = _merge_isometry(t, even, spec)
+    k_even = vs[0].shape[1]
+    k = k_even + vs[1].shape[1]
+    new = _halves(k, k_even)
+    isos = [np.ascontiguousarray(v.T) for v in vs]  # (new, (leg leg)) of each parity
+    tops = [_block(t, (0, 3, 1, 2), halves, q) for q in (0, 1)]  # ((u rt), (lt m)) of parity q
     bottom = t.transpose(1, 0, 3, 2)  # (lb, m, rb, d)
     bottoms = [  # (lb, m, (rb d) of parity c)
         np.concatenate(
@@ -375,13 +392,17 @@ def _merge_vertical(t: np.ndarray, even, spec: TruncationSpec):
         )
         for c in (0, 1)
     ]
-    out = np.empty((k, k, chi_u, chi_d))  # (a, b, u, d)
-    # one pair per parity of a: the blocks that vanish for it are never written
-    pairs = np.zeros((2, chi_r, chi_r, chi_u, chi_d))  # (rt, rb, u, d)
+    legs = [_pair_blocks(L, L, p) for p in (0, 1)]  # (lt lb) and (rt rb)
+    sides = [_pair_blocks(U, D, p) for p in (0, 1)]  # (u d)
+    out = np.zeros((k, k, chi_u, chi_d))  # (a, b, u, d)
+    # pairs[p][s]: rows (rt rb) of parity s, columns (u d) of parity p ^ s;
+    # every entry is written for each a of parity p
+    pairs = [
+        [np.empty((legs[s][1][3].stop, sides[p ^ s][1][3].stop)) for s in (0, 1)] for p in (0, 1)
+    ]
     for a in range(k):
         p = int(a >= k_even)
-        left = iso_t[a].reshape(chi, chi)  # (lt, lb), zero unless p(lt) + p(lb) = p
-        pair = pairs[p]
+        row = isos[p][a - new[p].start]  # (lt lb), nonzero where p(lt) + p(lb) = p
         for q in (0, 1):
             c = q ^ p
             width = bottoms[c].shape[2]
@@ -389,16 +410,21 @@ def _merge_vertical(t: np.ndarray, even, spec: TruncationSpec):
             for p_lt, lt, m, inner in _pair_blocks(L, D, q):
                 lb = L[p_lt ^ p]
                 np.matmul(
-                    left[lt, lb],
+                    row[legs[p][p_lt][3]].reshape(_size(lt), _size(lb)),
                     bottoms[c][lb, m].reshape(_size(lb), _size(m) * width),
                     out=r[inner].reshape(_size(lt), _size(m) * width),
                 )
             block = tops[q] @ r
-            for _, u, rt, rows in _pair_blocks(U, R, q):
-                for _, rb, d, cols in _pair_blocks(R, D, c):
+            for p_u, u, rt, rows in _pair_blocks(U, R, q):
+                for p_rb, rb, d, cols in _pair_blocks(R, D, c):
+                    s = p_u ^ q ^ p_rb  # parity of (rt rb)
                     shape = (_size(u), _size(rt), _size(rb), _size(d))
-                    pair[rt, rb, u, d] = block[rows, cols].reshape(shape).transpose(1, 2, 0, 3)
-        np.matmul(iso_t, pair.reshape(chi_r * chi_r, chi_u * chi_d), out=out[a].reshape(k, -1))
+                    dst = pairs[p][s][legs[s][p_u ^ q][3], sides[p ^ s][p_u][3]]
+                    _put(dst, block[rows, cols].reshape(shape).transpose(1, 2, 0, 3))
+        for s in (0, 1):
+            image = isos[s] @ pairs[p][s]  # (b of parity s, (u d) of parity p ^ s)
+            for _, u, d, cols in sides[p ^ s]:
+                out[a, new[s], u, d] = image[:, cols].reshape(len(image), _size(u), _size(d))
     return out.transpose(2, 0, 3, 1), k_even, err  # -> (u, l, d, r)
 
 

@@ -15,19 +15,20 @@ from tnkit.cli import (
     EXIT_NONCONVERGENCE,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _initial_state,
     main,
     run,
 )
 from tnkit.dmrg import DmrgConfig, excited_state, ground_state
-from tnkit.models import transverse_field_ising
+from tnkit.models import PAULI, transverse_field_ising
 from tnkit.mpo import build_mpo
-from tnkit.mps import random_mps
+from tnkit.mps import expect_local, random_mps, to_dense
 from tnkit.oracle import dense_gibbs, dense_hamiltonian, ed_ground
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def test_import_leaves_the_oracle_unloaded():
+def test_import_leaves_the_oracle_unloaded(tmp_path):
     # only the trg and oracle runners need the oracle and the scipy modules
     # it pulls in; every other run skips their import time
     src = str(Path(tnkit.__file__).resolve().parent.parent)
@@ -40,6 +41,29 @@ def test_import_leaves_the_oracle_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+    # a trg run computes its Onsager reference with numpy only; scipy's
+    # integrate, optimize and special modules would cost it 0.25 s
+    cfg = {
+        "run": "trg",
+        "seed": 1,
+        "model": {"name": "ising_2d", "beta": 0.4},
+        "method": "trg",
+        "max_bond": 4,
+        "n_iters": 3,
+        "scan": {"method": ["trg", "hotrg"]},
+    }
+    argv = ["trg", "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys, tnkit.cli; "
+        f"assert tnkit.cli.main({argv!r}) == 0; "
+        "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert len(_read_results(tmp_path / "out")) == 2
 
 
 def _write_cfg(tmp_path, obj, name="cfg.json"):
@@ -418,6 +442,51 @@ class TestOtherSubcommands:
         assert len(rec["observables"]["sz[2]"]) == 11
         assert rec["observables"]["sz[2]"][0] == pytest.approx(1.0)
         assert rec["norm"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_imaginary_time_from_random_state_stays_real(self, tmp_path):
+        cfg = {
+            "run": "tebd",
+            "seed": 3,
+            "model": {"name": "transverse_field_ising", "n_sites": 6, "h": 1.0},
+            "state": "random",
+            "imag": True,
+            "dt": 0.05,
+            "n_steps": 10,
+            "max_bond": 16,
+        }
+        out, ck = tmp_path / "out", tmp_path / "state.mps"
+        cfg_path = _write_cfg(tmp_path, cfg)
+        assert main(["tebd", "--config", cfg_path, "--out", str(out), "--checkpoint", str(ck)]) == 0
+        assert all(site.dtype == np.float64 for site in checkpoint_read(str(ck)).sites)
+        # real time keeps the complex draw, in its order
+        rng = np.random.default_rng(3)
+        want = np.ones(1)
+        for _ in range(6):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            want = np.kron(want, v / np.linalg.norm(v))
+        psi = _initial_state("random", transverse_field_ising(6, 1.0, 1.0), 3, False)
+        np.testing.assert_allclose(to_dense(psi), want, rtol=0, atol=1e-14)
+        cfg.update(imag=False, observables=[{"op": "sz", "site": 2}])
+        cfg_path = _write_cfg(tmp_path, cfg, "real_time.json")
+        assert main(["tebd", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        sz_start = _read_results(out)[0]["result"]["observables"]["sz[2]"][0]
+        assert sz_start == pytest.approx(expect_local(psi, PAULI["sz"], 2).real, abs=1e-14)
+
+    def test_thermal_record_holds_its_trace(self, tmp_path):
+        cfg = {
+            "run": "thermal",
+            "seed": 1,
+            "model": {"name": "transverse_field_ising", "n_sites": 5, "h": 0.8},
+            "beta": 0.6,
+            "dt": 0.05,
+            "max_bond": 4,
+        }
+        out = tmp_path / "out"
+        assert main(["thermal", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        rec = _read_results(out)[0]["result"]
+        assert len(rec["discarded"]) == len(rec["log_norms"]) == 6
+        assert all(w >= 0.0 for w in rec["discarded"]) and max(rec["discarded"]) > 0.0
+        assert rec["ln_z"] == pytest.approx(5 * np.log(2.0) + 2.0 * sum(rec["log_norms"]), rel=1e-14)
 
     def test_thermal_matches_dense_gibbs(self, tmp_path):
         cfg = {

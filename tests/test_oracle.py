@@ -141,12 +141,78 @@ def test_onsager_high_temperature_limit():
     assert np.isclose(-beta * oracle.onsager_f(beta), np.log(2.0), atol=1e-9)
 
 
+def test_onsager_low_temperature_limit():
+    # -beta f -> 2 beta J as beta -> oo; past the float range of
+    # sinh(2 beta J)^2 the rules overflow and the check raises
+    assert oracle.onsager_f(100.0) == pytest.approx(-2.0, abs=1e-14)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError):
+        oracle.onsager_f(400.0)
+
+
 def test_onsager_critical_value():
     # at the self-dual point the integral has the known Catalan-constant form
     beta_c = np.log(1.0 + np.sqrt(2.0)) / 2.0
     catalan = 0.915965594177219015054603514932
     f_exact = -(0.5 * np.log(2.0) + 2.0 * catalan / np.pi) / beta_c
     assert np.isclose(oracle.onsager_f(beta_c), f_exact, atol=1e-12)
+
+
+BETA_C = np.log(1.0 + np.sqrt(2.0)) / 2.0
+
+
+def _onsager_quad(beta):
+    """Onsager's free energy by scipy's adaptive quadrature."""
+    import scipy.integrate
+
+    c, sn = np.cosh(2.0 * beta) ** 2, np.sinh(2.0 * beta)
+
+    def integrand(theta):
+        a = c - sn * np.cos(theta)
+        return np.log(0.5 * (a + np.sqrt(max(a * a - sn * sn, 0.0))))
+
+    val, _ = scipy.integrate.quad(
+        integrand, 0.0, np.pi, epsabs=1e-13, epsrel=1e-13, limit=400, points=[0.0]
+    )
+    return -(np.log(2.0) + val / (2.0 * np.pi)) / beta
+
+
+def test_onsager_matches_adaptive_quadrature():
+    # away from beta_c, where the branch point of the integrand stays far
+    # enough from the real axis for adaptive quadrature to resolve it
+    betas = [b for b in np.linspace(0.02, 2.0, 45) if abs(b - BETA_C) > 1e-5]
+    betas += [BETA_C - 1e-5 * 1.5, BETA_C + 1e-5 * 1.5, BETA_C - 1e-3, BETA_C + 1e-3]
+    for beta in betas:
+        want = _onsager_quad(beta)
+        assert abs(oracle.onsager_f(beta) - want) <= 1e-13 * abs(want), beta
+
+
+def test_onsager_rule_is_converged_near_criticality():
+    # doubling the nodes of every panel of the graded rule moves f by less
+    # than 1e-14 relative, also where the branch point nearly touches 0
+    for beta in (BETA_C - 1e-6, BETA_C + 1e-6, BETA_C - 1e-9, BETA_C + 1e-9, BETA_C):
+        sn = np.sinh(2.0 * beta)
+        values = []
+        for nodes in (20, 40):
+            theta, weights = oracle._graded_rule(nodes)
+            a = np.cosh(2.0 * beta) ** 2 - sn * np.cos(theta)
+            inner = (a - sn) * (a + sn)
+            val = weights @ np.log(0.5 * (a + np.sqrt(np.maximum(inner, 0.0))))
+            values.append(-(np.log(2.0) + val / (2.0 * np.pi)) / beta)
+        assert abs(values[1] - values[0]) < 1e-14 * abs(values[0])
+        assert abs(oracle.onsager_f(beta) - values[1]) < 1e-14 * abs(values[1])
+
+
+def test_onsager_raises_when_the_rules_disagree(monkeypatch):
+    # the rule with 10 nodes per panel checks the one with 20
+    rule = oracle._graded_rule
+
+    def coarse_is_off(n_nodes):
+        theta, weights = rule(n_nodes)
+        return theta, weights * (1.0 + 1e-8 * (n_nodes == 10))
+
+    monkeypatch.setattr(oracle, "_graded_rule", coarse_is_off)
+    with pytest.raises(RuntimeError):
+        oracle.onsager_f(0.3)
 
 
 def test_transfer_matrix_extrapolates_to_onsager():

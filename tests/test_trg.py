@@ -8,7 +8,9 @@ from tnkit.models import ClassicalModelSpec
 from tnkit.oracle import ising_brute_force, onsager_f
 from tnkit.tensor import TruncationSpec
 from tnkit.trg import (
+    CoarseGrainState,
     _bond_root,
+    _halves,
     _merge_isometry,
     _merge_vertical,
     _split,
@@ -281,30 +283,72 @@ def _check_top_eigh(parity, rng):
     assert discarded == 0.0
 
 
+def _leg_parity(*legs):
+    """Parity of the C-order combined index of legs given as (extent, even
+    count) pairs, each leg sorted even-first."""
+    p = np.zeros(1, dtype=int)
+    for dim, even in legs:
+        p = (p[:, None] ^ (np.arange(dim) >= even)).ravel()
+    return p
+
+
+def _split_view(m, rows, cols, axes, spec):
+    """``_split`` of the tensor whose matrix view along ``axes`` is m, with
+    row legs ``rows`` and column legs ``cols`` as (extent, even count);
+    returns A and B as matrices, the even count and the discarded weight."""
+    legs = rows + cols
+    order = np.argsort(axes)
+    t = m.reshape([dim for dim, _ in legs]).transpose(order)
+    halves = [_halves(*legs[i]) for i in order]
+    a, b, k_even, discarded = _split(t, axes, halves, spec)
+    assert a.shape[:2] == (rows[0][0], rows[1][0]) and b.shape[:2] == (cols[0][0], cols[1][0])
+    return a.reshape(m.shape[0], -1), b.reshape(m.shape[1], -1).T, k_even, discarded
+
+
 SPLIT_CASES = [
-    # (row parity, column parity, singular values of the even and odd block, cap)
-    (np.arange(16) % 2, np.arange(24) % 3 == 1, ([1.0, 0.7, 0.3, 0.1, 0.05], [0.9, 0.5, 0.2]), 5),
+    # (row legs, column legs, matrix-view axes, singular values of the even
+    # and the odd block, cap); legs are (extent, even count)
     (
-        np.arange(24) % 4 == 0,
-        np.arange(16) % 2,
+        ((4, 2), (4, 2)),
+        ((4, 1), (6, 1)),
+        (3, 0, 1, 2),
+        ([1.0, 0.7, 0.3, 0.1, 0.05], [0.9, 0.5, 0.2]),
+        5,
+    ),
+    (
+        ((4, 1), (6, 0)),
+        ((4, 2), (4, 2)),
+        (1, 0, 3, 2),
         ([0.8, 0.4, 0.25, 0.12, 0.04, 0.02], [1.0, 0.6, 0.35, 0.15, 0.07, 0.01]),
         9,
     ),
-    (np.zeros(10, dtype=int), np.zeros(10, dtype=int), (0.8 ** np.arange(10), []), 10),
+    # no odd block
+    (((10, 10), (1, 1)), ((2, 2), (5, 5)), (0, 1, 2, 3), (0.8 ** np.arange(10), []), 10),
+    # blocks of 904 and 120 rows, as in the first saturated plaquette step
+    (
+        ((32, 30), (32, 30)),
+        ((4, 3), (4, 1)),
+        (3, 0, 1, 2),
+        (0.7 ** np.arange(6), 0.75 ** np.arange(10)),
+        8,
+    ),
+    # every leg odd, so there is no odd block; and no even block
+    (((3, 0), (5, 0)), ((4, 0), (2, 0)), (2, 3, 0, 1), (0.6 ** np.arange(8), []), 6),
+    (((3, 3), (5, 0)), ((4, 0), (2, 2)), (1, 0, 3, 2), ([], 0.6 ** np.arange(8)), 6),
 ]
 
 
 def test_split_matches_truncated_svd():
     rng = np.random.default_rng(12)
-    for rows, cols, spectra, k in SPLIT_CASES:
-        _check_split(rows, cols, spectra, k, rng)
+    for row_legs, col_legs, axes, spectra, k in SPLIT_CASES:
+        _check_split(row_legs, col_legs, axes, spectra, k, rng)
 
 
-def _check_split(rows, cols, spectra, k, rng):
-    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+def _check_split(row_legs, col_legs, axes, spectra, k, rng):
+    rows, cols = _leg_parity(*row_legs), _leg_parity(*col_legs)
     m = _graded_matrix(rows, cols, spectra, rng)
     s = np.linalg.svd(m, compute_uv=False)
-    a, b, k_even, discarded = _split(m, rows, cols, TruncationSpec(max_bond=k))
+    a, b, k_even, discarded = _split_view(m, row_legs, col_legs, axes, TruncationSpec(max_bond=k))
     assert a.shape == (len(rows), k) and b.shape == (k, len(cols))
     # the new index is sorted even-first and keeps the grading
     new = (np.arange(k) >= k_even).astype(int)
@@ -322,14 +366,17 @@ def _check_split(rows, cols, spectra, k, rng):
 
 def test_split_with_zero_singular_values_in_kept_set():
     rng = np.random.default_rng(13)
-    parity = np.array([0, 1, 0, 0, 1, 0, 1, 0])
+    legs = ((8, 5), (1, 1))
+    parity = _leg_parity(*legs)
     m = _graded_matrix(parity, parity, ([1.0, 0.25], [0.5]), rng)
-    a, b, k_even, discarded = _split(m, parity, parity, TruncationSpec(max_bond=5))
+    a, b, k_even, discarded = _split_view(m, legs, legs, (0, 1, 2, 3), TruncationSpec(max_bond=5))
     assert np.isfinite(a).all() and np.isfinite(b).all()
     np.testing.assert_allclose(a @ b, m, atol=1e-12)
     assert 0.0 <= discarded <= 1e-14
-    zero = np.array([0, 1, 0, 1])
-    a, b, k_even, discarded = _split(np.zeros((4, 4)), zero, zero, TruncationSpec(max_bond=2))
+    legs = ((2, 1), (2, 1))
+    a, b, k_even, discarded = _split_view(
+        np.zeros((4, 4)), legs, legs, (0, 1, 2, 3), TruncationSpec(max_bond=2)
+    )
     assert not a.any() and not b.any() and discarded == 0.0
 
 
@@ -339,33 +386,53 @@ def test_split_keeps_degenerate_group_at_relative_cutoff():
     # degeneracy tolerance, and its members sit in both parity blocks,
     # so all three are kept
     s = np.array([1.0, 0.5 * (1 + 2e-15), 0.5, 0.5 * (1 - 2e-15), 0.2, 0.1])
-    rows = np.array([0, 1, 0, 1, 0, 1, 1, 0, 1])
-    cols = np.array([1, 0, 0, 1, 1, 0, 0])
+    row_legs, col_legs = ((9, 4), (1, 1)), ((7, 4), (1, 1))
+    rows, cols = _leg_parity(*row_legs), _leg_parity(*col_legs)
     m = _graded_matrix(rows, cols, (s[[0, 2, 4]], s[[1, 3, 5]]), rng)
-    a, b, k_even, discarded = _split(m, rows, cols, TruncationSpec(max_bond=6, rel_cutoff=0.5))
+    spec = TruncationSpec(max_bond=6, rel_cutoff=0.5)
+    a, b, k_even, discarded = _split_view(m, row_legs, col_legs, (0, 1, 2, 3), spec)
     assert a.shape[1] == 4 and k_even == 2
     want = _rank_k(m, 4)
     assert np.linalg.norm(a @ b - want) <= 1e-12 * np.linalg.norm(want)
     assert discarded == pytest.approx(np.sum(s[4:] ** 2) / np.sum(s**2), abs=1e-12)
 
 
-# gradings of a (3, 4, 3, 4) tensor: uneven counts, and one whose
-# horizontal legs have no odd index, so every odd block is empty
-MERGE_GRADINGS = [(2, 1, 2, 1), (1, 3, 1, 3), (2, 4, 2, 4)]
+# shapes and gradings of a tensor: uneven counts; horizontal legs with no
+# odd index, so every odd block is empty; legs with no even index; and
+# merged legs of 8 x 8 in blocks of 50 and 14
+MERGE_GRADINGS = [
+    ((3, 4, 3, 4), (2, 1, 2, 1)),
+    ((3, 4, 3, 4), (1, 3, 1, 3)),
+    ((3, 4, 3, 4), (2, 4, 2, 4)),
+    ((3, 4, 3, 4), (0, 4, 0, 4)),
+    ((3, 4, 3, 4), (3, 0, 3, 0)),
+    ((3, 4, 3, 4), (0, 0, 0, 0)),
+    ((2, 8, 2, 8), (1, 7, 1, 7)),
+]
 
 
 def test_merge_isometry_matches_full_eigh():
     rng = np.random.default_rng(15)
-    for even in MERGE_GRADINGS:
-        _check_merge_isometry(even, rng)
+    for shape, even in MERGE_GRADINGS:
+        _check_merge_isometry(shape, even, rng)
 
 
-def _check_merge_isometry(even, rng):
-    t = _graded_tensor((3, 4, 3, 4), even, rng)
+def _isometry(t, even, spec):
+    """``_merge_isometry`` as a dense matrix with rows (top leg, bottom leg)
+    in C order: the rows of each parity block are the C order of the
+    entries of that parity."""
+    v_even, v_odd, discarded = _merge_isometry(t, even, spec)
+    rows = _leg_parity((t.shape[1], even[1]), (t.shape[1], even[1]))
+    return _embed(v_even, v_odd, rows), v_even.shape[1], discarded
+
+
+def _check_merge_isometry(shape, even, rng):
+    t = _graded_tensor(shape, even, rng)
     k = 5
+    n = shape[1] ** 2
     # the vertical pair with the two left legs, then the two right legs, as rows
     pair = np.einsum("uamc,mbdn->abucdn", t, t)
-    sides = [pair.reshape(16, -1), pair.transpose(3, 5, 0, 1, 2, 4).reshape(16, -1)]
+    sides = [pair.reshape(n, -1), pair.transpose(3, 5, 0, 1, 2, 4).reshape(n, -1)]
     best = None
     for rows in sides:
         w, v = np.linalg.eigh(rows @ rows.T)
@@ -373,12 +440,12 @@ def _check_merge_isometry(even, rng):
         err = np.sum(w[k:]) / np.sum(w)
         if best is None or err < best[0]:
             best = (err, v[:, :k])
-    iso, k_even, discarded = _merge_isometry(t, even, TruncationSpec(max_bond=k))
+    iso, k_even, discarded = _isometry(t, even, TruncationSpec(max_bond=k))
     np.testing.assert_allclose(iso.T @ iso, np.eye(k), atol=1e-12)
     np.testing.assert_allclose(iso @ iso.T, best[1] @ best[1].T, atol=1e-12)
     assert discarded == pytest.approx(best[0], abs=1e-12)
     # columns even-first, each supported on the rows of its own parity
-    leg = (np.arange(4) >= even[1]).astype(int)
+    leg = (np.arange(shape[1]) >= even[1]).astype(int)
     rows = (np.add.outer(leg, leg) % 2).ravel()
     new = (np.arange(k) >= k_even).astype(int)
     assert np.all(iso[rows[:, None] != new[None, :]] == 0.0)
@@ -386,21 +453,36 @@ def _check_merge_isometry(even, rng):
 
 def test_merge_vertical_matches_dense_contraction():
     rng = np.random.default_rng(16)
-    for even in MERGE_GRADINGS:
-        _check_merge_vertical(_graded_tensor((3, 4, 3, 4), even, rng), even)
+    for shape, even in MERGE_GRADINGS:
+        _check_merge_vertical(_graded_tensor(shape, even, rng), even)
 
 
 def _check_merge_vertical(t, even):
     spec = TruncationSpec(max_bond=5)
+    chi = t.shape[1]
     # a contiguous tensor and the transposed view a horizontal merge passes
     for tensor in (t, t.transpose(1, 2, 3, 0).copy().transpose(3, 0, 1, 2)):
-        iso, k_even, _ = _merge_isometry(tensor, even, spec)
-        u3 = iso.reshape(4, 4, -1)
+        iso, k_even, _ = _isometry(tensor, even, spec)
+        u3 = iso.reshape(chi, chi, -1)
         want = np.einsum("xya,uxmr,mydn,rnb->uadb", u3, tensor, tensor, u3)
         got, got_even, _ = _merge_vertical(tensor, even, spec)
         assert got_even == k_even
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert np.all(got[_odd_entries(got, (even[0], k_even, even[2], k_even))] == 0.0)
+    # the horizontal merge through hotrg_step: a left tensor A beside a
+    # right tensor B, both up legs and both down legs merged by the
+    # isometry of the rotated tensor, rows (A's leg, B's leg)
+    e_u, e_l, e_d, e_r = even
+    rotated = t.transpose(1, 2, 3, 0)
+    iso, k_even, _ = _isometry(rotated, (e_l, e_d, e_r, e_u), spec)
+    u3 = iso.reshape(t.shape[0], t.shape[0], -1)
+    want = np.einsum("xyb,xlzm,ymwr,zwa->blar", u3, t, t, u3)
+    scale = np.max(np.abs(want))
+    got, _ = hotrg_step(CoarseGrainState(t, 0.0, 1, even), spec, "h")
+    assert got.even == (k_even, e_l, k_even, e_r) and got.sites_represented == 2
+    np.testing.assert_allclose(got.tensor, want / scale, atol=1e-12)
+    assert got.log_norm_per_site == pytest.approx(np.log(scale) / 2, abs=1e-14)
+    assert np.all(got.tensor[_odd_entries(got.tensor, got.even)] == 0.0)
 
 
 def test_non_finite_gram_raises():
@@ -409,9 +491,9 @@ def test_non_finite_gram_raises():
         _top_eigh([np.full((3, 3), np.nan), np.eye(2)], spec)
     with pytest.raises(ValueError):
         _top_eigh([np.eye(2), np.full((3, 3), np.nan)], spec)
-    even = np.zeros(2, dtype=int)
+    legs = ((2, 2), (1, 1))
     with pytest.raises(ValueError):
-        _split(np.array([[1.0, np.inf], [0.0, 1.0]]), even, even, spec)
+        _split_view(np.array([[1.0, np.inf], [0.0, 1.0]]), legs, legs, (0, 1, 2, 3), spec)
 
 
 @pytest.mark.parametrize("method", ["trg", "hotrg"])
