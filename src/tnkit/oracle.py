@@ -10,6 +10,7 @@ Importing this module loads no scipy module beyond ``scipy.sparse``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,21 +222,31 @@ def onsager_f(beta: float, J: float = 1.0) -> float:
     summed by a fixed composite Gauss-Legendre rule whose panels halve
     toward theta = 0, the point that the square-root branch point of the
     integrand approaches at beta_c. The rule with 20 nodes per panel must
-    agree with the one with 10 to 1e-10 relative, else RuntimeError.
+    agree with the one with 10 to 1e-10 relative, else RuntimeError. Above
+    beta_c, where sn = sinh(2 beta J) > 1, the terms are divided by sn^2 and
+    2 ln sn is added outside the sum, so nothing overflows however large
+    beta is, and f tends to -2J.
     """
     check_onsager(beta)
-    sn = np.sinh(2.0 * beta * J)
+    # the integrand's terms in units of m^2, m = max(1, sn), with p = 1/m
+    # and r = sn/m: ln(0.5 (a + root)) = 2 ln m + ln(0.5 (a + root) / m^2)
+    x = 2.0 * beta * J
+    if x > math.asinh(1.0):  # sn > 1; ln sinh x = x - ln 2 + log1p(-e^-2x)
+        p, r = 2.0 * math.exp(-x) / -math.expm1(-2.0 * x), 1.0
+        ln_m = x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
+    else:
+        p, r, ln_m = 1.0, np.sinh(x), 0.0
 
     def ln_z(n_nodes):
         # a = cosh^2(2 beta J) - sn cos(theta); a - sn and a + sn written
         # as sums of nonnegative terms, so a^2 - sn^2 has no cancellation,
-        # and their roots taken apart, so it does not overflow
+        # and their roots taken apart
         theta, weights = _graded_rule(n_nodes)
-        s2 = 2.0 * sn * np.sin(0.5 * theta) ** 2
-        a = 1.0 + sn * sn - sn + s2
-        root = np.sqrt((1.0 - sn) ** 2 + s2) * np.sqrt(1.0 + sn * sn + s2)
+        s2 = 2.0 * p * r * np.sin(0.5 * theta) ** 2
+        a = p * p + r * r - p * r + s2
+        root = np.sqrt((p - r) ** 2 + s2) * np.sqrt(p * p + r * r + s2)
         val = weights @ np.log(0.5 * (a + root))
-        return np.log(2.0) + val / (2.0 * np.pi)
+        return np.log(2.0) + ln_m + val / (2.0 * np.pi)
 
     fine, coarse = ln_z(20), ln_z(10)
     if not abs(fine - coarse) <= 1e-10 * abs(fine):  # also when not finite

@@ -566,6 +566,13 @@ class TestOtherSubcommands:
             rec = _read_results(out)[0]["result"]
             assert rec["task"] == extra["task"]
 
+    def test_onsager_task_at_low_temperature(self, tmp_path):
+        # sinh(2 beta J)^2 overflows a float here, the free energy does not
+        cfg = {"run": "oracle", "seed": 1, "task": "onsager", "beta": 200.0}
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        assert _read_results(out)[0]["result"]["f"] == pytest.approx(-2.0, rel=1e-15)
+
     def test_summary_mentions_each_run(self, tmp_path):
         cfg = _dmrg_cfg(scan={"model.h": [0.5, 1.5]})
         del cfg["observables"]

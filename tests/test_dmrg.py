@@ -27,6 +27,17 @@ from tnkit.mps import (
 from tnkit.oracle import dense_hamiltonian, ed_ground, ed_spectrum
 
 
+def _hermitian_with_spectrum(spectrum, complex_entries, seed):
+    """Q diag(spectrum) Q^dag with a random orthogonal (real) or unitary Q."""
+    dim = len(spectrum)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, dim))
+    if complex_entries:
+        x = x + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(x)
+    return (q * spectrum) @ q.conj().T
+
+
 def test_lanczos_on_dense_matrix():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
@@ -44,12 +55,44 @@ def test_lanczos_rejects_non_hermitian():
         lanczos_ground(lambda x: m @ x, np.array([1.0, 1.0j]), 50, 1e-10)
 
 
+def _recorded(apply):
+    """``apply`` as a matvec that keeps a copy of every vector handed to
+    it; each of them is a row of the Lanczos basis."""
+    seen = []
+
+    def matvec(y):
+        seen.append(y.copy())
+        return apply(y)
+
+    return matvec, seen
+
+
+def _gram_error(rows):
+    """Largest entry of |Q Q^dag - 1| over the recorded basis rows Q."""
+    q = np.array(rows)
+    return np.max(np.abs(q.conj() @ q.T - np.eye(len(rows))))
+
+
 def test_lanczos_invariant_subspace():
     # start vector is an exact eigenvector: one step must suffice
     m = np.diag([1.0, 2.0, 3.0]).astype(complex)
     theta, vec, ok = lanczos_ground(lambda x: m @ x, np.array([0.0, 1.0, 0.0]), 50, 1e-12)
     assert ok
     assert theta == pytest.approx(2.0, abs=1e-14)
+    # three distinct eigenvalues close the Krylov space after three
+    # vectors: the residual of the third is rounding, so the Gram-Schmidt
+    # pass over it cancels, and the solve must stop there, exact
+    spectrum = np.repeat([-1.0, 0.5, 2.0], [50, 70, 80])
+    for complex_entries in (False, True):
+        m = _hermitian_with_spectrum(spectrum, complex_entries, seed=3)
+        matvec, seen = _recorded(lambda y: m @ y)
+        start = np.random.default_rng(4).normal(size=spectrum.size)
+        theta, vec, ok = lanczos_ground(matvec, start, 100, 1e-12)
+        assert ok
+        assert len(seen) == 3
+        assert abs(theta + 1.0) <= 1e-14
+        assert np.linalg.norm(m @ vec - theta * vec) < 1e-12
+        assert _gram_error(seen) <= 1e-13
 
 
 @pytest.mark.parametrize("dim, max_iter", [(6, 50), (300, 120)])
@@ -63,11 +106,53 @@ def test_lanczos_matches_dense_eigh(dim, max_iter):
     spectrum[0] = -1.0  # a gap that converges within max_iter
     m = (q * spectrum) @ q.conj().T
     w, v = np.linalg.eigh(m)
-    theta, vec, ok = lanczos_ground(lambda y: m @ y, rng.normal(size=dim), max_iter, 1e-12)
+    matvec, seen = _recorded(lambda y: m @ y)
+    theta, vec, ok = lanczos_ground(matvec, rng.normal(size=dim), max_iter, 1e-12)
     assert ok
     assert theta == pytest.approx(w[0], abs=1e-12)
     assert abs(np.vdot(v[:, 0], vec)) == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+    assert _gram_error(seen) <= 1e-13
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_lanczos_basis_stays_orthonormal_over_many_steps(complex_entries):
+    # the lowest pair 1e-3 apart converges slowly, and the separated top
+    # eigenvalues converge early, which is where a Lanczos basis without
+    # reorthogonalization loses orthogonality
+    spectrum = np.linspace(0.0, 1.0, 600)
+    spectrum[0] = -1e-3
+    spectrum[-3:] = [2.0, 3.0, 5.0]
+    m = _hermitian_with_spectrum(spectrum, complex_entries, seed=7)
+    matvec, seen = _recorded(lambda y: m @ y)
+    start = np.random.default_rng(8).normal(size=spectrum.size)
+    theta, vec, ok = lanczos_ground(matvec, start, 300, 1e-12)
+    assert ok
+    assert len(seen) >= 60
+    assert _gram_error(seen) <= 1e-13
+    assert abs(theta - spectrum[0]) <= 1e-12
+    assert np.linalg.norm(m @ vec - theta * vec) < 1e-10
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_lanczos_second_pass_runs_when_the_first_cancels(complex_entries):
+    # a rank-one term 1e6 |q0><r| that is not Hermitian puts a large
+    # component along the first basis row into every residual: one pass
+    # removes it only to 1e-16 of its size, about 1e-10 of what is left, so
+    # the rows stay orthonormal only if the cancelling pass is repeated
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(60, 60))
+    m = (x + x.T) / 2
+    if complex_entries:
+        y = rng.normal(size=(60, 60))
+        m = m + 0.5j * (y - y.T)
+    r = rng.normal(size=60)
+    v0 = rng.normal(size=60)
+    q0 = v0 / np.linalg.norm(v0)
+    matvec, seen = _recorded(lambda y: m @ y + 1e6 * q0 * (r @ y))
+    lanczos_ground(matvec, v0, 30, 1e-12)
+    assert len(seen) == 30
+    assert _gram_error(seen) <= 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 10, 60, 100])
@@ -270,14 +355,9 @@ def test_ordered_phase_ground_state():
 
 
 def _hermitian_with_gap(dim, complex_entries, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(dim, dim))
-    if complex_entries:
-        x = x + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(x)
     spectrum = np.linspace(0.0, 1.0, dim)
     spectrum[0] = -1.0
-    return (q * spectrum) @ q.conj().T
+    return _hermitian_with_spectrum(spectrum, complex_entries, seed)
 
 
 @pytest.mark.parametrize(
@@ -291,11 +371,13 @@ def test_lanczos_mixed_dtypes_match_dense_eigh(complex_matrix, complex_start):
     if complex_start:
         start = start + 1j * rng.normal(size=dim)
     w, v = np.linalg.eigh(m)
-    theta, vec, ok = lanczos_ground(lambda y: m @ y, start, 100, 1e-12)
+    matvec, seen = _recorded(lambda y: m @ y)
+    theta, vec, ok = lanczos_ground(matvec, start, 100, 1e-12)
     assert ok
     assert vec.dtype == np.complex128
     assert theta == pytest.approx(w[0], abs=1e-12)
     assert abs(np.vdot(v[:, 0], vec)) == pytest.approx(1.0, abs=1e-10)
+    assert _gram_error(seen) <= 1e-13
 
 
 def test_lanczos_keeps_a_complex_image_after_real_ones():
@@ -314,10 +396,13 @@ def test_lanczos_keeps_a_complex_image_after_real_ones():
     start = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
     assert matvec(start).dtype == np.float64
     w, v = np.linalg.eigh(m)
-    theta, vec, ok = lanczos_ground(matvec, start, 50, 1e-12)
+    recorded, seen = _recorded(matvec)
+    theta, vec, ok = lanczos_ground(recorded, start, 50, 1e-12)
     assert ok
     assert theta == pytest.approx(w[0], abs=1e-12)
     assert abs(np.vdot(v[:, 0], vec)) == pytest.approx(1.0, abs=1e-12)
+    # the basis rows before and after the promotion to complex
+    assert _gram_error(seen) <= 1e-13
 
 
 @pytest.mark.parametrize(

@@ -135,6 +135,9 @@ def test_transfer_matrix_width_one():
     assert np.isclose(oracle.ising_transfer_matrix(1, beta), -np.log(lam) / beta, atol=1e-12)
 
 
+BETA_C = np.log(1.0 + np.sqrt(2.0)) / 2.0
+
+
 def test_onsager_high_temperature_limit():
     # -beta f -> ln 2 as beta -> 0
     beta = 1e-6
@@ -142,11 +145,39 @@ def test_onsager_high_temperature_limit():
 
 
 def test_onsager_low_temperature_limit():
-    # -beta f -> 2 beta J as beta -> oo; past the float range of
-    # sinh(2 beta J)^2 the rules overflow and the check raises
+    # -beta f -> 2 beta J as beta -> oo, also past beta ~ 177, where
+    # sinh(2 beta J)^2 leaves the float range, and past beta ~ 355, where
+    # sinh(2 beta J) does
     assert oracle.onsager_f(100.0) == pytest.approx(-2.0, abs=1e-14)
-    with np.errstate(all="ignore"), pytest.raises(RuntimeError):
-        oracle.onsager_f(400.0)
+    for beta in (178.0, 200.0, 400.0, 1e3):
+        assert abs(oracle.onsager_f(beta) + 2.0) <= 1e-15 * 2.0, beta
+
+
+def test_onsager_scales_with_the_coupling():
+    # ln Z depends on beta J only, so f(beta, J) = J f(beta J, 1)
+    for beta in (0.1, 0.6, BETA_C, 2.0 * BETA_C, 1.0, 10.0, 178.0, 400.0, 1e3):
+        want = 0.5 * oracle.onsager_f(0.5 * beta)
+        assert abs(oracle.onsager_f(beta, J=0.5) - want) <= 1e-15 * abs(want), beta
+
+
+# values of the rule with unscaled terms; scaling them must not move these
+ONSAGER_PINNED = {
+    0.1: -7.0323124228583245,
+    0.2: -3.6726540613816305,
+    0.3: -2.6351969031708764,
+    0.35: -2.3714822353167895,
+    BETA_C: -2.1096511446082076,
+    0.45: -2.0964083846639854,
+    0.6: -2.0168873138140215,
+    1.0: -2.00034828370071,
+    10.0: -1.9999999999999996,
+    100.0: -1.9999999999999998,
+}
+
+
+def test_onsager_matches_pinned_values():
+    for beta, want in ONSAGER_PINNED.items():
+        assert abs(oracle.onsager_f(beta) - want) <= 1e-14 * abs(want), beta
 
 
 def test_onsager_critical_value():
@@ -155,9 +186,6 @@ def test_onsager_critical_value():
     catalan = 0.915965594177219015054603514932
     f_exact = -(0.5 * np.log(2.0) + 2.0 * catalan / np.pi) / beta_c
     assert np.isclose(oracle.onsager_f(beta_c), f_exact, atol=1e-12)
-
-
-BETA_C = np.log(1.0 + np.sqrt(2.0)) / 2.0
 
 
 def _onsager_quad(beta):
