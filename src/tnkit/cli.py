@@ -205,8 +205,7 @@ def _run_thermal(s: ThermalSettings, checkpoint: str | None, warm) -> dict:
 
 
 def _run_trg(s: TrgSettings, checkpoint: str | None, warm) -> dict:
-    # imported here: the oracle pulls in scipy.sparse, which only the trg
-    # and oracle runners need
+    # imported here: only the trg and oracle runners need the oracle
     from .oracle import onsager_f
 
     f, trace = coarse_grain(

@@ -5,17 +5,18 @@ space for the classical model) and is deliberately independent of the
 tensor-network modules: Hamiltonians are assembled by Kronecker products,
 states are plain vectors, and partition functions come from explicit spin
 sums, transfer matrices, or quadrature. Intended for small sizes only.
-Importing this module loads no scipy module beyond ``scipy.sparse``.
+The module imports no scipy at load time: ``scipy.sparse`` is imported
+inside the functions that build sparse matrices or call ``eigsh``, so
+``onsager_f`` runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .models import (
     ID2,
@@ -30,6 +31,9 @@ from .models import (
     check_spectrum,
     check_transfer_matrix,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 _DENSE_DIM = 1024  # below this, use dense eigensolvers outright
 
@@ -52,6 +56,8 @@ class DenseHamiltonian:
 
 def _kron_chain(ops: dict[int, np.ndarray], n: int, d: int) -> scipy.sparse.csr_matrix:
     """Kronecker product over n sites with identities where ops has no entry."""
+    import scipy.sparse
+
     out = None
     eye = scipy.sparse.identity(d, dtype=complex, format="csr")
     for i in range(n):
@@ -69,6 +75,8 @@ def site_operator(op: np.ndarray, site: int, n: int, d: int = 2) -> scipy.sparse
 
 def dense_hamiltonian(spec: HamiltonianSpec) -> DenseHamiltonian:
     """Assemble the chain Hamiltonian term by term on the full Hilbert space."""
+    import scipy.sparse
+
     n = spec.n_sites
     check_dense_size(n)
     d = spec.phys_dim
@@ -105,10 +113,13 @@ def dense_hamiltonian(spec: HamiltonianSpec) -> DenseHamiltonian:
     return DenseHamiltonian(n_sites=n, phys_dim=d, matrix=h)
 
 
-def _start_vector(dim: int) -> np.ndarray:
+def _eigsh(matrix, k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """k extremal eigenpairs from ``scipy.sparse.linalg.eigsh``."""
+    import scipy.sparse.linalg
+
     # fixed, nowhere-zero start vector keeps the iterative solver deterministic
-    v = np.cos(np.arange(dim) * 0.7) + 0.1
-    return v / np.linalg.norm(v)
+    v0 = np.cos(np.arange(matrix.shape[0]) * 0.7) + 0.1
+    return scipy.sparse.linalg.eigsh(matrix, k=k, which=which, v0=v0 / np.linalg.norm(v0))
 
 
 def ed_ground(dh: DenseHamiltonian) -> tuple[float, np.ndarray]:
@@ -116,7 +127,7 @@ def ed_ground(dh: DenseHamiltonian) -> tuple[float, np.ndarray]:
     if dh.dim <= _DENSE_DIM:
         w, v = np.linalg.eigh(dh.to_array())
         return float(w[0]), v[:, 0].astype(complex)
-    w, v = scipy.sparse.linalg.eigsh(dh.matrix, k=1, which="SA", v0=_start_vector(dh.dim))
+    w, v = _eigsh(dh.matrix, 1, "SA")
     return float(w[0]), v[:, 0].astype(complex)
 
 
@@ -126,7 +137,7 @@ def ed_spectrum(dh: DenseHamiltonian, k: int) -> tuple[np.ndarray, np.ndarray]:
     if dh.dim <= _DENSE_DIM:
         w, v = np.linalg.eigh(dh.to_array())
         return w[:k].copy(), v[:, :k].astype(complex)
-    w, v = scipy.sparse.linalg.eigsh(dh.matrix, k=k, which="SA", v0=_start_vector(dh.dim))
+    w, v = _eigsh(dh.matrix, k, "SA")
     order = np.argsort(w)
     return w[order], v[:, order].astype(complex)
 
@@ -198,9 +209,7 @@ def ising_transfer_matrix(width: int, beta: float, J: float = 1.0) -> float:
     if dim <= 64:
         lam = float(np.linalg.eigvalsh(t)[-1])
     else:
-        lam = float(
-            scipy.sparse.linalg.eigsh(t, k=1, which="LA", v0=_start_vector(dim))[0][0]
-        )
+        lam = float(_eigsh(t, 1, "LA")[0][0])
     return -np.log(lam) / (beta * width)
 
 

@@ -1,9 +1,11 @@
 """Real-space coarse graining of the 2D classical Ising partition function.
 
 The local tensor lives on lattice sites with index order (up, left, down,
-right); each bond transfer matrix m is split as W W^T between the two
-neighbours, so a torus of N tensors contracts to Z. Internals are real
-float64: for J > 0 every quantity in the flow stays real.
+right); each bond transfer matrix m, divided by its largest entry
+e^(beta J), is split as W W^T between the two neighbours, so a torus of N
+tensors contracts to Z e^(-2 beta J N) and the flow starts its log
+normalization at 2 beta J per site. Internals are real float64: for J > 0
+every quantity in the flow stays real.
 
 Parity basis. W = V sqrt(w) is built from the eigenvectors of m, the even
 one (1, 1) first and the odd one (1, -1) second, so the spin-flip symmetry
@@ -27,23 +29,36 @@ the left/right Gram matrices, keeping whichever side discards less weight.
 Merge by value. Both schemes truncate through one kernel, ``_top_eigh``:
 the leading ``max_bond`` eigenpairs of each parity block of a symmetric
 Gram matrix (M M^T for a plaquette split, the left/right density of a
-merged pair), from ``scipy.linalg.eigh(subset_by_index=...)``, are merged
-by value and the package-wide rule of ``tensor.truncate_spectrum`` is
-applied once to the square roots of the merged list. The kept vectors of
-each parity become the even and the odd part of the new leg. The
-discarded weight is the trace minus the kept eigenvalues, over the trace
-of both blocks; it is exactly 0.0 when nothing is cut, but on a
-rank-deficient step that cuts only zero values it is a difference of two
-sums and sits at rounding level (~1e-16).
+merged pair) are merged by value and the package-wide rule of
+``tensor.truncate_spectrum`` is applied once to the square roots of the
+merged list. The kept vectors of each parity become the even and the odd
+part of the new leg. The discarded weight is the trace minus the kept
+eigenvalues, over the trace of both blocks; it is exactly 0.0 when nothing
+is cut, but on a rank-deficient step that cuts only zero values it is a
+difference of two sums and sits at rounding level (~1e-16).
+
+Top eigenpairs. A block of more than 4 ``max_bond`` rows is solved by
+randomized subspace iteration (``_subspace_top``; Halko, Martinsson &
+Tropp, SIAM Rev. 53, 217 (2011)): a Gaussian start block of width
+2 ``max_bond`` from a fixed seed, so reruns are byte-identical, then per
+iteration one product Y = G Q, a Rayleigh-Ritz ``eigh`` of Q^T Y and
+Q = qr(Y). It stops once every kept Ritz pair has a residual
+|G v - theta v| of at most 64 eps theta_max, the backward error of a dense
+solver. Gram spectra fall off steeply past the cut, so that takes 1-3
+iterations on a plaquette step and up to 7 on a saturated merging step at
+beta_c. Smaller blocks, and a block still above the bound after 30
+iterations, go to the dense ``scipy.linalg.eigh(subset_by_index=...)``.
 
 Cost per step, with every leg of extent chi and even and odd halves near
-chi/2: a plaquette step forms two chi^2 x chi^2 Gram matrices, solves
-their top eigenpairs and recombines the halves, each O(chi^6); a merging
-step forms its four half-row Gram matrices and two densities, O(chi^6),
-and contracts the pair, O(chi^7), one new index at a time so that no
-intermediate has more than chi^4 entries. On parity blocks each of these
-costs about a quarter of the dense one: at chi = 32 the eigensolver sees
-two blocks near 512 x 512 instead of one 1024 x 1024 matrix.
+chi/2: a plaquette step forms two chi^2 x chi^2 Gram matrices, O(chi^6),
+solves their top eigenpairs, O(chi^5) per iteration, and recombines the
+halves, O(chi^6); a merging step forms its four half-row Gram matrices and
+two densities, O(chi^6), and contracts the pair, O(chi^7), one new index
+at a time so that no intermediate has more than chi^4 entries. On parity
+blocks each product costs about a quarter of the dense one: at chi = 32
+the eigensolver sees two blocks near 512 x 512 instead of one 1024 x 1024
+matrix, and multiplies each by a block of 64 columns instead of
+tridiagonalizing it.
 
 Block layouts. With every leg sorted even-first, the entries of parity q
 of a combined index (i, j) are two contiguous sub-blocks, (i even, j q)
@@ -94,21 +109,23 @@ class CoarseGrainState:
 
 
 def _bond_root(spec: ClassicalModelSpec) -> np.ndarray:
-    """W with W W^T the bond transfer matrix m = [[e^x, e^-x], [e^-x, e^x]],
-    x = beta J: W = V sqrt(w) with the even eigenvector (1, 1)/sqrt(2) of
-    eigenvalue 2 cosh x in column 0 and the odd one (1, -1)/sqrt(2) of
-    eigenvalue 2 sinh x in column 1."""
+    """W with W W^T = m e^-x, the bond transfer matrix m = [[e^x, e^-x],
+    [e^-x, e^x]], x = beta J, over its largest entry: W = V sqrt(w) with the
+    even eigenvector (1, 1)/sqrt(2) of eigenvalue 1 + e^-2x in column 0 and
+    the odd one (1, -1)/sqrt(2) of eigenvalue 1 - e^-2x in column 1. Every
+    entry lies in [0, 1], so nothing overflows however large beta is."""
     if spec.J <= 0.0:
         raise ValueError("only ferromagnetic coupling (J > 0) is supported")
     x = spec.beta * spec.J
-    c, s = np.sqrt(np.cosh(x)), np.sqrt(np.sinh(x))
+    c, s = np.sqrt(0.5 + 0.5 * np.exp(-2.0 * x)), np.sqrt(-0.5 * np.expm1(-2.0 * x))
     return np.array([[c, s], [c, -s]])
 
 
 def build_plaquette_tensor(spec: ClassicalModelSpec) -> np.ndarray:
     """Site tensor T[u,l,d,r] = sum_s W[s,u] W[s,l] W[s,d] W[s,r] with W
-    from ``_bond_root``; index 0 of every leg is even and index 1 odd, and
-    the two spin terms cancel exactly where u + l + d + r is odd."""
+    from ``_bond_root``, so e^(2 beta J) T is the tensor of the model (two
+    bonds per site); index 0 of every leg is even and index 1 odd, and the
+    two spin terms cancel exactly where u + l + d + r is odd."""
     root = _bond_root(spec)
     return np.einsum("su,sl,sd,sr->uldr", root, root, root, root)
 
@@ -116,7 +133,8 @@ def build_plaquette_tensor(spec: ClassicalModelSpec) -> np.ndarray:
 def initial_state(spec: ClassicalModelSpec) -> CoarseGrainState:
     t = build_plaquette_tensor(spec)
     scale = float(np.max(np.abs(t)))
-    return CoarseGrainState(t / scale, float(np.log(scale)), 1, (1, 1, 1, 1))
+    log_norm = 2.0 * spec.beta * spec.J + np.log(scale)
+    return CoarseGrainState(t / scale, float(log_norm), 1, (1, 1, 1, 1))
 
 
 def torus_trace(state: CoarseGrainState) -> float:
@@ -209,6 +227,34 @@ def _regroup(blocks, first, second) -> list[np.ndarray]:
     return out
 
 
+_SUBSPACE_SEED = 2011  # seed of the Gaussian start block of ``_subspace_top``
+_SUBSPACE_TOL = 64.0  # Ritz residual bound in units of eps * largest Ritz value
+_SUBSPACE_ITERS = 30  # iterations before the dense solver takes over
+
+
+def _subspace_top(gram: np.ndarray, top: int):
+    """The top eigenpairs of a symmetric positive semi-definite matrix by
+    randomized subspace iteration of width 2 top with a Rayleigh-Ritz step
+    (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)), largest first,
+    or None when some kept residual |G v - theta v| is still above
+    ``_SUBSPACE_TOL`` eps theta_max after ``_SUBSPACE_ITERS`` iterations.
+    The start block is seeded, so the result is a function of gram alone."""
+    if not np.isfinite(gram).all():
+        raise ValueError("array must not contain infs or NaNs")
+    rng = np.random.default_rng(_SUBSPACE_SEED)
+    y = gram @ rng.standard_normal((gram.shape[0], 2 * top))
+    for _ in range(_SUBSPACE_ITERS):
+        q = np.linalg.qr(y)[0]
+        y = gram @ q
+        theta, s = np.linalg.eigh(q.T @ y)
+        theta, s = theta[::-1][:top], s[:, ::-1][:, :top]
+        v = q @ s
+        residual = np.linalg.norm(y @ s - v * theta, axis=0)
+        if np.all(residual <= _SUBSPACE_TOL * np.finfo(float).eps * abs(theta[0])):
+            return theta, v
+    return None
+
+
 def _top_eigh(blocks, spec: TruncationSpec):
     """Leading eigenpairs of a symmetric positive semi-definite Gram matrix
     given as its even and odd blocks, cut by the truncation rule applied to
@@ -218,19 +264,26 @@ def _top_eigh(blocks, spec: TruncationSpec):
     value (equal values even-first); the discarded weight is the trace of
     both blocks minus the kept eigenvalues, over that trace, so the rest of
     the spectrum is never formed. It is exactly 0.0 when nothing is cut.
-    Non-finite input raises ValueError. Returns (v_even, v_odd, discarded)
-    with the kept eigenvectors of each block as columns, largest first.
+    A block of more than 4 ``max_bond`` rows is solved by ``_subspace_top``;
+    smaller blocks, and a block it leaves unconverged, by the dense
+    ``scipy.linalg.eigh(subset_by_index=...)``. Non-finite input raises
+    ValueError. Returns (v_even, v_odd, discarded) with the kept
+    eigenvectors of each block as columns, largest first.
     """
     values, vectors = [], []
     for gram in blocks:
         n = gram.shape[0]
         top = min(spec.max_bond, n)
-        if top == 0:
+        pairs = _subspace_top(gram, top) if n > 4 * top else None
+        if pairs is not None:
+            w, v = pairs
+        elif top == 0:
             w, v = np.zeros(0), np.zeros((n, 0))
         else:
             w, v = scipy.linalg.eigh(gram, subset_by_index=[n - top, n - 1])
-        values.append(np.clip(w[::-1], 0.0, None))
-        vectors.append(v[:, ::-1])
+            w, v = w[::-1], v[:, ::-1]
+        values.append(np.clip(w, 0.0, None))
+        vectors.append(v)
     w = np.concatenate(values)
     order = np.argsort(-w, kind="stable")
     k, _ = truncate_spectrum(np.sqrt(w[order]), spec.max_bond, spec.rel_cutoff)

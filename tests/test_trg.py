@@ -3,6 +3,7 @@ exact infinite-lattice free energy."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tnkit.models import ClassicalModelSpec
 from tnkit.oracle import ising_brute_force, onsager_f
@@ -77,11 +78,12 @@ def test_plaquette_tensor_closes_to_small_tori():
     for beta in (0.2, 0.44, 0.9):
         t = build_plaquette_tensor(ClassicalModelSpec(beta=beta))
         assert t.dtype == np.float64
-        z1 = np.einsum("ulul->", t)
+        # the tensor of the model is e^(2 beta J) t, two bonds per site
+        z1 = np.einsum("ulul->", t) * np.exp(2 * beta)
         assert z1 == pytest.approx(ising_brute_force(1, beta), rel=1e-12)
         #   a   c          bonds: i,j horizontal; a,b,c,d vertical
         #  i t j t i   ...with both directions wrapped
-        z4 = np.einsum("aibj,cjdi,bkal,dlck->", t, t, t, t)
+        z4 = np.einsum("aibj,cjdi,bkal,dlck->", t, t, t, t) * np.exp(8 * beta)
         assert z4 == pytest.approx(ising_brute_force(2, beta), rel=1e-12)
 
 
@@ -97,11 +99,16 @@ def _odd_entries(tensor, even):
 
 
 def test_plaquette_tensor_is_z2_graded():
-    for beta in (0.05, 0.6, 1.3):
+    for beta in (0.05, 0.6, 1.3, 400.0):
         x = beta * 1.0
-        m = np.array([[np.exp(x), np.exp(-x)], [np.exp(-x), np.exp(x)]])
+        # the bond transfer matrix over its largest entry e^x
+        m = np.array([[1.0, np.exp(-2 * x)], [np.exp(-2 * x), 1.0]])
         root = _bond_root(ClassicalModelSpec(beta=beta))
-        np.testing.assert_allclose(root @ root.T, m, rtol=1e-14)
+        assert np.all((0.0 <= np.abs(root)) & (np.abs(root) <= 1.0))
+        if beta < 400.0:
+            np.testing.assert_allclose(root @ root.T, m, rtol=1e-14)
+        else:  # e^-2x underflows; the off-diagonal is a rounding-level difference
+            np.testing.assert_allclose(root @ root.T, m, rtol=1e-14, atol=1e-16)
         # column 0 is the even eigenvector (1, 1), column 1 the odd (1, -1)
         assert root[0, 0] == root[1, 0] and root[0, 1] == -root[1, 1]
         t = build_plaquette_tensor(ClassicalModelSpec(beta=beta))
@@ -139,6 +146,31 @@ def test_exact_merging_steps_give_square_tori():
         got = -beta * free_energy_density(state, beta)
         assert got == pytest.approx(lnz_per_site_torus(4, beta), abs=1e-12)
         assert state.sites_represented == 16
+
+
+# the flows at beta 350, max_bond 8, n_iters 6, as computed before the bond
+# matrix was divided by e^(beta J); both schemes give these values
+PINNED_COLD_FLOW = (
+    -2.000990210257943,
+    -2.0004951051289717,
+    -2.000247552564486,
+    -2.0001237762822432,
+    -2.0000618881411216,
+    -2.0000309440705606,
+)
+
+
+@pytest.mark.parametrize("method", ["trg", "hotrg"])
+def test_flows_at_low_temperature(method):
+    _, trace = coarse_grain(ClassicalModelSpec(beta=350.0), method, max_bond=8, n_iters=6)
+    np.testing.assert_allclose(trace.free_energies, PINNED_COLD_FLOW, rtol=1e-13, atol=0)
+    # a site tensor of cosh(beta J)^2 would overflow above beta J ~ 355;
+    # the two ground states leave f = -2J - ln 2 / (beta sites)
+    for beta in (356.0, 400.0, 1e3):
+        _, trace = coarse_grain(ClassicalModelSpec(beta=beta), method, max_bond=8, n_iters=6)
+        for i, f in enumerate(trace.free_energies):
+            assert np.isfinite(f) and f <= -2.0
+            assert -2.0 - f <= 2 * np.log(2) / (beta * 2 ** (i + 1))
 
 
 def test_step_validation():
@@ -250,10 +282,54 @@ GRAM_PARITIES = [
 ]
 
 
-def test_top_eigh_matches_full_eigh():
+@pytest.fixture
+def dense_eigh_calls(monkeypatch):
+    """The row counts of the matrices handed to scipy.linalg.eigh, the
+    dense solver of ``_top_eigh``."""
+    calls = []
+    dense = scipy.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return dense(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    return calls
+
+
+def _gram_with_spectrum(w, n, rng):
+    """An n x n Gram matrix m m^T with eigenvalues w and zeros past them."""
+    m = _with_spectrum(np.sqrt(w), (n, len(w)), rng)
+    return m @ m.T
+
+
+# Gram blocks of more than 4 max_bond rows, which subspace iteration
+# solves: (eigenvalues of the even and of the odd block, their row counts,
+# max_bond); a geometric spectrum, blocks of rank 6 and 5 below max_bond,
+# and one block twice over with max_bond 15, so that the cut falls between
+# two equal values
+LARGE_GRAMS = [
+    ((0.64 ** np.arange(300), 0.81 * 0.64 ** np.arange(200)), (300, 200), 16),
+    ((0.5 ** np.arange(6), 0.7 * 0.5 ** np.arange(5)), (300, 200), 16),
+    (None, (200, 200), 15),
+]
+
+
+def test_top_eigh_matches_full_eigh(dense_eigh_calls):
     rng = np.random.default_rng(11)
     for parity in GRAM_PARITIES:
         _check_top_eigh(parity, rng)
+    del dense_eigh_calls[:]
+    for spectra, rows, k in LARGE_GRAMS:
+        if spectra is None:
+            block = _gram_with_spectrum(0.8 ** np.arange(rows[0]), rows[0], rng)
+            blocks = [block, block.copy()]
+        else:
+            blocks = [_gram_with_spectrum(w, n, rng) for w, n in zip(spectra, rows)]
+        k_even = _check_large_top_eigh(blocks, k)
+        if spectra is None:
+            assert k_even == 8  # the equal pair at the cut is taken even-first
+    assert dense_eigh_calls == []
 
 
 def _check_top_eigh(parity, rng):
@@ -281,6 +357,50 @@ def _check_top_eigh(parity, rng):
     np.testing.assert_allclose(kept, full_w, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(v @ v.T, np.eye(20), atol=1e-12)
     assert discarded == 0.0
+
+
+def _check_large_top_eigh(blocks, k):
+    """``_top_eigh`` against np.linalg.eigh of each block: the kept vectors
+    of each block are orthonormal, diagonalize it with its top values in
+    order, and span its top eigenvectors (those of nonzero value); no value
+    left out exceeds a kept one; two calls agree bit for bit. Returns the
+    even count."""
+    v_even, v_odd, discarded = _top_eigh(blocks, TruncationSpec(max_bond=k))
+    again = _top_eigh(blocks, TruncationSpec(max_bond=k))
+    assert np.array_equal(again[0], v_even) and np.array_equal(again[1], v_odd)
+    assert again[2] == discarded
+    dense = [np.linalg.eigh(b) for b in blocks]
+    scale = max(w[-1] for w, _ in dense)
+    assert v_even.shape[1] + v_odd.shape[1] == k
+    kept, left = [], []
+    for (w, u), v, b in zip(dense, (v_even, v_odd), blocks):
+        w, u = w[::-1], u[:, ::-1]
+        n = v.shape[1]
+        np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(v.T @ b @ v, np.diag(w[:n]), atol=1e-12 * scale)
+        live = int(np.count_nonzero(w[:n] > 1e-10 * scale))
+        np.testing.assert_allclose(
+            v[:, :live] @ v[:, :live].T, u[:, :live] @ u[:, :live].T, atol=1e-12
+        )
+        kept.append(w[:n])
+        left.append(w[n:])
+    assert np.min(np.concatenate(kept)) >= np.max(np.concatenate(left)) - 1e-12 * scale
+    total = sum(np.sum(w) for w, _ in dense)
+    want = 1.0 - np.sum(np.concatenate(kept)) / total
+    assert discarded == pytest.approx(want, abs=1e-12)
+    return v_even.shape[1]
+
+
+def test_top_eigh_falls_back_to_dense_solver(dense_eigh_calls):
+    # a flat spectrum: subspace iteration cannot meet its residual bound
+    # within the iteration cap, so the dense solver gives the answer
+    rng = np.random.default_rng(17)
+    gram = _gram_with_spectrum(1.0 + 0.5 * rng.random(200), 200, rng)
+    v_even, v_odd, discarded = _top_eigh([gram, np.zeros((0, 0))], TruncationSpec(max_bond=16))
+    assert dense_eigh_calls == [200]
+    w, v = scipy.linalg.eigh(gram, subset_by_index=[184, 199])
+    assert np.array_equal(v_even, v[:, ::-1]) and v_odd.shape == (0, 0)
+    assert discarded == pytest.approx(1.0 - np.sum(w) / np.trace(gram), abs=1e-12)
 
 
 def _leg_parity(*legs):
@@ -491,6 +611,15 @@ def test_non_finite_gram_raises():
         _top_eigh([np.full((3, 3), np.nan), np.eye(2)], spec)
     with pytest.raises(ValueError):
         _top_eigh([np.eye(2), np.full((3, 3), np.nan)], spec)
+    # blocks of more than 4 max_bond rows, solved by subspace iteration,
+    # are checked before any LAPACK call sees them
+    for bad in (np.nan, np.inf):
+        gram = np.eye(300)
+        gram[7, 250] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _top_eigh([gram, np.eye(2)], spec)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _top_eigh([np.eye(2), gram], spec)
     legs = ((2, 2), (1, 1))
     with pytest.raises(ValueError):
         _split_view(np.array([[1.0, np.inf], [0.0, 1.0]]), legs, legs, (0, 1, 2, 3), spec)
