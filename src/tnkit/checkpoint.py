@@ -34,7 +34,8 @@ MAGIC = b"TNMPS1"
 
 
 class CheckpointError(Exception):
-    """The file is not a valid checkpoint (bad magic, truncation, checksum)."""
+    """The file is not a valid checkpoint (bad magic, truncation, checksum),
+    or the operating system refused to read or write it."""
 
 
 def write_atomic(path: str, data: bytes) -> None:
@@ -61,12 +62,18 @@ def checkpoint_write(psi: MatrixProductState, path: str) -> None:
     center = -1 if psi.center is None else psi.center
     parts.append(struct.pack("<i", center))
     payload = b"".join(parts)
-    write_atomic(path, MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+    try:
+        write_atomic(path, MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint: {exc}") from exc
 
 
 def checkpoint_read(path: str) -> MatrixProductState:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
     if not blob.startswith(MAGIC):
         raise CheckpointError("not a checkpoint file (bad magic bytes)")
     if len(blob) < len(MAGIC) + 4 + 4 + 4:

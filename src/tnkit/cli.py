@@ -13,7 +13,8 @@ Outputs written to --out:
   error.json     written instead of results on failure; for config errors
                  it names the offending field.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure,
+Exit codes: 0 success, 2 config error, 3 numerical failure (a checkpoint
+that cannot be read or written and a failed allocation count as one),
 4 non-convergence.
 
 Scans run in a bounded process pool (--threads). Workers return records
@@ -340,13 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _warm_start(subcommand: str, runs: tuple[RunSpec, ...], checkpoint: str | None):
-    """The dmrg start state from an existing --checkpoint file, else None."""
+    """Check --checkpoint before any run, so that a path that can never be
+    written fails at once; return the dmrg start state from an existing
+    file, else None."""
     if checkpoint is None:
         return None
     if subcommand in ("trg", "oracle"):
         raise ConfigError("--checkpoint applies only to dmrg, tebd and thermal", "--checkpoint")
     if len(runs) > 1:
         raise ConfigError("--checkpoint cannot be combined with a scan", "--checkpoint")
+    if os.path.isdir(checkpoint):
+        raise ConfigError(f"--checkpoint {checkpoint!r} is a directory", "--checkpoint")
+    parent = os.path.dirname(checkpoint)
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(f"--checkpoint directory {parent!r} does not exist", "--checkpoint")
     if subcommand != "dmrg" or not os.path.exists(checkpoint):
         return None
     psi = checkpoint_read(checkpoint)
@@ -393,7 +401,7 @@ def _drive(
         return _fail(out_dir, "non_convergence", "non-convergence", exc, EXIT_NONCONVERGENCE)
     except CheckpointError as exc:
         return _fail(out_dir, "checkpoint", "checkpoint error", exc, EXIT_NUMERICAL)
-    except (ValueError, ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
         return _fail(out_dir, "numerical", "numerical failure", exc, EXIT_NUMERICAL)
     wall_total = time.perf_counter() - t_start
 

@@ -2,23 +2,26 @@
 
 Sweeps move the orthogonality center across the chain, replacing each site
 tensor with the lowest eigenvector of the effective Hamiltonian built from
-cached left/right environments. With zero noise every local solve is a
-Rayleigh-quotient minimization seeded with the current tensor, so recorded
-energies never increase.
+cached left/right environments. The sweep and the environments are those
+of the mpo module (``mpo._sweep_center``, ``mpo._Environments``), which
+the variational operator fit runs too. With zero noise every local solve
+is a Rayleigh-quotient minimization seeded with the current tensor, so
+recorded energies never increase.
 
 Each local solve is Lanczos on the operator of one site. It is built once
-per site (``mpo._site_operator``): the left environment times the site's
-MPO tensor as a ``(f·o·w', k·s)`` matrix and the right environment as a
-``(w'·k', f')`` matrix, so every Krylov vector costs two matrix products
-and no transposed copy. Each new Krylov vector is orthogonalized against
-the whole basis by one classical Gram-Schmidt pass; a second pass runs
-only when the first cancels, when the residual keeps less than 1/sqrt(2)
-of its norm (Daniel, Gragg, Kaufman & Stewart 1976). That is rare: 2 of the
-4851 Krylov steps of a 40-site critical transverse-field Ising ground state
-at bond dimension 32. The Ritz pair of the small tridiagonal matrix is
-found on each iteration by calling LAPACK directly (dstebz for the lowest
-eigenvalue, dstein for its vector) on coefficients kept in preallocated
-arrays; non-finite coefficients raise before anything divides by them.
+per site (``_Environments.site_operator``): the left environment times the
+site's MPO tensor as a ``(f·o·w', k·s)`` matrix and the right environment
+as a ``(w'·k', f')`` matrix, so every Krylov vector costs two matrix
+products and no transposed copy. Each new Krylov vector is orthogonalized
+against the whole basis by one classical Gram-Schmidt pass; a second pass
+runs only when the first cancels, when the residual keeps less than
+1/sqrt(2) of its norm (Daniel, Gragg, Kaufman & Stewart 1976). That is
+rare: 2 of the 4851 Krylov steps of a 40-site critical transverse-field
+Ising ground state at bond dimension 32. The Ritz pair of the small
+tridiagonal matrix is found on each iteration by calling LAPACK directly
+(dstebz for the lowest eigenvalue, dstein for its vector) on coefficients
+kept in preallocated arrays; non-finite coefficients raise before anything
+divides by them.
 
 Arithmetic is real when the problem is: the environments start from real
 seeds, a random start state takes the dtype of the MPO, and the Lanczos
@@ -26,7 +29,10 @@ basis is complex only when the start vector or the operator is, so a real
 Hamiltonian runs every solve, environment transfer and QR in float64.
 
 Excited states reuse the same machinery on H + sum_c w |c><c| with the
-already-found states penalized out of the low end of the spectrum.
+already-found states penalized out of the low end of the spectrum. Each
+penalized state c is one more set of environments, of <psi|1|c>, swept
+with the Hamiltonian's; the site operator of the identity applied to c's
+own tensor is the g with <c|psi> = vdot(g, x) for the center tensor x.
 """
 
 from __future__ import annotations
@@ -39,21 +45,12 @@ from scipy.linalg.lapack import dstebz, dstein
 
 from .mpo import (
     MatrixProductOperator,
-    _site_operator,
-    _transfer_left,
-    _transfer_right,
+    _Environments,
+    _sweep_center,
     expect_mpo,
+    identity_mpo,
 )
-from .mps import (
-    MatrixProductState,
-    _orth_left_step,
-    _orth_right_step,
-    _overlap_left,
-    _overlap_right,
-    canonicalize,
-    inner,
-    random_mps,
-)
+from .mps import MatrixProductState, canonicalize, inner, random_mps
 from .tensor import ConfigError, TruncationSpec
 
 
@@ -208,63 +205,28 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# environments
+# sweeps
 # ---------------------------------------------------------------------------
 
 
-def _penalty_vector(left, right, lower_site):
-    """g with <lower|psi> = vdot(g, x) for the center tensor x."""
-    tmp = np.tensordot(left, lower_site.conj(), axes=(0, 0))  # (p, s, c')
-    overlap_coeff = np.tensordot(tmp, right, axes=(2, 0))  # (p, s, p'), right is (c', p')
-    return overlap_coeff.conj()
-
-
 class _Workspace:
-    """Mutable sweep state: site list, H environments, and one overlap
-    environment pair per penalized state."""
+    """Mutable sweep state: the site list, its Hamiltonian environments, and
+    one <psi|lower> environment per penalized state."""
 
     def __init__(self, op, sites, lowers, weight):
-        self.op = op
         self.sites = sites
-        self.lowers = [canonicalize(c, 0).sites for c in lowers]
+        self.env = _Environments(sites, op.sites, sites)
+        ident = identity_mpo(op.phys_dims).sites
+        self.penalties = [_Environments(sites, ident, canonicalize(c, 0).sites) for c in lowers]
         self.weight = weight
-        n = len(sites)
-        self.left = [None] * (n + 1)
-        self.right = [None] * (n + 1)
-        self.left[0] = np.ones((1, 1, 1))
-        self.right[n] = np.ones((1, 1, 1))
-        self.oleft = [[None] * (n + 1) for _ in self.lowers]
-        self.oright = [[None] * (n + 1) for _ in self.lowers]
-        for i in range(len(self.lowers)):
-            self.oleft[i][0] = np.ones((1, 1))
-            self.oright[i][n] = np.ones((1, 1))
-        for k in range(n - 1, 0, -1):
-            self._grow_right(k)
         self.matvecs = 0
-
-    def _grow_left(self, k):
-        self.left[k + 1] = _transfer_left(
-            self.left[k], self.sites[k], self.op.sites[k], self.sites[k]
-        )
-        for i, low in enumerate(self.lowers):
-            self.oleft[i][k + 1] = _overlap_left(self.oleft[i][k], low[k], self.sites[k])
-
-    def _grow_right(self, k):
-        self.right[k] = _transfer_right(
-            self.right[k + 1], self.sites[k], self.op.sites[k], self.sites[k]
-        )
-        for i, low in enumerate(self.lowers):
-            self.oright[i][k] = _overlap_right(self.oright[i][k + 1], low[k], self.sites[k])
 
     def site_matvec(self, k):
         """The effective Hamiltonian of site k, plus the penalties, as a
         matvec on the flattened center tensor. Counts its applications in
         ``self.matvecs``."""
-        apply = _site_operator(self.left[k], self.op.sites[k], self.right[k + 1])
-        gs = [
-            _penalty_vector(self.oleft[i][k], self.oright[i][k + 1], low[k]).reshape(-1)
-            for i, low in enumerate(self.lowers)
-        ]
+        apply = self.env.site_operator(k)
+        gs = [pen.site_operator(k)(pen.ket[k]).reshape(-1) for pen in self.penalties]
 
         def matvec(x):
             self.matvecs += 1
@@ -303,7 +265,6 @@ def _prepare_initial(op, config, psi0):
 
 
 def _sweep(op, config, psi, lowers, weight):
-    n = op.n_sites
     ws = _Workspace(op, list(psi.sites), lowers, weight)
     rng = np.random.default_rng(config.seed + 1)
     update_energies: list[float] = []
@@ -327,15 +288,7 @@ def _sweep(op, config, psi, lowers, weight):
 
     for _ in range(config.n_sweeps):
         first_update = len(update_energies)
-        for k in range(n - 1):
-            solve(k)
-            _orth_left_step(ws.sites, k)
-            ws._grow_left(k)
-        for k in range(n - 1, 0, -1):
-            solve(k)
-            _orth_right_step(ws.sites, k)
-            ws._grow_right(k)
-        solve(0)
+        _sweep_center(ws.sites, [ws.env, *ws.penalties], solve)
         sweep_energies.append(update_energies[-1])
         # converged when a whole sweep no longer moves the energy
         this_sweep = update_energies[first_update:]

@@ -10,6 +10,13 @@ Environments used throughout carry indices ``(bra bond, operator bond,
 ket bond)``. Their seeds are real, so every tensor takes its dtype from
 the states and operators it is built from: a real Hamiltonian gives a
 float64 MPO, and real states and operators give float64 environments.
+
+The variational fit and DMRG are one sweep (Schollwöck, Ann. Phys. 326,
+96 (2011)): ``_sweep_center`` updates one site, makes it an isometry and
+carries the cached environments of ``_Environments`` across it, from
+site 0 to the last site and back. The fit's update is the target
+projected onto the environments; DMRG's is the lowest eigenvector of the
+site's effective Hamiltonian.
 """
 
 from __future__ import annotations
@@ -19,8 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import SM, SP, SX, SZ, HamiltonianSpec, term_matrices
-from .mps import MatrixProductState, canonicalize, compress, inner
-from .tensor import TruncationSpec, _freeze, qr_matrix, rq_matrix
+from .mps import (
+    MatrixProductState,
+    _orth_left_step,
+    _orth_right_step,
+    canonicalize,
+    compress,
+    inner,
+)
+from .tensor import TruncationSpec, _freeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,35 +223,69 @@ class FitTrace:
     converged: bool
 
 
-def _site_operator(left, op_site, right):
-    """The operator that one site sees through its environments, as a
-    function of the ket tensor (flattened or not) giving the bra tensor
-    ``(f, o, f')``.
+class _Environments:
+    """The left and right environments of <bra|op|ket> over site lists that
+    a sweep edits in place: ``left[k]`` covers sites ``0..k-1`` and
+    ``right[k]`` sites ``k..n-1``. Built for a sweep that starts at site 0;
+    the sweep grows them across each site it moves the center off."""
 
-    The left environment and the site's MPO tensor are contracted once into
-    a ``(f·o·w', k·s)`` matrix and the right environment is laid out as
-    ``(w'·k', f')``, so each application is two matrix products and pure
-    reshapes.
-    """
-    f, _, k = left.shape
-    _, o, s, w = op_site.shape
-    fr, _, kr = right.shape
-    lw = np.tensordot(left, op_site, axes=(1, 0))  # (f, k, o, s, w')
-    lw = lw.transpose(0, 2, 4, 1, 3).reshape(f * o * w, k * s)
-    r = right.transpose(1, 2, 0).reshape(w * kr, fr)
+    def __init__(self, bra, op_sites, ket):
+        self.bra, self.op, self.ket = bra, op_sites, ket
+        n = len(op_sites)
+        self.left = [np.ones((1, 1, 1))] + [None] * n
+        self.right = [None] * n + [np.ones((1, 1, 1))]
+        for k in range(n - 1, 0, -1):
+            self.grow_right(k)
 
-    def apply(ket):
-        y = lw @ ket.reshape(k * s, kr)  # (f·o·w', k')
-        return (y.reshape(f * o, w * kr) @ r).reshape(f, o, fr)
+    def grow_left(self, k):
+        self.left[k + 1] = _transfer_left(self.left[k], self.bra[k], self.op[k], self.ket[k])
 
-    return apply
+    def grow_right(self, k):
+        self.right[k] = _transfer_right(self.right[k + 1], self.bra[k], self.op[k], self.ket[k])
+
+    def site_operator(self, k):
+        """The operator that site k sees through its environments, as a
+        function of the ket tensor (flattened or not) giving the bra tensor
+        ``(f, o, f')``.
+
+        The left environment and the site's MPO tensor are contracted once
+        into a ``(f·o·w', k·s)`` matrix and the right environment is laid
+        out as ``(w'·k', f')``, so each application is two matrix products
+        and pure reshapes.
+        """
+        left, op_site, right = self.left[k], self.op[k], self.right[k + 1]
+        f, _, kl = left.shape
+        _, o, s, w = op_site.shape
+        fr, _, kr = right.shape
+        lw = np.tensordot(left, op_site, axes=(1, 0))  # (f, k, o, s, w')
+        lw = lw.transpose(0, 2, 4, 1, 3).reshape(f * o * w, kl * s)
+        r = right.transpose(1, 2, 0).reshape(w * kr, fr)
+
+        def apply(ket):
+            y = lw @ ket.reshape(kl * s, kr)  # (f·o·w', k')
+            return (y.reshape(f * o, w * kr) @ r).reshape(f, o, fr)
+
+        return apply
 
 
-def _fit_local(left, right, op_site, ket_site):
-    """Optimal center tensor of the fit at one site: the target projected
-    onto the fixed environment, since the gauge makes the normal matrix the
-    identity."""
-    return _site_operator(left, op_site, right)(ket_site)
+def _sweep_center(sites, envs, update):
+    """One sweep of the orthogonality center from site 0 to the last site
+    and back. ``update(k)`` writes a new tensor into ``sites[k]``; each site
+    but the last one updated is then made an isometry, its factor pushed to
+    the next site (which ``update`` overwrites before reading it), and every
+    environment in ``envs`` is carried across it."""
+    n = len(sites)
+    for k in range(n - 1):
+        update(k)
+        _orth_left_step(sites, k)
+        for env in envs:
+            env.grow_left(k)
+    for k in range(n - 1, 0, -1):
+        update(k)
+        _orth_right_step(sites, k)
+        for env in envs:
+            env.grow_right(k)
+    update(0)
 
 
 def apply_mpo_variational(
@@ -266,33 +314,19 @@ def apply_mpo_variational(
     elif guess.n_sites != n:
         raise ValueError("guess lives on a different lattice")
     phi = list(canonicalize(guess, 0).sites)
+    env = _Environments(phi, op.sites, psi.sites)
 
-    right = [None] * (n + 1)
-    right[n] = np.ones((1, 1, 1))
-    for k in range(n - 1, 0, -1):
-        right[k] = _transfer_right(right[k + 1], phi[k], op.sites[k], psi.sites[k])
-    left = [None] * (n + 1)
-    left[0] = np.ones((1, 1, 1))
+    def update(k):
+        # the optimal center tensor is the target projected onto the fixed
+        # environments, since the gauge makes the normal matrix the identity
+        phi[k] = env.site_operator(k)(psi.sites[k])
 
     residuals = []
     converged = False
     for _ in range(max_sweeps):
-        for k in range(n - 1):
-            b = _fit_local(left[k], right[k + 1], op.sites[k], psi.sites[k])
-            fl, o, fr = b.shape
-            q, _ = qr_matrix(b.reshape(fl * o, fr))
-            phi[k] = q.reshape(fl, o, -1)
-            left[k + 1] = _transfer_left(left[k], phi[k], op.sites[k], psi.sites[k])
-        for k in range(n - 1, 0, -1):
-            b = _fit_local(left[k], right[k + 1], op.sites[k], psi.sites[k])
-            fl, o, fr = b.shape
-            _, q = rq_matrix(b.reshape(fl, o * fr))
-            phi[k] = q.reshape(-1, o, fr)
-            right[k] = _transfer_right(right[k + 1], phi[k], op.sites[k], psi.sites[k])
-        b = _fit_local(left[0], right[1], op.sites[0], psi.sites[0])
-        phi[0] = b
+        _sweep_center(phi, [env], update)
         # at the optimum <phi|op psi> = |phi|^2, so the distance collapses
-        overlap2 = float(np.vdot(b, b).real)
+        overlap2 = float(np.vdot(phi[0], phi[0]).real)
         dist2 = max(target_norm2 - overlap2, 0.0)
         residuals.append(float(np.sqrt(dist2 / target_norm2)))
         if len(residuals) > 1 and abs(residuals[-2] - residuals[-1]) < tol:

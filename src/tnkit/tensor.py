@@ -1,16 +1,17 @@
-"""Dense labeled tensors, pairwise contraction, and truncated factorizations.
+"""Dense matrix kernels (truncated SVD, QR and RQ under one phase
+convention), the truncation rule, and the truncation settings and
+configuration error that every module shares.
 
 Conventions used throughout the package:
 
 * Tensor data is row-major, and its dtype follows the data: real input
   (ints and bools included) is stored as float64, complex input as
   complex128. Real problems so run in real arithmetic, and anything that
-  meets a complex factor becomes complex by numpy's promotion. Arrays
-  handed to ``DenseTensor`` are copied unless they are already frozen
-  (non-writeable) and of that dtype; the stored array is always
-  non-writeable, so tensors behave as values.
-* Axis labels are strings, distinct within one tensor. Contraction matches
-  labels by name.
+  meets a complex factor becomes complex by numpy's promotion. The
+  ``MatrixProductState`` and ``MatrixProductOperator`` constructors copy
+  the site arrays they are handed unless they are already frozen
+  (non-writeable) and of that dtype; the stored arrays are always
+  non-writeable, so states and operators behave as values.
 * Singular values are returned in descending order. The left factor of an
   SVD or QR is made unique by phasing each column so that its
   largest-magnitude entry is real and positive; on real data the phase is
@@ -23,9 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -51,75 +50,6 @@ def _freeze(arr) -> np.ndarray:
         out = out.copy()
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class DenseTensor:
-    """A dense float64 or complex128 tensor with one string label per axis."""
-
-    data: np.ndarray
-    labels: tuple[str, ...]
-
-    def __init__(self, data, labels: Sequence[str]):
-        data = _freeze(data)
-        labels = tuple(labels)
-        if data.ndim != len(labels):
-            raise ValueError(
-                f"got {len(labels)} labels for a rank-{data.ndim} tensor"
-            )
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"labels must be distinct, got {labels}")
-        if not all(isinstance(l, str) for l in labels):
-            raise ValueError("labels must be strings")
-        if not np.isfinite(data).all():
-            raise ValueError("tensor data contains non-finite entries")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def rank(self) -> int:
-        return self.data.ndim
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def dim(self, label: str) -> int:
-        return self.data.shape[self.axis(label)]
-
-    def axis(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown label {label!r}, have {self.labels}") from None
-
-    def relabel(self, mapping: dict[str, str]) -> "DenseTensor":
-        """Rename axes; labels not in ``mapping`` are kept."""
-        for old in mapping:
-            self.axis(old)
-        return DenseTensor(self.data, tuple(mapping.get(l, l) for l in self.labels))
-
-    def transpose(self, labels: Sequence[str]) -> "DenseTensor":
-        """Reorder axes into the given label order."""
-        labels = tuple(labels)
-        if sorted(labels) != sorted(self.labels):
-            raise ValueError(f"transpose needs a permutation of {self.labels}")
-        perm = [self.axis(l) for l in labels]
-        return DenseTensor(np.transpose(self.data, perm), labels)
-
-    def to_array(self) -> np.ndarray:
-        """A writeable copy of the underlying array."""
-        return np.array(self.data)
-
-    def item(self) -> complex:
-        """The single entry of a rank-0 (or size-1) tensor."""
-        if self.data.size != 1:
-            raise ValueError(f"item() needs a size-1 tensor, shape {self.dims}")
-        return complex(self.data.reshape(()))
 
 
 class ConfigError(ValueError):
@@ -167,8 +97,8 @@ class TruncationReport:
 # matrix kernels
 #
 # These operate on plain 2D arrays and are the single home of the truncation
-# and phase conventions; the labeled operations below and the MPS/MPO/TRG
-# modules all route through them.
+# and phase conventions; the MPS, MPO, TEBD and TRG modules route through
+# them.
 # ---------------------------------------------------------------------------
 
 
@@ -256,233 +186,3 @@ def rq_matrix(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     qt, rt = qr_matrix(m.conj().T)
     return rt.conj().T, qt.conj().T
-
-
-# ---------------------------------------------------------------------------
-# labeled operations
-# ---------------------------------------------------------------------------
-
-
-def _normalize_pairs(pairs) -> list[tuple[str, str]]:
-    out = []
-    for p in pairs:
-        if isinstance(p, str):
-            out.append((p, p))
-        else:
-            la, lb = p
-            out.append((str(la), str(lb)))
-    return out
-
-
-def contract(a: DenseTensor, b: DenseTensor, pairs) -> DenseTensor:
-    """Contract two tensors over the given label pairs.
-
-    ``pairs`` is a sequence of ``(label_in_a, label_in_b)`` tuples; a bare
-    string stands for the same label on both sides. An empty sequence gives
-    the outer product. Surviving labels keep their order: first the
-    remaining axes of ``a``, then those of ``b``.
-    """
-    pairs = _normalize_pairs(pairs)
-    axes_a, axes_b = [], []
-    for la, lb in pairs:
-        ia, ib = a.axis(la), b.axis(lb)
-        if ia in axes_a or ib in axes_b:
-            raise ValueError(f"label used twice in contraction pairs: {(la, lb)}")
-        if a.dims[ia] != b.dims[ib]:
-            raise ValueError(
-                f"dimension mismatch contracting {la!r} ({a.dims[ia]}) with {lb!r} ({b.dims[ib]})"
-            )
-        axes_a.append(ia)
-        axes_b.append(ib)
-    keep_a = [l for i, l in enumerate(a.labels) if i not in axes_a]
-    keep_b = [l for i, l in enumerate(b.labels) if i not in axes_b]
-    clash = set(keep_a) & set(keep_b)
-    if clash:
-        raise ValueError(f"surviving labels would collide: {sorted(clash)}")
-    data = np.tensordot(a.data, b.data, axes=(axes_a, axes_b))
-    return DenseTensor(data, tuple(keep_a) + tuple(keep_b))
-
-
-def trace(t: DenseTensor, pairs) -> DenseTensor:
-    """Contract pairs of axes of a single tensor (partial trace).
-
-    ``pairs`` is a sequence of ``(label1, label2)`` tuples naming distinct
-    axes of ``t`` with equal extents.
-    """
-    pairs = _normalize_pairs(pairs)
-    seen: set[str] = set()
-    for la, lb in pairs:
-        if la == lb:
-            raise ValueError("trace pairs must name two distinct labels")
-        if t.dim(la) != t.dim(lb):
-            raise ValueError(f"dimension mismatch tracing {la!r} with {lb!r}")
-        if la in seen or lb in seen:
-            raise ValueError("label used twice in trace pairs")
-        seen.update((la, lb))
-    letters = {}
-    alphabet = iter(string.ascii_letters)
-    for la, lb in pairs:
-        c = next(alphabet)
-        letters[la] = c
-        letters[lb] = c
-    keep = [l for l in t.labels if l not in seen]
-    for l in keep:
-        letters[l] = next(alphabet)
-    sub_in = "".join(letters[l] for l in t.labels)
-    sub_out = "".join(letters[l] for l in keep)
-    data = np.einsum(f"{sub_in}->{sub_out}", t.data)
-    return DenseTensor(data, tuple(keep))
-
-
-def _shared_labels(a: DenseTensor, b: DenseTensor) -> list[str]:
-    in_b = set(b.labels)
-    return [l for l in a.labels if l in in_b]
-
-
-def _pair_cost(a: DenseTensor, b: DenseTensor) -> int:
-    """Number of scalar multiplications for this pair: the product of the
-    extents of the union of both label sets."""
-    shared = set(_shared_labels(a, b))
-    cost = 1
-    for t in (a, b):
-        for l, d in zip(t.labels, t.dims):
-            if t is b and l in shared:
-                continue
-            cost *= d
-    return cost
-
-
-def _greedy_pair(work: Sequence[DenseTensor]) -> tuple[int, int]:
-    """Position pair the greedy heuristic contracts next: the cheapest one
-    (smallest multiply count), ties broken by first position order."""
-    best = None
-    best_cost = None
-    for i in range(len(work)):
-        for j in range(i + 1, len(work)):
-            cost = _pair_cost(work[i], work[j])
-            if best_cost is None or cost < best_cost:
-                best, best_cost = (i, j), cost
-    return best
-
-
-def contract_network(tensors: Sequence[DenseTensor], order=None) -> DenseTensor:
-    """Contract a list of tensors into one.
-
-    Labels are matched by name and must appear at most twice across the
-    network; matched extents must agree. With ``order=None`` a greedy
-    heuristic repeatedly contracts the pair with the cheapest contraction
-    (smallest product of involved extents), ties broken by first position.
-    ``order`` may instead give an explicit sequence of ``(i, j)`` position
-    pairs; positions refer to the current working list, and each result is
-    appended at the end (so new tensors are addressed by growing indices).
-
-    A network whose parts share no labels reduces to an outer product.
-    """
-    work = list(tensors)
-    if not work:
-        raise ValueError("contract_network needs at least one tensor")
-    counts: dict[str, int] = {}
-    extents: dict[str, int] = {}
-    for t in work:
-        if not isinstance(t, DenseTensor):
-            raise ValueError("contract_network expects DenseTensor inputs")
-        for l, d in zip(t.labels, t.dims):
-            counts[l] = counts.get(l, 0) + 1
-            if counts[l] > 2:
-                raise ValueError(f"label {l!r} appears more than twice in the network")
-            if extents.setdefault(l, d) != d:
-                raise ValueError(f"label {l!r} has mismatched extents in the network")
-    if len(work) == 1:
-        return work[0]
-
-    def join(i: int, j: int) -> None:
-        a, b = work[i], work[j]
-        pairs = [(l, l) for l in _shared_labels(a, b)]
-        res = contract(a, b, pairs)
-        del work[j]
-        del work[i]
-        work.append(res)
-
-    if order is not None:
-        for step, (i, j) in enumerate(order):
-            if i == j or not (0 <= i < len(work)) or not (0 <= j < len(work)):
-                raise ValueError(f"invalid contraction pair {(i, j)} at step {step}")
-            if i > j:
-                i, j = j, i
-            join(i, j)
-        if len(work) != 1:
-            raise ValueError(f"contraction order left {len(work)} tensors unmerged")
-        return work[0]
-
-    while len(work) > 1:
-        join(*_greedy_pair(work))
-    return work[0]
-
-
-def svd_split(
-    t: DenseTensor,
-    left_labels: Sequence[str],
-    spec: TruncationSpec | None = None,
-    bond_label: str = "bond",
-):
-    """Split a tensor by truncated SVD into ``u * diag(s) * v``.
-
-    The axes named in ``left_labels`` (in that order) become the row group;
-    the remaining axes, in their original order, the column group. Returns
-    ``(u, s, v, report)`` where ``u`` carries the left labels plus
-    ``bond_label``, ``v`` carries ``bond_label`` plus the right labels, and
-    ``s`` is the kept (possibly renormalized) spectrum as a real vector.
-    """
-    left = tuple(left_labels)
-    if not left or len(left) >= t.rank:
-        raise ValueError("left_labels must be a nonempty proper subset of the axes")
-    right = tuple(l for l in t.labels if l not in left)
-    if len(left) + len(right) != t.rank or len(set(left)) != len(left):
-        raise ValueError(f"left_labels {left} do not select a subset of {t.labels}")
-    for l in left:
-        t.axis(l)
-    if bond_label in t.labels:
-        raise ValueError(f"bond label {bond_label!r} collides with an existing axis")
-    perm = t.transpose(left + right)
-    ldim = int(np.prod([t.dim(l) for l in left], dtype=np.int64))
-    rdim = int(np.prod([t.dim(l) for l in right], dtype=np.int64))
-    u, s, vh, report = svd_matrix(perm.data.reshape(ldim, rdim), spec)
-    k = s.size
-    u_t = DenseTensor(u.reshape(*(t.dim(l) for l in left), k), left + (bond_label,))
-    v_t = DenseTensor(vh.reshape(k, *(t.dim(l) for l in right)), (bond_label,) + right)
-    return u_t, s, v_t, report
-
-
-def qr_split(t: DenseTensor, left_labels: Sequence[str], bond_label: str = "bond"):
-    """Split a tensor as ``q * r`` with ``q`` isometric over the left group.
-
-    Grouping follows the same rules as :func:`svd_split`. Returns
-    ``(q, r)``.
-    """
-    left = tuple(left_labels)
-    if not left or len(left) >= t.rank:
-        raise ValueError("left_labels must be a nonempty proper subset of the axes")
-    right = tuple(l for l in t.labels if l not in left)
-    for l in left:
-        t.axis(l)
-    if bond_label in t.labels:
-        raise ValueError(f"bond label {bond_label!r} collides with an existing axis")
-    perm = t.transpose(left + right)
-    ldim = int(np.prod([t.dim(l) for l in left], dtype=np.int64))
-    rdim = int(np.prod([t.dim(l) for l in right], dtype=np.int64))
-    q, r = qr_matrix(perm.data.reshape(ldim, rdim))
-    k = q.shape[1]
-    q_t = DenseTensor(q.reshape(*(t.dim(l) for l in left), k), left + (bond_label,))
-    r_t = DenseTensor(r.reshape(k, *(t.dim(l) for l in right)), (bond_label,) + right)
-    return q_t, r_t
-
-
-def scale_axis(t: DenseTensor, label: str, weights: np.ndarray) -> DenseTensor:
-    """Multiply a tensor along one axis by a vector of weights."""
-    ax = t.axis(label)
-    w = np.asarray(weights)
-    if w.ndim != 1 or w.size != t.dims[ax]:
-        raise ValueError(f"weights must be a vector of length {t.dims[ax]}")
-    shape = [1] * t.rank
-    shape[ax] = w.size
-    return DenseTensor(t.data * w.reshape(shape), t.labels)

@@ -135,10 +135,22 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
     # the new bytes are written out but never made durable
     monkeypatch.setattr("tnkit.checkpoint.os.fsync", disk_full)
-    with pytest.raises(OSError, match="no space"):
+    with pytest.raises(CheckpointError, match="no space"):
         checkpoint_write(_random_state(seed=2), str(path))
     assert path.read_bytes() == before
     back = checkpoint_read(str(path))
     for a, b in zip(old.sites, back.sites):
         assert a.tobytes() == b.tobytes()
     assert [p.name for p in tmp_path.iterdir()] == ["state.mps"]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unreadable_or_unwritable_path_is_checkpoint_error(tmp_path, where):
+    path = str(tmp_path if where == "directory" else tmp_path / "missing" / "state.mps")
+    with pytest.raises(CheckpointError, match="cannot read checkpoint") as read_err:
+        checkpoint_read(path)
+    with pytest.raises(CheckpointError, match="cannot write checkpoint") as write_err:
+        checkpoint_write(_random_state(), path)
+    assert isinstance(read_err.value.__cause__, OSError)
+    assert isinstance(write_err.value.__cause__, OSError)
+    assert [p.name for p in tmp_path.iterdir()] == []

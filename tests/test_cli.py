@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tnkit
+from tnkit import cli
 from tnkit.checkpoint import checkpoint_read, checkpoint_write
 from tnkit.cli import (
     EXIT_CONFIG,
@@ -26,6 +28,15 @@ from tnkit.mps import expect_local, random_mps, to_dense
 from tnkit.oracle import dense_gibbs, dense_hamiltonian, ed_ground
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_every_export_resolves():
+    assert len(set(tnkit.__all__)) == len(tnkit.__all__)
+    for name in tnkit.__all__:
+        assert hasattr(tnkit, name), name
+    namespace = {}
+    exec("from tnkit import *", namespace)
+    assert set(tnkit.__all__) <= set(namespace)
 
 
 def test_import_leaves_the_oracle_unloaded(tmp_path):
@@ -255,6 +266,70 @@ class TestFailureModes:
         )
         assert code == EXIT_NUMERICAL
         assert json.loads((out / "error.json").read_text())["error"]["kind"] == "checkpoint"
+
+    @pytest.mark.parametrize("subcommand", ["dmrg", "tebd"])
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_checkpoint_path_is_config_error(
+        self, tmp_path, monkeypatch, subcommand, where
+    ):
+        ck = tmp_path / "ck" if where == "directory" else tmp_path / "missing" / "state.mps"
+        if where == "directory":
+            ck.mkdir()
+        cfg = _dmrg_cfg()
+        if subcommand == "tebd":
+            cfg = {
+                "run": "tebd",
+                "seed": 1,
+                "model": {"name": "transverse_field_ising", "n_sites": 4, "h": 1.0},
+                "dt": 0.05,
+                "n_steps": 2,
+                "max_bond": 8,
+            }
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the checkpoint path must be rejected before any run")
+
+        monkeypatch.setattr(cli, "_execute_run", no_run)
+        out = tmp_path / "out"
+        code = main(
+            [subcommand, "--config", _write_cfg(tmp_path, cfg), "--out", str(out),
+             "--checkpoint", str(ck)]
+        )
+        assert code == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == "--checkpoint"
+        assert not (out / "results.jsonl").exists()
+
+    def test_checkpoint_write_failure_is_checkpoint_error(self, tmp_path, monkeypatch):
+        def disk_full(path, data):
+            raise OSError("no space left on device")
+
+        # only the checkpoint write fails; the CLI's own files use its import
+        monkeypatch.setattr("tnkit.checkpoint.write_atomic", disk_full)
+        out = tmp_path / "out"
+        code = main(
+            ["dmrg", "--config", _write_cfg(tmp_path, _dmrg_cfg()), "--out", str(out),
+             "--checkpoint", str(tmp_path / "state.mps")]
+        )
+        assert code == EXIT_NUMERICAL
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "checkpoint" and "no space" in err["message"]
+        assert not (out / "results.jsonl").exists()
+        assert not (tmp_path / "state.mps").exists()
+
+    @pytest.mark.parametrize(
+        "exc", [MemoryError(), BrokenProcessPool("a worker died")], ids=["memory", "broken-pool"]
+    )
+    def test_resource_failure_is_numerical_failure(self, tmp_path, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "_execute_run", fail)
+        out = tmp_path / "out"
+        code = main(["dmrg", "--config", _write_cfg(tmp_path, _dmrg_cfg()), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert json.loads((out / "error.json").read_text())["error"]["kind"] == "numerical"
+        assert not (out / "results.jsonl").exists()
 
     @pytest.mark.parametrize(
         "cfg",

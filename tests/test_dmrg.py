@@ -224,7 +224,8 @@ def test_site_operator_matches_dense_effective_hamiltonian(site, penalized):
     lowers = [random_mps([2] * 6, max_bond=3, rng=6)] if penalized else []
     ws = _Workspace(op, list(psi.sites), lowers, 2.5)
     for k in range(site):
-        ws._grow_left(k)
+        for env in [ws.env, *ws.penalties]:
+            env.grow_left(k)
     matvec = ws.site_matvec(site)
     dim = psi.sites[site].size
     got = np.column_stack([matvec(e) for e in np.eye(dim, dtype=complex)])
@@ -335,6 +336,27 @@ def test_second_excited_state_xxz():
     assert e1 == pytest.approx(levels[1], rel=1e-7)
     assert e2 == pytest.approx(levels[2], rel=1e-6)
     assert max(trace.final_overlaps) < 1e-5
+
+
+def test_excited_states_on_ten_sites_are_pinned():
+    """The first two excited states of a 10-site XXZ chain, pinned to the
+    values of the environment code that carried each penalized state by
+    pure overlap transfers. The energies and matvec counts must hold; the
+    final overlaps are set by the sweep tolerance, and their leading digits
+    must hold too (the smallest is near the rounding of psi0 itself)."""
+    op = build_mpo(heisenberg_xxz(10, J=1.0, delta=0.4, field=0.1))
+    config = DmrgConfig(max_bond=16, n_sweeps=40, seed=9)
+    _, psi0, _ = ground_state(op, config)
+    e1, psi1, trace1 = excited_state(op, config, [psi0], penalty_weight=20.0)
+    e2, _, trace2 = excited_state(op, config, [psi0, psi1], penalty_weight=20.0)
+    assert e1 == pytest.approx(-13.21817119384246, rel=1e-12, abs=0)
+    assert e2 == pytest.approx(-12.818171193842462, rel=1e-12, abs=0)
+    assert (trace1.n_sweeps, trace2.n_sweeps) == (3, 3)
+    assert (trace1.lanczos_matvecs, trace2.lanczos_matvecs) == (407, 430)
+    np.testing.assert_allclose(trace1.final_overlaps, [2.823059627715053e-13], rtol=1e-2)
+    np.testing.assert_allclose(
+        trace2.final_overlaps, [8.988907050717386e-12, 1.3050289336651106e-10], rtol=1e-2
+    )
 
 
 def test_ordered_phase_ground_state():
