@@ -11,7 +11,9 @@ Outputs written to --out:
   run.json       run-level metadata: config hash, version, wall times.
   summary.txt    human-readable digest, includes wall times.
   error.json     written instead of results on failure; for config errors
-                 it names the offending field.
+                 it names the offending field, and for a failed run its
+                 index and scan values (a broken worker pool names the
+                 earliest run without a result).
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (a checkpoint
 that cannot be read or written and a failed allocation count as one),
@@ -309,10 +311,16 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
     write_atomic(os.path.join(out_dir, name), text.encode("utf-8"))
 
 
-def _fail(out_dir: str, kind: str, label: str, exc: Exception, code: int) -> int:
+def _fail(
+    out_dir: str, kind: str, label: str, exc: Exception, code: int, run: RunSpec | None
+) -> int:
     body = {"kind": kind, "message": str(exc)}
     if getattr(exc, "field", None) is not None:
         body["field"] = exc.field
+    if run is not None:
+        body["run"] = run.index
+        body["scan"] = run.scan_values
+        label = f"{label} in run {run.index}"
     try:
         _write_text(out_dir, "error.json", json.dumps({"error": body}, indent=2) + "\n")
     except OSError:
@@ -379,6 +387,14 @@ def _drive(
         return EXIT_CONFIG
 
     t_start = time.perf_counter()
+    runs, outcomes = (), None
+
+    def fail(kind, label, exc, code):
+        # results arrive in run order, so once runs have started a failure
+        # belongs to the earliest run without a result
+        lost = runs[len(outcomes)] if outcomes is not None and len(outcomes) < len(runs) else None
+        return _fail(out_dir, kind, label, exc, code, lost)
+
     try:
         if subcommand is None:
             subcommand = load_config(config_path).get("run")
@@ -389,20 +405,23 @@ def _drive(
             raise ConfigError("--threads must be >= 1", field="--threads")
         runs = rc.runs
         warm = _warm_start(subcommand, runs, checkpoint)
+        outcomes = []
         if threads == 1 or len(runs) == 1:
-            outcomes = [_execute_run(r, checkpoint, warm) for r in runs]
+            for r in runs:
+                outcomes.append(_execute_run(r, checkpoint, warm))
         else:
             workers = min(threads, len(runs))
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_execute_run, runs, itertools.repeat(None)))
+                for outcome in pool.map(_execute_run, runs, itertools.repeat(None)):
+                    outcomes.append(outcome)
     except ConfigError as exc:
-        return _fail(out_dir, "config", "config error", exc, EXIT_CONFIG)
+        return fail("config", "config error", exc, EXIT_CONFIG)
     except NonConvergenceError as exc:
-        return _fail(out_dir, "non_convergence", "non-convergence", exc, EXIT_NONCONVERGENCE)
+        return fail("non_convergence", "non-convergence", exc, EXIT_NONCONVERGENCE)
     except CheckpointError as exc:
-        return _fail(out_dir, "checkpoint", "checkpoint error", exc, EXIT_NUMERICAL)
+        return fail("checkpoint", "checkpoint error", exc, EXIT_NUMERICAL)
     except (ValueError, ArithmeticError, RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
-        return _fail(out_dir, "numerical", "numerical failure", exc, EXIT_NUMERICAL)
+        return fail("numerical", "numerical failure", exc, EXIT_NUMERICAL)
     wall_total = time.perf_counter() - t_start
 
     digest = config_hash(rc.raw)

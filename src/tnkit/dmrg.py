@@ -237,16 +237,16 @@ class _Workspace:
 
         return matvec
 
-    def solve_site(self, k, max_iter, tol):
-        """Lowest Ritz pair of site k, seeded with its current tensor. An
-        unconverged solve is retried once from its Ritz vector with twice
-        the iterations. Returns (value, tensor, converged)."""
-        shape = self.sites[k].shape
+    def solve_site(self, k, x0, max_iter, tol):
+        """Lowest Ritz pair of site k, seeded with ``x0``, the site's
+        current tensor. An unconverged solve is retried once from its Ritz
+        vector with twice the iterations. Returns (value, tensor,
+        converged)."""
         matvec = self.site_matvec(k)
-        theta, vec, ok = lanczos_ground(matvec, self.sites[k].reshape(-1), max_iter, tol)
+        theta, vec, ok = lanczos_ground(matvec, x0.reshape(-1), max_iter, tol)
         if not ok:
             theta, vec, ok = lanczos_ground(matvec, vec, 2 * max_iter, tol)
-        return theta, vec.reshape(shape), ok
+        return theta, vec.reshape(x0.shape), ok
 
 
 def _prepare_initial(op, config, psi0):
@@ -272,9 +272,11 @@ def _sweep(op, config, psi, lowers, weight):
     unconverged = 0
     converged = False
 
-    def solve(k):
+    def solve(k, start):
         nonlocal unconverged
-        theta, vec, ok = ws.solve_site(k, config.lanczos_max_iter, config.lanczos_tol)
+        theta, vec, ok = ws.solve_site(
+            k, start(), config.lanczos_max_iter, config.lanczos_tol
+        )
         if not ok:
             unconverged += 1
         if config.noise > 0.0:

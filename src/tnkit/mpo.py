@@ -22,14 +22,17 @@ site's effective Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .models import SM, SP, SX, SZ, HamiltonianSpec, term_matrices
 from .mps import (
     MatrixProductState,
-    _orth_left_step,
-    _orth_right_step,
+    _absorb_left,
+    _absorb_right,
+    _left_factor,
+    _right_factor,
     canonicalize,
     compress,
     inner,
@@ -270,22 +273,28 @@ class _Environments:
 
 def _sweep_center(sites, envs, update):
     """One sweep of the orthogonality center from site 0 to the last site
-    and back. ``update(k)`` writes a new tensor into ``sites[k]``; each site
-    but the last one updated is then made an isometry, its factor pushed to
-    the next site (which ``update`` overwrites before reading it), and every
-    environment in ``envs`` is carried across it."""
+    and back. ``update(k, start)`` must write a new tensor into
+    ``sites[k]``; each site but the last one updated is then made an
+    isometry, and every environment in ``envs`` is carried across it. The
+    QR/RQ factor that the isometry leaves behind is owed to the next site:
+    ``start()`` returns that site's tensor with the factor absorbed, so an
+    update that reads the old tensor (DMRG's Lanczos seed) pays for the
+    contraction and one that overwrites it unread (the fit) does not."""
     n = len(sites)
+    start = lambda: sites[0]  # site 0 holds the center: no factor is owed to it
     for k in range(n - 1):
-        update(k)
-        _orth_left_step(sites, k)
+        update(k, start)
+        r = _left_factor(sites, k)
         for env in envs:
             env.grow_left(k)
+        start = partial(_absorb_left, r, sites[k + 1])
     for k in range(n - 1, 0, -1):
-        update(k)
-        _orth_right_step(sites, k)
+        update(k, start)
+        l = _right_factor(sites, k)
         for env in envs:
             env.grow_right(k)
-    update(0)
+        start = partial(_absorb_right, sites[k - 1], l)
+    update(0, start)
 
 
 def apply_mpo_variational(
@@ -316,7 +325,7 @@ def apply_mpo_variational(
     phi = list(canonicalize(guess, 0).sites)
     env = _Environments(phi, op.sites, psi.sites)
 
-    def update(k):
+    def update(k, start):
         # the optimal center tensor is the target projected onto the fixed
         # environments, since the gauge makes the normal matrix the identity
         phi[k] = env.site_operator(k)(psi.sites[k])

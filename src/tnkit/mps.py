@@ -109,22 +109,46 @@ def random_mps(phys_dims, max_bond: int, rng, dtype=complex) -> MatrixProductSta
 # ---------------------------------------------------------------------------
 
 
-def _orth_left_step(sites: list, k: int) -> None:
-    """Turn site k into a left isometry, pushing its R factor into k+1."""
+def _left_factor(sites: list, k: int) -> np.ndarray:
+    """Turn site k into a left isometry; return its R factor, which the
+    caller owes to site k+1 (``_absorb_left``)."""
     a = sites[k]
     dl, d, dr = a.shape
     q, r = qr_matrix(a.reshape(dl * d, dr))
     sites[k] = q.reshape(dl, d, -1)
-    sites[k + 1] = np.tensordot(r, sites[k + 1], axes=(1, 0))
+    return r
 
 
-def _orth_right_step(sites: list, k: int) -> None:
-    """Turn site k into a right isometry, pushing its L factor into k-1."""
+def _right_factor(sites: list, k: int) -> np.ndarray:
+    """Turn site k into a right isometry; return its L factor, which the
+    caller owes to site k-1 (``_absorb_right``)."""
     a = sites[k]
     dl, d, dr = a.shape
     l, q = rq_matrix(a.reshape(dl, d * dr))
     sites[k] = q.reshape(-1, d, dr)
-    sites[k - 1] = np.tensordot(sites[k - 1], l, axes=(2, 0))
+    return l
+
+
+def _absorb_left(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``r`` contracted into the left bond of site tensor ``b``."""
+    dl, d, dr = b.shape
+    return (r @ b.reshape(dl, d * dr)).reshape(-1, d, dr)
+
+
+def _absorb_right(a: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """``l`` contracted into the right bond of site tensor ``a``."""
+    dl, d, dr = a.shape
+    return (a.reshape(dl * d, dr) @ l).reshape(dl, d, -1)
+
+
+def _orth_left_step(sites: list, k: int) -> None:
+    """Turn site k into a left isometry, pushing its R factor into k+1."""
+    sites[k + 1] = _absorb_left(_left_factor(sites, k), sites[k + 1])
+
+
+def _orth_right_step(sites: list, k: int) -> None:
+    """Turn site k into a right isometry, pushing its L factor into k-1."""
+    sites[k - 1] = _absorb_right(sites[k - 1], _right_factor(sites, k))
 
 
 def _move_center(sites: list, frm: int, to: int) -> None:
@@ -190,8 +214,8 @@ def gauge_transform(psi: MatrixProductState, bond: int, x: np.ndarray) -> Matrix
     if not np.isfinite(xinv).all():
         raise ValueError("gauge matrix is singular")
     work = list(psi.sites)
-    work[bond] = np.tensordot(work[bond], x, axes=(2, 0))
-    work[bond + 1] = np.tensordot(xinv, work[bond + 1], axes=(1, 0))
+    work[bond] = _absorb_right(work[bond], x)
+    work[bond + 1] = _absorb_left(xinv, work[bond + 1])
     return MatrixProductState(work, center=None)
 
 
@@ -200,18 +224,30 @@ def gauge_transform(psi: MatrixProductState, bond: int, x: np.ndarray) -> Matrix
 # ---------------------------------------------------------------------------
 
 
+def _close_left(bra_site, tmp):
+    """The conjugate bra site contracted with ``tmp`` (bra, s, ket') over
+    its left bond and physical index: a (bra', ket') environment."""
+    dl, d, dr = bra_site.shape
+    return bra_site.reshape(dl * d, dr).conj().T @ tmp.reshape(dl * d, -1)
+
+
+def _close_right(bra_site, tmp):
+    """The conjugate bra site contracted with ``tmp`` (ket, s, bra') over
+    its physical index and right bond: a (bra, ket) environment."""
+    dl, d, dr = bra_site.shape
+    return bra_site.reshape(dl, d * dr).conj() @ tmp.reshape(-1, d * dr).T
+
+
 def _overlap_left(env, bra_site, ket_site):
     """Carry a <bra|ket> environment (bra bond, ket bond) across one site
     from its left bond to its right bond."""
-    tmp = np.tensordot(env, ket_site, axes=(1, 0))  # (bra, s, ket')
-    return np.tensordot(bra_site.conj(), tmp, axes=([0, 1], [0, 1]))  # (bra', ket')
+    return _close_left(bra_site, _absorb_left(env, ket_site))
 
 
 def _overlap_right(env, bra_site, ket_site):
     """Carry a <bra|ket> environment (bra bond, ket bond) across one site
     from its right bond to its left bond."""
-    tmp = np.tensordot(ket_site, env, axes=(2, 1))  # (ket', s, bra)
-    return np.tensordot(bra_site.conj(), tmp, axes=([1, 2], [1, 2]))  # (bra', ket')
+    return _close_right(bra_site, _absorb_right(ket_site, env.T))
 
 
 def inner(a: MatrixProductState, b: MatrixProductState) -> complex:
@@ -264,17 +300,17 @@ def expect_local(psi: MatrixProductState, op, site: int) -> complex:
     n2 = np.vdot(a, a).real
     if n2 == 0.0:
         raise ValueError("cannot take expectation values in the zero state")
-    oa = np.einsum("st,ltr->lsr", op, sites[site])
+    oa = np.matmul(op, sites[site])
     if site < c:
-        env = np.tensordot(sites[site].conj(), oa, axes=([0, 1], [0, 1]))
+        env = _close_left(sites[site], oa)
         for k in range(site + 1, c):
             env = _overlap_left(env, sites[k], sites[k])
-        oa = np.tensordot(env, a, axes=(1, 0))
+        oa = _absorb_left(env, a)
     elif site > c:
-        env = np.tensordot(sites[site].conj(), oa, axes=([1, 2], [1, 2]))
+        env = _close_right(sites[site], oa)
         for k in range(site - 1, c, -1):
             env = _overlap_right(env, sites[k], sites[k])
-        oa = np.tensordot(a, env, axes=(2, 1))
+        oa = _absorb_right(a, env.T)
     return complex(np.vdot(a, oa) / n2)
 
 
@@ -298,15 +334,15 @@ def expect_profile(psi: MatrixProductState, op) -> np.ndarray:
     out = np.empty(len(sites), dtype=complex)
     env = np.eye(sites[c].shape[0])  # (bra, ket) left of site k
     for k in range(c, len(sites)):
-        tmp = np.tensordot(env, sites[k], axes=(1, 0))  # (bra, s, ket')
-        out[k] = np.vdot(sites[k], np.einsum("st,ltr->lsr", ops[k], tmp))
-        env = np.tensordot(sites[k].conj(), tmp, axes=([0, 1], [0, 1]))
+        tmp = _absorb_left(env, sites[k])  # (bra, s, ket')
+        out[k] = np.vdot(sites[k], np.matmul(ops[k], tmp))
+        env = _close_left(sites[k], tmp)
     # (bra, ket) right of site c - 1
-    env = np.tensordot(sites[c].conj(), sites[c], axes=([1, 2], [1, 2]))
+    env = _close_right(sites[c], sites[c])
     for k in range(c - 1, -1, -1):
-        tmp = np.tensordot(sites[k], env, axes=(2, 1))  # (ket, s, bra')
-        out[k] = np.vdot(sites[k], np.einsum("st,ltr->lsr", ops[k], tmp))
-        env = np.tensordot(sites[k].conj(), tmp, axes=([1, 2], [1, 2]))
+        tmp = _absorb_right(sites[k], env.T)  # (ket, s, bra')
+        out[k] = np.vdot(sites[k], np.matmul(ops[k], tmp))
+        env = _close_right(sites[k], tmp)
     return out / n2
 
 
@@ -342,7 +378,7 @@ def correlator(psi: MatrixProductState, op_a, site_a: int, op_b, site_b: int) ->
     lo, hi = min(site_a, c), max(site_b, c)
     env = np.eye(sites[lo].shape[0])
     for k in range(lo, hi + 1):
-        ket = np.einsum("st,ltr->lsr", ops[k], sites[k]) if k in ops else sites[k]
+        ket = np.matmul(ops[k], sites[k]) if k in ops else sites[k]
         env = _overlap_left(env, sites[k], ket)
     return complex(np.trace(env) / n2)
 
@@ -394,5 +430,5 @@ def compress(
         u, s, vh, rep = svd_matrix(a.reshape(dl * d, dr), spec)
         total += rep.discarded_weight
         work[b] = u.reshape(dl, d, -1)
-        work[b + 1] = np.tensordot(s[:, None] * vh, work[b + 1], axes=(1, 0))
+        work[b + 1] = _absorb_left(s[:, None] * vh, work[b + 1])
     return MatrixProductState(work, center=len(work) - 1), float(total)

@@ -12,6 +12,16 @@ real imaginary-time gates, so imaginary-time cooling and purified thermal
 states of real models run in float64, while real-time gates are complex by
 construction.
 
+Cost per gate: two matrix products and one truncated SVD. The first
+product joins the two sites' matrix views, (Dl·d1, χ) times (χ, d2·Dr);
+the second applies the gate to the physical pair of every (Dl, Dr) entry
+as one batched matmul. The SVD splits the result back into two sites. A
+layer's gates act on every other bond, so between two gates the center
+moves one site: one QR (or RQ) and one product that pushes its factor into
+the neighbour. Every factorization goes through the tensor module's
+kernels, so the LAPACK SVDs and QRs set most of the time of a saturated
+quench.
+
 Thermal states use purification: each physical site of dimension d is fused
 with an ancilla into a site of dimension d*d (system index major). Evolving
 the infinite-temperature product state to beta/2 in imaginary time gives
@@ -120,13 +130,12 @@ def _gate_inplace(
     """Center must already sit at ``bond`` (or bond+1). Leaves it at bond+1,
     or at ``bond`` when ``leftward`` absorbs the singular values to the left."""
     a, b = sites[bond], sites[bond + 1]
-    dl, d1, _ = a.shape
+    dl, d1, chi = a.shape
     _, d2, dr = b.shape
     if gate.shape != (d1 * d2, d1 * d2):
         raise ValueError(f"gate must be {d1 * d2} x {d1 * d2}, got {gate.shape}")
-    theta = np.tensordot(a, b, axes=(2, 0))  # (Dl, d1, d2, Dr)
-    g4 = gate.reshape(d1, d2, d1, d2)
-    theta = np.einsum("abij,lijr->labr", g4, theta)
+    theta = (a.reshape(dl * d1, chi) @ b.reshape(chi, d2 * dr)).reshape(dl, d1 * d2, dr)
+    theta = np.matmul(gate, theta)  # the gate on the physical pair of every (Dl, Dr)
     u, s, vh, report = svd_matrix(theta.reshape(dl * d1, d2 * dr), spec)
     if leftward:
         u = u * s

@@ -110,7 +110,7 @@ def _phase_fix_columns(u: np.ndarray, other: np.ndarray) -> None:
     Modifies both arrays in place; ``u @ other`` is unchanged. The first
     of tied maxima decides, and an all-zero column keeps phase 1.
     """
-    a = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    a = u[np.abs(u).argmax(0), np.arange(u.shape[1])]
     mag = np.abs(a)
     ph = np.divide(a, mag, out=np.ones_like(a), where=mag != 0.0)
     u *= ph.conj()
@@ -124,7 +124,7 @@ def truncate_spectrum(s: np.ndarray, max_bond: int, rel_cutoff: float) -> tuple[
     Values equal (within 1e-14 relative) to the last one kept by the cutoff
     are kept as well; ``max_bond`` is a hard cap applied afterwards.
     """
-    total = float(np.real(np.vdot(s, s)))
+    total = float(np.vdot(s, s).real)
     n = s.size
     if rel_cutoff > 0.0 and s[0] > 0.0:
         k = int(np.count_nonzero(s >= rel_cutoff * s[0]))
@@ -135,18 +135,18 @@ def truncate_spectrum(s: np.ndarray, max_bond: int, rel_cutoff: float) -> tuple[
         while k < n and boundary - s[k] <= DEGENERACY_RTOL * boundary:
             k += 1
     k = max(1, min(k, max_bond))
-    if total > 0.0:
-        discarded = float(np.sum(s[k:] ** 2) / total)
-    else:
-        discarded = 0.0
-    return k, discarded
+    if k < n and total > 0.0:
+        return k, float((s[k:] ** 2).sum() / total)
+    return k, 0.0
 
 
 def svd_matrix(m: np.ndarray, spec: TruncationSpec | None = None):
     """Truncated SVD of a matrix: ``m ~ u @ diag(s) @ vh``.
 
     Returns ``(u, s, vh, report)`` with phase-fixed columns of ``u`` and the
-    spectrum truncated (and optionally renormalized) per ``spec``.
+    spectrum truncated (and optionally renormalized) per ``spec``. The
+    factors are views of LAPACK's output, so a truncated ``u`` is a
+    column slice, not a copy.
     """
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
@@ -154,14 +154,14 @@ def svd_matrix(m: np.ndarray, spec: TruncationSpec | None = None):
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but robust
-        u, s, vh = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+        u, s, vh = scipy.linalg.svd(
+            m, full_matrices=False, lapack_driver="gesvd", check_finite=False
+        )
     if spec is None:
         kept, discarded = s.size, 0.0
     else:
         kept, discarded = truncate_spectrum(s, spec.max_bond, spec.rel_cutoff)
-    u = np.ascontiguousarray(u[:, :kept])
-    vh = np.ascontiguousarray(vh[:kept, :])
-    s = s[:kept].copy()
+    u, s, vh = u[:, :kept], s[:kept], vh[:kept]
     _phase_fix_columns(u, vh)
     if spec is not None and spec.norm_policy == "renormalize" and discarded > 0.0:
         s *= 1.0 / np.sqrt(1.0 - discarded)
@@ -172,8 +172,7 @@ def qr_matrix(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR with phase-fixed columns of Q."""
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
-    q, r = np.linalg.qr(m, mode="reduced")
-    q = np.ascontiguousarray(q)
+    q, r = np.linalg.qr(m)
     _phase_fix_columns(q, r)
     return q, r
 

@@ -331,6 +331,62 @@ class TestFailureModes:
         assert json.loads((out / "error.json").read_text())["error"]["kind"] == "numerical"
         assert not (out / "results.jsonl").exists()
 
+    def test_failed_run_of_a_scan_is_named(self, tmp_path, monkeypatch, capsys):
+        def second_fails(run, checkpoint, warm=None):
+            if run.index == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return {"energy": 0.0, "n_sweeps": 1}, 0.0
+
+        monkeypatch.setattr(cli, "_execute_run", second_fails)
+        out = tmp_path / "out"
+        cfg = _dmrg_cfg(scan={"model.h": [0.5, 1.0, 1.5]})
+        code = main(["dmrg", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "numerical"
+        assert err["run"] == 1 and err["scan"] == {"model.h": 1.0}
+        assert "in run 1" in capsys.readouterr().err
+        assert not (out / "results.jsonl").exists()
+
+    def test_broken_pool_names_the_earliest_run_without_a_result(self, tmp_path, monkeypatch):
+        # a stand-in for the process pool: it yields run 0's result, then
+        # reports the pool broken, as it does for every pending run once a
+        # worker dies; no process is started
+        class BrokenAfterFirst:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, runs, checkpoints):
+                yield {"energy": 0.0, "n_sweeps": 1}, 0.0
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", BrokenAfterFirst)
+        out = tmp_path / "out"
+        cfg = _dmrg_cfg(scan={"model.h": [0.5, 1.0, 1.5]})
+        code = main(
+            ["dmrg", "--config", _write_cfg(tmp_path, cfg), "--out", str(out), "--threads", "2"]
+        )
+        assert code == EXIT_NUMERICAL
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "numerical" and "worker died" in err["message"]
+        assert err["run"] == 1 and err["scan"] == {"model.h": 1.0}
+
+    def test_failure_before_any_run_names_no_run(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _dmrg_cfg(scan={"model.h": [0.5, 1.0]})
+        code = main(
+            ["dmrg", "--config", _write_cfg(tmp_path, cfg), "--out", str(out), "--threads", "0"]
+        )
+        assert code == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["field"] == "--threads" and "run" not in err and "scan" not in err
+
     @pytest.mark.parametrize(
         "cfg",
         [

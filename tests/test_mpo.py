@@ -200,6 +200,39 @@ def test_variational_apply_matches_pinned_fit():
     assert abs(inner(psi, out) - (-0.3809627155052062 - 0.014435456429434085j)) < 1e-12
 
 
+def _count_absorbs(monkeypatch):
+    import tnkit.mpo as mpo_module
+
+    calls = []
+    for name in ("_absorb_left", "_absorb_right"):
+        real = getattr(mpo_module, name)
+        monkeypatch.setattr(
+            mpo_module, name, lambda *args, real=real: calls.append(1) or real(*args)
+        )
+    return calls
+
+
+def test_variational_sweep_skips_the_factor_it_overwrites(monkeypatch):
+    # the fit replaces each site unread, so the sweep never contracts the
+    # QR/RQ factor into it
+    calls = _count_absorbs(monkeypatch)
+    op = build_mpo(transverse_field_ising(7, h=0.7))
+    psi = random_mps([2] * 7, max_bond=5, rng=3)
+    _, _, trace = apply_mpo_variational(op, psi, TruncationSpec(max_bond=4))
+    assert len(trace.residuals) > 1
+    assert calls == []
+
+
+def test_dmrg_sweep_seeds_every_solve_with_the_pushed_factor(monkeypatch):
+    from tnkit.dmrg import DmrgConfig, ground_state
+
+    calls = _count_absorbs(monkeypatch)
+    n = 6
+    _, _, trace = ground_state(build_mpo(transverse_field_ising(n, h=0.9)), DmrgConfig(max_bond=4))
+    # one absorbed factor per local solve but the first of each sweep
+    assert len(calls) == trace.n_sweeps * 2 * (n - 1)
+
+
 def test_variational_apply_rejects_zero_target():
     psi = random_mps([2] * 3, max_bond=2, rng=1)
     zero = MatrixProductOperator(

@@ -5,6 +5,8 @@ import pytest
 
 from tnkit.mps import (
     MatrixProductState,
+    _orth_left_step,
+    _orth_right_step,
     canonical_residual,
     canonicalize,
     compress,
@@ -102,6 +104,34 @@ def test_random_mps_profile_and_norm():
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_orth_steps_keep_the_state_and_leave_isometries(dtype):
+    rng = np.random.default_rng(21)
+    # unequal bond extents on both sides of every moved site
+    shapes = [(1, 2, 3), (3, 3, 5), (5, 2, 4), (4, 3, 2), (2, 2, 1)]
+
+    def draw(shape):
+        a = rng.normal(size=shape)
+        return a + 1j * rng.normal(size=shape) if dtype is complex else a
+
+    sites = [draw(sh) for sh in shapes]
+    want = to_dense(MatrixProductState(sites))
+    for k in range(2):
+        _orth_left_step(sites, k)
+        dl, d, dr = sites[k].shape
+        m = sites[k].reshape(dl * d, dr)
+        np.testing.assert_allclose(m.conj().T @ m, np.eye(dr), rtol=0, atol=1e-13)
+    for k in range(4, 2, -1):
+        _orth_right_step(sites, k)
+        dl, d, dr = sites[k].shape
+        m = sites[k].reshape(dl, d * dr)
+        np.testing.assert_allclose(m @ m.conj().T, np.eye(dl), rtol=0, atol=1e-13)
+    got = to_dense(MatrixProductState(sites))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.linalg.norm(want))
+    assert all(a.dtype == np.dtype(dtype) for a in sites)
+    assert canonical_residual(MatrixProductState(sites, center=2)) < 1e-13
 
 
 def test_canonicalize_every_center_preserves_state():

@@ -13,11 +13,14 @@ from tnkit.mps import (
     expect_local,
     norm,
     product_state,
+    random_mps,
     to_dense,
 )
 from tnkit.oracle import dense_evolve, dense_gibbs, dense_hamiltonian, ed_ground
 from tnkit.tebd import (
     TebdConfig,
+    TrotterGate,
+    TrotterScheme,
     _gate_inplace,
     apply_gate,
     build_trotter,
@@ -38,6 +41,93 @@ DOWN = np.array([0.0, 1.0])
 
 def neel(n):
     return product_state([UP if k % 2 == 0 else DOWN for k in range(n)])
+
+
+def _dense_gate(dims, bond, gate):
+    """A two-site gate on (bond, bond+1) embedded in the full Hilbert space."""
+    left = int(np.prod(dims[:bond]))
+    right = int(np.prod(dims[bond + 2 :]))
+    return np.kron(np.kron(np.eye(left), gate), np.eye(right))
+
+
+def _random_unitary(n, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def _positive_gate(n, rng):
+    """A real symmetric positive gate, like exp(-tau h) of a real bond term."""
+    h = rng.normal(size=(n, n))
+    w, v = np.linalg.eigh(h + h.T)
+    return (v * np.exp(-0.3 * w)) @ v.T
+
+
+def _gate_sweep_cases():
+    rng = np.random.default_rng(7)
+    unitary = [_random_unitary(4, rng) for _ in range(5)]
+    positive = [_positive_gate(4, rng) for _ in range(5)]
+    lifted = [lift_gate(_random_unitary(4, rng), 2) for _ in range(3)]
+    return {
+        # bonds (2, 4, 8, 4, 2): every inner gate meets unequal left and
+        # right extents
+        "complex": (random_mps([2] * 6, 8, 3), unitary, False),
+        "real-imaginary-time": (random_mps([2] * 6, 8, 4, dtype=float), positive, True),
+        "lifted-d4": (random_mps([4] * 4, 16, 5), lifted, False),
+    }
+
+
+@pytest.mark.parametrize("case", ["complex", "real-imaginary-time", "lifted-d4"])
+def test_gate_kernel_sweeps_both_ways_like_the_dense_embedding(monkeypatch, case):
+    import tnkit.tebd as tebd_module
+
+    psi, gates, imag = _gate_sweep_cases()[case]
+    n = psi.n_sites
+    dims = psi.phys_dims
+    even = tuple(TrotterGate(b, gates[b]) for b in range(0, n - 1, 2))
+    odd = tuple(TrotterGate(b, gates[b]) for b in range(1, n - 1, 2))
+    scheme = TrotterScheme(layers=(even, odd), dt=0.1, order=1, imag=imag)
+    seen = []
+
+    def recording(sites, bond, gate, spec, leftward=False):
+        a, b = sites[bond], sites[bond + 1]
+        seen.append((leftward, a.shape[0], b.shape[2]))
+        return _gate_inplace(sites, bond, gate, spec, leftward)
+
+    monkeypatch.setattr(tebd_module, "_gate_inplace", recording)
+    out, trace = evolve_gates(psi, scheme, 1, max_bond=64)
+    # the first layer runs rightward from site 0, the second leftward back
+    assert [lw for lw, _, _ in seen] == [False] * len(even) + [True] * len(odd)
+    assert any(dl != dr for _, dl, dr in seen)
+    assert trace.discarded == (0.0,)
+    want = to_dense(psi)
+    for layer in (even, odd):
+        for g in layer:
+            want = _dense_gate(dims, g.bond, g.matrix) @ want
+    got = to_dense(out) * np.exp(sum(trace.log_norms))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
+    assert canonical_residual(out) < 1e-12
+    if case == "real-imaginary-time":
+        assert all(a.dtype == np.float64 for a in out.sites)
+
+
+def test_truncating_gate_discards_the_dense_schmidt_tail():
+    psi = random_mps([2] * 6, 8, 11)
+    rng = np.random.default_rng(12)
+    gate = _random_unitary(4, rng)
+    bond, keep = 2, 3
+    out, report = apply_gate(psi, bond, gate, TruncationSpec(max_bond=keep))
+    # Schmidt values of the gated state across the cut after site ``bond``
+    full = _dense_gate(psi.phys_dims, bond, gate) @ to_dense(psi)
+    m = full.reshape(2 ** (bond + 1), -1)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    tail = float(np.sum(s[keep:] ** 2) / np.sum(s**2))
+    assert tail > 1e-3
+    assert report.kept == keep
+    assert report.discarded_weight == pytest.approx(tail, rel=0, abs=1e-12)
+    # the truncated state is the best rank-``keep`` approximation
+    best = (u[:, :keep] * s[:keep]) @ vh[:keep]
+    np.testing.assert_allclose(to_dense(out), best.reshape(-1), rtol=0, atol=1e-12)
+    assert out.bond_dims[bond] == keep
 
 
 def test_build_trotter_structure():
