@@ -93,7 +93,7 @@ def _pyify(value):
 
 
 # ---------------------------------------------------------------------------
-# per-subcommand runners
+# per-subcommand runners: each returns its record and final state (or None)
 # ---------------------------------------------------------------------------
 
 
@@ -116,7 +116,7 @@ def _initial_state(kind: str, spec, seed: int, real: bool):
     return product_state(vecs)
 
 
-def _run_dmrg(s: DmrgSettings, checkpoint: str | None, warm) -> dict:
+def _run_dmrg(s: DmrgSettings, warm):
     op = build_mpo(s.model)
     energy, psi, trace = ground_state(op, s, psi0=warm)
     if not trace.converged:
@@ -132,7 +132,7 @@ def _run_dmrg(s: DmrgSettings, checkpoint: str | None, warm) -> dict:
     }
     states, energies = [psi], [energy]
     for k in range(s.n_excited):
-        ek, pk, tk = excited_state(op, s, states, penalty_weight=s.penalty_weight)
+        ek, pk, tk = excited_state(op, s, states)
         if not tk.converged:
             raise NonConvergenceError(f"excited level {k + 1} did not converge")
         states.append(pk)
@@ -146,12 +146,10 @@ def _run_dmrg(s: DmrgSettings, checkpoint: str | None, warm) -> dict:
         obs[name] = expect_profile(psi, PAULI[name]).real.tolist()
     if obs:
         record["observables"] = obs
-    if checkpoint:
-        checkpoint_write(psi, checkpoint)
-    return record
+    return record, psi
 
 
-def _run_tebd(s: TebdSettings, checkpoint: str | None, warm) -> dict:
+def _run_tebd(s: TebdSettings, warm):
     # imaginary-time gates of real bond terms are real, so a random start
     # needs no imaginary part
     real = s.imag and all(np.isrealobj(term) for term in bond_terms(s.model))
@@ -178,15 +176,11 @@ def _run_tebd(s: TebdSettings, checkpoint: str | None, warm) -> dict:
     }
     if s.imag:
         record["log_norms"] = list(trace.log_norms)
-    if checkpoint:
-        checkpoint_write(psi, checkpoint)
-    return record
+    return record, psi
 
 
-def _run_thermal(s: ThermalSettings, checkpoint: str | None, warm) -> dict:
-    psi, ln_z, trace = thermal_state(
-        s.model, s.beta, s.dt, s.max_bond, order=s.order, rel_cutoff=s.rel_cutoff
-    )
+def _run_thermal(s: ThermalSettings, warm):
+    psi, ln_z, trace = thermal_state(s.model, s)
     energy = expect_mpo(psi, lift_mpo(build_mpo(s.model))).real
     record = {
         "beta": s.beta,
@@ -202,18 +196,14 @@ def _run_thermal(s: ThermalSettings, checkpoint: str | None, warm) -> dict:
         obs[name] = expect_profile(psi, lift_site_operator(PAULI[name], d)).real.tolist()
     if obs:
         record["observables"] = obs
-    if checkpoint:
-        checkpoint_write(psi, checkpoint)
-    return record
+    return record, psi
 
 
-def _run_trg(s: TrgSettings, checkpoint: str | None, warm) -> dict:
+def _run_trg(s: TrgSettings, warm):
     # imported here: only the trg and oracle runners need the oracle
     from .oracle import onsager_f
 
-    f, trace = coarse_grain(
-        s.model, method=s.method, max_bond=s.max_bond, n_iters=s.n_iters, rel_cutoff=s.rel_cutoff
-    )
+    f, trace = coarse_grain(s.model, s)
     f_exact = onsager_f(s.model.beta, s.model.J)
     return {
         "beta": s.model.beta,
@@ -226,10 +216,10 @@ def _run_trg(s: TrgSettings, checkpoint: str | None, warm) -> dict:
         "free_energies": list(trace.free_energies),
         "bond_dims": list(trace.bond_dims),
         "discarded": list(trace.discarded),
-    }
+    }, None
 
 
-def _run_oracle(s: OracleSettings, checkpoint: str | None, warm) -> dict:
+def _run_oracle(s: OracleSettings, warm):
     from .oracle import (
         dense_gibbs,
         dense_hamiltonian,
@@ -243,10 +233,10 @@ def _run_oracle(s: OracleSettings, checkpoint: str | None, warm) -> dict:
     task = s.task
     if task == "ed_ground":
         e, _ = ed_ground(dense_hamiltonian(s.model))
-        return {"task": task, "energy": e}
+        return {"task": task, "energy": e}, None
     if task == "ed_spectrum":
         levels, _ = ed_spectrum(dense_hamiltonian(s.model), s.k)
-        return {"task": task, "energies": list(levels)}
+        return {"task": task, "energies": list(levels)}, None
     if task == "gibbs":
         g = dense_gibbs(dense_hamiltonian(s.model), s.beta, site_op=PAULI[s.site_op])
         return {
@@ -255,14 +245,14 @@ def _run_oracle(s: OracleSettings, checkpoint: str | None, warm) -> dict:
             "energy": g.energy,
             "ln_z": g.ln_z,
             "local": list(g.local),
-        }
+        }, None
     if task == "onsager":
-        return {"task": task, "beta": s.beta, "f": onsager_f(s.beta, s.J)}
+        return {"task": task, "beta": s.beta, "f": onsager_f(s.beta, s.J)}, None
     if task == "brute_force":
         z = ising_brute_force(s.length, s.beta, s.J)
-        return {"task": task, "length": s.length, "beta": s.beta, "ln_z": float(np.log(z))}
+        return {"task": task, "length": s.length, "beta": s.beta, "ln_z": float(np.log(z))}, None
     f = ising_transfer_matrix(s.width, s.beta, s.J)
-    return {"task": task, "width": s.width, "beta": s.beta, "f": f}
+    return {"task": task, "width": s.width, "beta": s.beta, "f": f}, None
 
 
 _RUNNERS = {
@@ -276,10 +266,13 @@ _RUNNERS = {
 
 def _execute_run(run: RunSpec, checkpoint: str | None, warm=None) -> tuple[dict, float]:
     t0 = time.perf_counter()
-    record = _pyify(_RUNNERS[run.subcommand](run.settings, checkpoint, warm))
+    record, state = _RUNNERS[run.subcommand](run.settings, warm)
+    record = _pyify(record)
     where = _non_finite_path(record, "result")
     if where is not None:
         raise RuntimeError(f"non-finite value in {where}")
+    if checkpoint:  # only a run that passed the check replaces the file
+        checkpoint_write(state, checkpoint)
     return record, time.perf_counter() - t0
 
 

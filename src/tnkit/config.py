@@ -8,8 +8,10 @@ the cross product of the listed values, ordered by sorted path name then
 list position, which fixes the run indexing.
 
 Each resolved run is parsed once into the frozen settings dataclass of its
-subcommand. The dataclass fields are the accepted keys, their defaults are
-the config defaults, and their ``__post_init__`` rules (with those of
+subcommand, which extends the config class of its algorithm (``DmrgConfig``,
+``TebdConfig``, ``ThermalConfig``, ``CoarseGrainConfig``) by the run-level
+fields. The dataclass fields are the accepted keys, their defaults are the
+config defaults, and their ``__post_init__`` rules (with those of
 ``TruncationSpec`` and the model specs) are the range checks. Errors carry
 the dotted path of the offending field.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmrg import DmrgConfig, check_penalty_weight
+from .dmrg import DmrgConfig
 from .models import (
     PAULI,
     ClassicalModelSpec,
@@ -39,9 +41,9 @@ from .models import (
     check_spectrum,
     check_transfer_matrix,
 )
-from .tebd import TebdConfig, check_thermal
-from .tensor import ConfigError, TruncationSpec
-from .trg import check_flow
+from .tebd import TebdConfig, ThermalConfig
+from .tensor import ConfigError
+from .trg import CoarseGrainConfig
 
 
 def _non_finite_path(value, path: str) -> str | None:
@@ -177,13 +179,9 @@ def pauli_by_name(name: str, field: str) -> np.ndarray:
 
 @dataclass(frozen=True, kw_only=True)
 class _RunSettings:
-    """The ``seed`` every run requires; ``settings[key]`` reads the run's
-    resolved JSON value of ``key``, as the config gave it after scans."""
+    """The ``seed`` every run requires."""
 
     seed: int
-
-    def __getitem__(self, key):
-        return self._json[key]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -192,14 +190,12 @@ class DmrgSettings(_RunSettings, DmrgConfig):
 
     model: HamiltonianSpec
     n_excited: int = 0
-    penalty_weight: float = 10.0
     observables: tuple[str, ...] = ()
 
     def __post_init__(self):
         super().__post_init__()
         if self.n_excited < 0:
             raise ConfigError("n_excited must be >= 0", field="n_excited")
-        check_penalty_weight(self.penalty_weight)
         for i, name in enumerate(self.observables):
             pauli_by_name(name, f"observables[{i}]")
 
@@ -235,37 +231,23 @@ class TebdSettings(_RunSettings, TebdConfig):
 
 
 @dataclass(frozen=True, kw_only=True)
-class ThermalSettings(_RunSettings):
+class ThermalSettings(_RunSettings, ThermalConfig):
     """Purified Gibbs state of a chain model."""
 
     model: HamiltonianSpec
-    beta: float
-    dt: float
-    max_bond: int
-    order: int = 2
-    rel_cutoff: float = 0.0
     observables: tuple[str, ...] = ()
 
     def __post_init__(self):
-        check_thermal(self.beta, self.dt, self.order)
-        TruncationSpec(self.max_bond, self.rel_cutoff)
+        super().__post_init__()
         for i, name in enumerate(self.observables):
             pauli_by_name(name, f"observables[{i}]")
 
 
 @dataclass(frozen=True, kw_only=True)
-class TrgSettings(_RunSettings):
+class TrgSettings(_RunSettings, CoarseGrainConfig):
     """Free energy of the 2D Ising model by coarse graining."""
 
     model: ClassicalModelSpec
-    max_bond: int
-    n_iters: int
-    method: str = "trg"
-    rel_cutoff: float = 0.0
-
-    def __post_init__(self):
-        check_flow(self.method, self.n_iters)
-        TruncationSpec(self.max_bond, self.rel_cutoff)
 
 
 # the fields each oracle task needs besides ``J`` and ``site_op``
@@ -395,6 +377,5 @@ def resolve_runs(subcommand: str, cfg: dict) -> list[RunSpec]:
             _assign_dotted(settings, path, value)
             values[path] = value
         typed = _typed(SETTINGS[subcommand], settings)
-        object.__setattr__(typed, "_json", settings)
         runs.append(RunSpec(index=index, subcommand=subcommand, settings=typed, scan_values=values))
     return runs

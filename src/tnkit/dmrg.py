@@ -63,6 +63,7 @@ class DmrgConfig:
     lanczos_tol: float = 1e-12
     noise: float = 0.0
     seed: int = 0
+    penalty_weight: float = 10.0
 
     def __post_init__(self):
         TruncationSpec(self.max_bond)
@@ -72,12 +73,8 @@ class DmrgConfig:
         for name in ("tol", "lanczos_tol", "noise"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative", field=name)
-
-
-def check_penalty_weight(penalty_weight: float) -> None:
-    """The rule on the penalty of excited-state searches."""
-    if not penalty_weight > 0.0:
-        raise ConfigError("penalty_weight must be positive", field="penalty_weight")
+        if not self.penalty_weight > 0.0:
+            raise ConfigError("penalty_weight must be positive", field="penalty_weight")
 
 
 @dataclass(frozen=True)
@@ -264,8 +261,8 @@ def _prepare_initial(op, config, psi0):
     return canonicalize(psi0, 0)
 
 
-def _sweep(op, config, psi, lowers, weight):
-    ws = _Workspace(op, list(psi.sites), lowers, weight)
+def _sweep(op, config, psi, lowers):
+    ws = _Workspace(op, list(psi.sites), lowers, config.penalty_weight)
     rng = np.random.default_rng(config.seed + 1)
     update_energies: list[float] = []
     sweep_energies: list[float] = []
@@ -319,7 +316,7 @@ def ground_state(
     Returns (energy, normalized state with center at site 0, trace).
     """
     psi = _prepare_initial(op, config, psi0)
-    out, trace = _sweep(op, config, psi, [], 0.0)
+    out, trace = _sweep(op, config, psi, [])
     return trace.sweep_energies[-1], out, trace
 
 
@@ -327,21 +324,19 @@ def excited_state(
     op: MatrixProductOperator,
     config: DmrgConfig,
     below: list[MatrixProductState],
-    penalty_weight: float,
     psi0: MatrixProductState | None = None,
 ) -> tuple[float, MatrixProductState, DmrgTrace]:
     """Lowest eigenstate orthogonal to the given states, found by penalizing
-    their projectors with ``penalty_weight`` (choose it larger than the
-    target gap). The returned energy is <psi|H|psi>; the trace records the
-    penalized Ritz values."""
+    their projectors with ``config.penalty_weight`` (choose it larger than
+    the target gap). The returned energy is <psi|H|psi>; the trace records
+    the penalized Ritz values."""
     if not below:
         return ground_state(op, config, psi0)
-    check_penalty_weight(penalty_weight)
     for c in below:
         if c.n_sites != op.n_sites:
             raise ValueError("penalized state lives on a different lattice")
     psi = _prepare_initial(op, config, psi0)
-    out, trace = _sweep(op, config, psi, list(below), penalty_weight)
+    out, trace = _sweep(op, config, psi, list(below))
     overlaps = tuple(float(abs(inner(c, out))) for c in below)
     energy = float(expect_mpo(out, op).real)
     return energy, out, replace(trace, final_overlaps=overlaps)

@@ -26,6 +26,11 @@ Thermal states use purification: each physical site of dimension d is fused
 with an ancilla into a site of dimension d*d (system index major). Evolving
 the infinite-temperature product state to beta/2 in imaginary time gives
 ln Z = N ln d + 2 * sum(log_norms).
+
+``TebdConfig`` and ``ThermalConfig`` hold the defaults and rules of an
+evolution and of a thermal state (the tebd and thermal settings of the
+command line extend them); ``build_trotter`` and ``evolve_gates`` take every
+setting explicitly.
 """
 
 from __future__ import annotations
@@ -72,16 +77,7 @@ def check_step(dt: float, order: int) -> None:
         raise ConfigError(f"order must be 1 or 2, got {order}", field="order")
 
 
-def check_thermal(beta: float, dt: float, order: int) -> None:
-    """The rules on the inputs of a purified thermal state."""
-    if not beta >= 0.0:
-        raise ConfigError(f"beta must be nonnegative, got {beta}", field="beta")
-    check_step(dt, order)
-
-
-def build_trotter(
-    spec: HamiltonianSpec, dt: float, order: int = 2, imag: bool = False
-) -> TrotterScheme:
+def build_trotter(spec: HamiltonianSpec, dt: float, order: int, imag: bool) -> TrotterScheme:
     """Gate layers for one step of size dt. Real-time gates are verified
     unitary to 1e-12 before the scheme is returned."""
     check_step(dt, order)
@@ -182,9 +178,10 @@ def evolve_gates(
     psi: MatrixProductState,
     scheme: TrotterScheme,
     n_steps: int,
+    *,
     max_bond: int,
-    rel_cutoff: float = 0.0,
-    abort_threshold: float = 1e-3,
+    rel_cutoff: float,
+    abort_threshold: float,
     observables: Mapping[str, Callable[[MatrixProductState], object]] | None = None,
 ) -> tuple[MatrixProductState, EvolutionTrace]:
     """Repeat a Trotter step, truncating after every gate.
@@ -214,9 +211,10 @@ def evolve_gates(
     aborted = False
 
     def measure():
-        snap = MatrixProductState(sites, center=center)
-        for name, fn in observables.items():
-            series[name].append(fn(snap))
+        if observables:  # a snapshot copies every site
+            snap = MatrixProductState(sites, center=center)
+            for name, fn in observables.items():
+                series[name].append(fn(snap))
 
     measure()
     for step in range(n_steps):
@@ -271,10 +269,10 @@ def evolve(
         psi,
         scheme,
         config.n_steps,
-        config.max_bond,
-        config.rel_cutoff,
-        config.abort_threshold,
-        observables,
+        max_bond=config.max_bond,
+        rel_cutoff=config.rel_cutoff,
+        abort_threshold=config.abort_threshold,
+        observables=observables,
     )
 
 
@@ -309,7 +307,7 @@ def imaginary_time_ground_state(
     for dt, steps in schedule:
         scheme = build_trotter(spec, dt, order=2, imag=True)
         psi, _ = evolve_gates(
-            psi, scheme, steps, max_bond, rel_cutoff, abort_threshold=np.inf
+            psi, scheme, steps, max_bond=max_bond, rel_cutoff=rel_cutoff, abort_threshold=np.inf
         )
     return psi
 
@@ -360,35 +358,52 @@ def infinite_temperature_state(n_sites: int, d: int) -> MatrixProductState:
     return product_state([v] * n_sites)
 
 
+@dataclass(frozen=True)
+class ThermalConfig:
+    """A purified Gibbs state at inverse temperature ``beta``, reached by
+    imaginary-time steps of about ``dt`` and truncated to ``max_bond``."""
+
+    beta: float
+    dt: float
+    max_bond: int
+    order: int = 2
+    rel_cutoff: float = 0.0
+
+    def __post_init__(self):
+        if not self.beta >= 0.0:
+            raise ConfigError(f"beta must be nonnegative, got {self.beta}", field="beta")
+        check_step(self.dt, self.order)
+        TruncationSpec(self.max_bond, self.rel_cutoff)
+
+
 def thermal_state(
-    spec: HamiltonianSpec,
-    beta: float,
-    dt: float,
-    max_bond: int,
-    order: int = 2,
-    rel_cutoff: float = 0.0,
+    spec: HamiltonianSpec, config: ThermalConfig
 ) -> tuple[MatrixProductState, float, EvolutionTrace]:
     """Purified Gibbs state at inverse temperature beta, plus ln Z.
 
     The step count is beta / (2 dt) rounded to the nearest integer (at
     least one), with dt adjusted to land on beta/2 exactly.
     """
-    check_thermal(beta, dt, order)
     n, d = spec.n_sites, spec.phys_dim
     psi = infinite_temperature_state(n, d)
-    if beta == 0.0:
+    if config.beta == 0.0:
         trace = EvolutionTrace((0.0,), {}, (), (), False)
         return psi, n * np.log(d), trace
-    n_steps = max(1, round(beta / 2.0 / dt))
-    dt_eff = beta / 2.0 / n_steps
-    base = build_trotter(spec, dt_eff, order=order, imag=True)
+    n_steps = max(1, round(config.beta / 2.0 / config.dt))
+    dt_eff = config.beta / 2.0 / n_steps
+    base = build_trotter(spec, dt_eff, config.order, imag=True)
     layers = tuple(
         tuple(TrotterGate(bond=g.bond, matrix=lift_gate(g.matrix, d)) for g in layer)
         for layer in base.layers
     )
-    scheme = TrotterScheme(layers=layers, dt=dt_eff, order=order, imag=True)
+    scheme = TrotterScheme(layers=layers, dt=dt_eff, order=config.order, imag=True)
     psi, trace = evolve_gates(
-        psi, scheme, n_steps, max_bond, rel_cutoff, abort_threshold=np.inf
+        psi,
+        scheme,
+        n_steps,
+        max_bond=config.max_bond,
+        rel_cutoff=config.rel_cutoff,
+        abort_threshold=np.inf,
     )
     ln_z = n * np.log(d) + 2.0 * float(np.sum(trace.log_norms))
     return psi, ln_z, trace

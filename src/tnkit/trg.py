@@ -81,7 +81,10 @@ full-SVD flow by up to ~2e-9 relative at intermediate steps, ~1e-14 after
 
 Each step pulls out the max-norm of the coarse tensor; the running
 per-site log normalization plus the one-tensor torus closure give the free
-energy density."""
+energy density.
+
+``CoarseGrainConfig`` holds a flow's settings, their defaults and rules;
+the trg settings of the command line extend it."""
 
 from __future__ import annotations
 
@@ -500,12 +503,22 @@ def hotrg_step(
     return _rescaled(new, even, state), err
 
 
-def check_flow(method: str, n_iters: int) -> None:
-    """The rules on the scheme and length of a coarse-graining flow."""
-    if method not in ("trg", "hotrg"):
-        raise ConfigError(f"method must be 'trg' or 'hotrg', got {method!r}", field="method")
-    if n_iters < 1:
-        raise ConfigError(f"n_iters must be >= 1, got {n_iters}", field="n_iters")
+@dataclass(frozen=True)
+class CoarseGrainConfig:
+    """A flow of ``n_iters`` steps of the plaquette (``trg``) or merging
+    (``hotrg``) scheme, truncated to ``max_bond``."""
+
+    max_bond: int
+    n_iters: int
+    method: str = "trg"
+    rel_cutoff: float = 0.0
+
+    def __post_init__(self):
+        if self.method not in ("trg", "hotrg"):
+            raise ConfigError(f"method must be 'trg' or 'hotrg', got {self.method!r}", "method")
+        if self.n_iters < 1:
+            raise ConfigError(f"n_iters must be >= 1, got {self.n_iters}", field="n_iters")
+        TruncationSpec(self.max_bond, self.rel_cutoff)
 
 
 @dataclass(frozen=True)
@@ -520,24 +533,18 @@ class CoarseGrainTrace:
 
 
 def coarse_grain(
-    model: ClassicalModelSpec,
-    method: str = "trg",
-    *,
-    max_bond: int,
-    n_iters: int,
-    rel_cutoff: float = 0.0,
+    model: ClassicalModelSpec, config: CoarseGrainConfig
 ) -> tuple[float, CoarseGrainTrace]:
     """Free energy per site of the infinite lattice, approached by iterated
     coarse graining. The merging scheme alternates directions starting
     vertically."""
-    check_flow(method, n_iters)
-    spec = TruncationSpec(max_bond=max_bond, rel_cutoff=rel_cutoff)
+    spec = TruncationSpec(max_bond=config.max_bond, rel_cutoff=config.rel_cutoff)
     state = initial_state(model)
     fs: list[float] = []
     dims: list[int] = []
     weights: list[float] = []
-    for i in range(n_iters):
-        if method == "trg":
+    for i in range(config.n_iters):
+        if config.method == "trg":
             state, err = trg_step(state, spec)
         else:
             state, err = hotrg_step(state, spec, "v" if i % 2 == 0 else "h")
@@ -548,6 +555,6 @@ def coarse_grain(
         free_energies=tuple(fs),
         bond_dims=tuple(dims),
         discarded=tuple(weights),
-        method=method,
+        method=config.method,
     )
     return fs[-1], trace

@@ -49,6 +49,7 @@ from tnkit.oracle import (
 )
 from tnkit.tebd import (
     TebdConfig,
+    ThermalConfig,
     build_trotter,
     evolve,
     imaginary_time_ground_state,
@@ -57,7 +58,14 @@ from tnkit.tebd import (
     thermal_state,
 )
 from tnkit.tensor import TruncationSpec
-from tnkit.trg import coarse_grain, hotrg_step, initial_state, torus_trace, trg_step
+from tnkit.trg import (
+    CoarseGrainConfig,
+    coarse_grain,
+    hotrg_step,
+    initial_state,
+    torus_trace,
+    trg_step,
+)
 
 BETA_C = 0.5 * np.log(1.0 + np.sqrt(2.0))
 
@@ -167,7 +175,7 @@ def test_criterion_04_entropy_never_exceeds_bond_capacity():
         transverse_field_ising(6, h=1.0), 8, schedule=((0.1, 80), (0.02, 60))
     )
     PRODUCED.append(cooled)
-    purified, _, _ = thermal_state(transverse_field_ising(4, h=1.0), 1.0, 0.05, 8)
+    purified, _, _ = thermal_state(transverse_field_ising(4, h=1.0), ThermalConfig(1.0, 0.05, 8))
     PRODUCED.append(purified)
 
     worst, cuts = -np.inf, 0
@@ -235,13 +243,13 @@ def test_criterion_07_thermal_states_match_dense_gibbs():
     lifted_h = lift_mpo(build_mpo(spec))
     worst = 0.0
     for beta in (0.5, 1.0, 2.0):
-        psi, _, _ = thermal_state(spec, beta, 0.005, 32)
+        psi, _, _ = thermal_state(spec, ThermalConfig(beta, 0.005, 32))
         _collect(psi)
         energy = expect_mpo(psi, lifted_h).real
         ref = dense_gibbs(dh, beta).energy
         worst = max(worst, abs(energy - ref) / abs(ref))
 
-    psi0, ln_z0, _ = thermal_state(spec, 0.0, 0.005, 32)
+    psi0, ln_z0, _ = thermal_state(spec, ThermalConfig(0.0, 0.005, 32))
     mixed = 0.0
     for op in (SZ, SX):
         lifted = lift_site_operator(op, 2)
@@ -285,13 +293,13 @@ def test_criterion_09_coarse_graining_reproduces_onsager():
         for beta, tol in ((BETA_C, 1e-5), (0.2, 1e-7)):
             model = ClassicalModelSpec(beta=beta)
             t0 = time.perf_counter()
-            f, _ = coarse_grain(model, method=method, max_bond=32, n_iters=25)
+            f, _ = coarse_grain(model, CoarseGrainConfig(32, 25, method))
             wall = time.perf_counter() - t0
             rel = abs(f - onsager_f(beta)) / abs(onsager_f(beta))
             ok = ok and rel < tol and wall < 120.0
             details.append(f"{method}@{beta:.3f}: {rel:.1e}<{tol:.0e} {wall:.0f}s")
-    f_a, _ = coarse_grain(ClassicalModelSpec(beta=0.35), method="trg", max_bond=16, n_iters=25)
-    f_b, _ = coarse_grain(ClassicalModelSpec(beta=0.35), method="hotrg", max_bond=16, n_iters=25)
+    f_a, _ = coarse_grain(ClassicalModelSpec(beta=0.35), CoarseGrainConfig(16, 25, "trg"))
+    f_b, _ = coarse_grain(ClassicalModelSpec(beta=0.35), CoarseGrainConfig(16, 25, "hotrg"))
     cross = abs(f_a - f_b) / abs(f_a)
     ok = ok and cross < 1e-6
     details.append(f"cross {cross:.1e}<1e-6")
@@ -317,7 +325,7 @@ def test_criterion_10_truncating_operations_are_exact_at_full_rank():
     ok = ok and rel <= 1e-10
 
     xxz = heisenberg_xxz(4, J=1.0, delta=0.6)
-    scheme = build_trotter(xxz, 0.05, order=2)
+    scheme = build_trotter(xxz, 0.05, order=2, imag=False)
     out, _ = evolve(_neel(4), xxz, TebdConfig(dt=0.05, n_steps=3, max_bond=16))
     v = to_dense(_neel(4))
     for _ in range(3):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -22,10 +23,13 @@ from tnkit.cli import (
     run,
 )
 from tnkit.dmrg import DmrgConfig, excited_state, ground_state
-from tnkit.models import PAULI, transverse_field_ising
-from tnkit.mpo import build_mpo
+from tnkit.models import PAULI, ClassicalModelSpec, transverse_field_ising
+from tnkit.mpo import build_mpo, expect_mpo
 from tnkit.mps import expect_local, random_mps, to_dense
 from tnkit.oracle import dense_gibbs, dense_hamiltonian, ed_ground
+from tnkit.tebd import ThermalConfig, lift_mpo, thermal_state
+from tnkit.tensor import ConfigError
+from tnkit.trg import CoarseGrainConfig, coarse_grain
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -37,6 +41,17 @@ def test_every_export_resolves():
     namespace = {}
     exec("from tnkit import *", namespace)
     assert set(tnkit.__all__) <= set(namespace)
+
+
+def test_all_lists_every_public_name():
+    # an export added to the package root but not to __all__, or the other
+    # way round, fails here
+    public = {
+        name
+        for name, value in vars(tnkit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(tnkit.__all__) - {"__version__"}
 
 
 def test_import_leaves_the_oracle_unloaded(tmp_path):
@@ -101,6 +116,17 @@ def _dmrg_cfg(**over):
     return cfg
 
 
+_TFI4 = {"name": "transverse_field_ising", "n_sites": 4, "h": 1.0}
+
+# the config class of each algorithm, the required fields of a small run and
+# its model
+_ALGORITHM_RUNS = {
+    "dmrg": (DmrgConfig, {"max_bond": 8}, _TFI4),
+    "thermal": (ThermalConfig, {"beta": 0.5, "dt": 0.05, "max_bond": 8}, _TFI4),
+    "trg": (CoarseGrainConfig, {"max_bond": 4, "n_iters": 2}, {"name": "ising_2d", "beta": 0.3}),
+}
+
+
 class TestDmrgRuns:
     def test_single_run_outputs(self, tmp_path):
         cfg = _dmrg_cfg()
@@ -141,7 +167,7 @@ class TestDmrgRuns:
         op = build_mpo(transverse_field_ising(8, 1.0, 1.0))
         config = DmrgConfig(max_bond=16, seed=1)
         _, psi, ground = ground_state(op, config)
-        _, _, excited = excited_state(op, config, [psi], penalty_weight=10.0)
+        _, _, excited = excited_state(op, config, [psi])
         assert ground.lanczos_matvecs > 0 and excited.lanczos_matvecs > 0
         want = ground.lanczos_matvecs + excited.lanczos_matvecs
         assert _read_results(out)[0]["result"]["lanczos_matvecs"] == want
@@ -316,6 +342,67 @@ class TestFailureModes:
         assert err["kind"] == "checkpoint" and "no space" in err["message"]
         assert not (out / "results.jsonl").exists()
         assert not (tmp_path / "state.mps").exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, extra",
+        [
+            ("dmrg", {}),
+            ("tebd", {"dt": 0.05, "n_steps": 2}),
+            ("thermal", {"beta": 0.5, "dt": 0.05}),
+        ],
+    )
+    def test_failed_run_keeps_its_checkpoint(self, tmp_path, monkeypatch, subcommand, extra):
+        # the final state replaces the checkpoint only after the record has
+        # passed the finite check
+        ck = tmp_path / "state.mps"
+        checkpoint_write(random_mps((2,) * 4, 2, np.random.default_rng(0)), str(ck))
+        before = ck.read_bytes()
+        nan = float("nan")
+        if subcommand == "dmrg":
+            monkeypatch.setattr(
+                cli, "ground_state", lambda op, s, psi0: (nan, *ground_state(op, s, psi0)[1:])
+            )
+        else:
+            monkeypatch.setattr(cli, "expect_mpo", lambda psi, op: complex(nan))
+        cfg = {"run": subcommand, "seed": 1, "model": _TFI4, "max_bond": 8, **extra}
+        out = tmp_path / "out"
+        code = main(
+            [subcommand, "--config", _write_cfg(tmp_path, cfg), "--out", str(out),
+             "--checkpoint", str(ck)]
+        )
+        assert code == EXIT_NUMERICAL
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "numerical" and "result.energy" in err["message"]
+        assert not (out / "results.jsonl").exists()
+        assert ck.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "subcommand, field, bad",
+        [
+            ("thermal", "beta", -0.5),
+            ("thermal", "dt", 0.0),
+            ("thermal", "order", 3),
+            ("thermal", "max_bond", 0),
+            ("thermal", "rel_cutoff", 1.0),
+            ("trg", "method", "ctmrg"),
+            ("trg", "n_iters", 0),
+            ("trg", "max_bond", 0),
+            ("trg", "rel_cutoff", 1.5),
+            ("dmrg", "penalty_weight", 0.0),
+        ],
+    )
+    def test_algorithm_rule_names_its_field(self, tmp_path, subcommand, field, bad):
+        # the library config class and a CLI config break the same rule
+        config_cls, required, model = _ALGORITHM_RUNS[subcommand]
+        with pytest.raises(ConfigError) as err:
+            config_cls(**{**required, field: bad})
+        assert err.value.field == field
+        cfg = {"run": subcommand, "seed": 1, "model": model, **required, field: bad}
+        out = tmp_path / "out"
+        code = main([subcommand, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == field
 
     @pytest.mark.parametrize(
         "exc", [MemoryError(), BrokenProcessPool("a worker died")], ids=["memory", "broken-pool"]
@@ -766,3 +853,28 @@ class TestBundledConfigs:
         e_dmrg = _read_results(out_dmrg)[0]["result"]["energy"]
         e_ed = _read_results(out_ed)[0]["result"]["energy"]
         assert e_dmrg == pytest.approx(e_ed, rel=1e-8)
+
+    def test_library_calls_match_the_first_cli_runs(self, tmp_path):
+        # the settings object is the algorithm's config, so a library call
+        # with the same values gives the CLI record bit for bit
+        out = tmp_path / "thermal"
+        assert run(str(CONFIGS_DIR / "thermal_tfi.json"), out_dir=str(out)) == EXIT_OK
+        got = _read_results(out)[0]["result"]
+        spec = transverse_field_ising(6, J=1.0, h=1.25)
+        psi, ln_z, trace = thermal_state(spec, ThermalConfig(beta=0.5, dt=0.01, max_bond=32))
+        assert got["ln_z"] == ln_z
+        assert got["energy"] == expect_mpo(psi, lift_mpo(build_mpo(spec))).real
+        assert got["discarded"] == list(trace.discarded)
+        assert got["log_norms"] == list(trace.log_norms)
+        assert got["bond_dims"] == list(psi.bond_dims)
+
+        out = tmp_path / "trg"
+        assert run(str(CONFIGS_DIR / "trg_ising.json"), out_dir=str(out)) == EXIT_OK
+        got = _read_results(out)[0]["result"]
+        f, trace = coarse_grain(
+            ClassicalModelSpec(beta=0.2), CoarseGrainConfig(max_bond=16, n_iters=25, method="trg")
+        )
+        assert got["f"] == f
+        assert got["free_energies"] == list(trace.free_energies)
+        assert got["bond_dims"] == list(trace.bond_dims)
+        assert got["discarded"] == list(trace.discarded)

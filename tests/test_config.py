@@ -223,8 +223,8 @@ class TestScans:
         # "max_bond" sorts before "model.h", so it is the slow axis
         assert combos == [(4, 0.5), (4, 1.5), (8, 0.5), (8, 1.5)]
         assert [r.index for r in runs] == [0, 1, 2, 3]
-        assert runs[2].settings["max_bond"] == 8
-        assert runs[2].settings["model"]["h"] == 0.5
+        assert runs[2].settings.max_bond == 8
+        assert runs[2].settings.model.h == 0.5
 
     def test_scan_values_validated_per_run(self):
         cfg = _dmrg_cfg(scan={"max_bond": [8, 0]})
@@ -241,8 +241,9 @@ class TestScans:
 
     def test_runs_do_not_share_settings(self):
         runs = resolve_runs("dmrg", _dmrg_cfg(scan={"model.h": [0.5, 1.5]}))
-        runs[0].settings["model"]["h"] = 99.0
-        assert runs[1].settings["model"]["h"] == 1.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            runs[0].settings.model.h = 99.0
+        assert [r.settings.model.h for r in runs] == [0.5, 1.5]
 
 
 def _tfi(n_sites, h):
@@ -255,22 +256,22 @@ def _tfi(n_sites, h):
 def _dmrg(h, observables):
     return {
         "max_bond": 32, "n_sweeps": 30, "tol": 1e-12, "lanczos_max_iter": 100,
-        "lanczos_tol": 1e-12, "noise": 0.0, "seed": 1, "model": _tfi(12, h),
-        "n_excited": 0, "penalty_weight": 10.0, "observables": observables,
+        "lanczos_tol": 1e-12, "noise": 0.0, "seed": 1, "penalty_weight": 10.0,
+        "model": _tfi(12, h), "n_excited": 0, "observables": observables,
     }
 
 
 def _thermal(beta):
     return {
-        "seed": 1, "model": _tfi(6, 1.25), "beta": beta, "dt": 0.01, "max_bond": 32,
-        "order": 2, "rel_cutoff": 0.0, "observables": ("sz", "sx"),
+        "beta": beta, "dt": 0.01, "max_bond": 32, "order": 2, "rel_cutoff": 0.0,
+        "seed": 1, "model": _tfi(6, 1.25), "observables": ("sz", "sx"),
     }
 
 
 def _trg(beta):
     return {
-        "seed": 1, "model": {"beta": beta, "model": "ising_2d", "J": 1.0, "field": 0.0},
         "max_bond": 16, "n_iters": 25, "method": "trg", "rel_cutoff": 0.0,
+        "seed": 1, "model": {"beta": beta, "model": "ising_2d", "J": 1.0, "field": 0.0},
     }
 
 

@@ -315,9 +315,9 @@ def test_config_validation():
 def test_first_excited_state_tfi():
     spec = transverse_field_ising(8, J=1.0, h=1.3)
     op = build_mpo(spec)
-    config = DmrgConfig(max_bond=16, n_sweeps=30, seed=2)
+    config = DmrgConfig(max_bond=16, n_sweeps=30, seed=2, penalty_weight=20.0)
     e0, psi0, _ = ground_state(op, config)
-    e1, psi1, trace = excited_state(op, config, [psi0], penalty_weight=20.0)
+    e1, psi1, trace = excited_state(op, config, [psi0])
     levels, _ = ed_spectrum(dense_hamiltonian(spec), 3)
     assert e0 == pytest.approx(levels[0], rel=1e-9)
     assert e1 == pytest.approx(levels[1], rel=1e-7)
@@ -328,10 +328,10 @@ def test_first_excited_state_tfi():
 def test_second_excited_state_xxz():
     spec = heisenberg_xxz(6, J=1.0, delta=0.4, field=0.1)
     op = build_mpo(spec)
-    config = DmrgConfig(max_bond=16, n_sweeps=40, seed=9)
+    config = DmrgConfig(max_bond=16, n_sweeps=40, seed=9, penalty_weight=20.0)
     e0, psi0, _ = ground_state(op, config)
-    e1, psi1, _ = excited_state(op, config, [psi0], penalty_weight=20.0)
-    e2, psi2, trace = excited_state(op, config, [psi0, psi1], penalty_weight=20.0)
+    e1, psi1, _ = excited_state(op, config, [psi0])
+    e2, psi2, trace = excited_state(op, config, [psi0, psi1])
     levels, _ = ed_spectrum(dense_hamiltonian(spec), 4)
     assert e1 == pytest.approx(levels[1], rel=1e-7)
     assert e2 == pytest.approx(levels[2], rel=1e-6)
@@ -345,10 +345,10 @@ def test_excited_states_on_ten_sites_are_pinned():
     final overlaps are set by the sweep tolerance, and their leading digits
     must hold too (the smallest is near the rounding of psi0 itself)."""
     op = build_mpo(heisenberg_xxz(10, J=1.0, delta=0.4, field=0.1))
-    config = DmrgConfig(max_bond=16, n_sweeps=40, seed=9)
+    config = DmrgConfig(max_bond=16, n_sweeps=40, seed=9, penalty_weight=20.0)
     _, psi0, _ = ground_state(op, config)
-    e1, psi1, trace1 = excited_state(op, config, [psi0], penalty_weight=20.0)
-    e2, _, trace2 = excited_state(op, config, [psi0, psi1], penalty_weight=20.0)
+    e1, psi1, trace1 = excited_state(op, config, [psi0])
+    e2, _, trace2 = excited_state(op, config, [psi0, psi1])
     assert e1 == pytest.approx(-13.21817119384246, rel=1e-12, abs=0)
     assert e2 == pytest.approx(-12.818171193842462, rel=1e-12, abs=0)
     assert (trace1.n_sweeps, trace2.n_sweeps) == (3, 3)

@@ -19,6 +19,7 @@ from tnkit.mps import (
 from tnkit.oracle import dense_evolve, dense_gibbs, dense_hamiltonian, ed_ground
 from tnkit.tebd import (
     TebdConfig,
+    ThermalConfig,
     TrotterGate,
     TrotterScheme,
     _gate_inplace,
@@ -94,7 +95,7 @@ def test_gate_kernel_sweeps_both_ways_like_the_dense_embedding(monkeypatch, case
         return _gate_inplace(sites, bond, gate, spec, leftward)
 
     monkeypatch.setattr(tebd_module, "_gate_inplace", recording)
-    out, trace = evolve_gates(psi, scheme, 1, max_bond=64)
+    out, trace = evolve_gates(psi, scheme, 1, max_bond=64, rel_cutoff=0.0, abort_threshold=1e-3)
     # the first layer runs rightward from site 0, the second leftward back
     assert [lw for lw, _, _ in seen] == [False] * len(even) + [True] * len(odd)
     assert any(dl != dr for _, dl, dr in seen)
@@ -132,11 +133,11 @@ def test_truncating_gate_discards_the_dense_schmidt_tail():
 
 def test_build_trotter_structure():
     spec = transverse_field_ising(7, h=0.8)
-    s1 = build_trotter(spec, 0.1, order=1)
+    s1 = build_trotter(spec, 0.1, order=1, imag=False)
     assert len(s1.layers) == 2
     assert [g.bond for g in s1.layers[0]] == [0, 2, 4]
     assert [g.bond for g in s1.layers[1]] == [1, 3, 5]
-    s2 = build_trotter(spec, 0.1, order=2)
+    s2 = build_trotter(spec, 0.1, order=2, imag=False)
     assert len(s2.layers) == 3
     assert [g.bond for g in s2.layers[0]] == [0, 2, 4]
     assert [g.bond for g in s2.layers[2]] == [0, 2, 4]
@@ -145,9 +146,9 @@ def test_build_trotter_structure():
             defect = np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(4)))
             assert defect < 1e-12
     with pytest.raises(ValueError):
-        build_trotter(spec, 0.0)
+        build_trotter(spec, 0.0, order=2, imag=False)
     with pytest.raises(ValueError):
-        build_trotter(spec, 0.1, order=3)
+        build_trotter(spec, 0.1, order=3, imag=False)
 
 
 def test_apply_gate_identity_and_dense():
@@ -243,11 +244,11 @@ def _count_center_moves(monkeypatch):
 
 def test_gate_sweeps_skip_the_center_walk_back(monkeypatch):
     spec = transverse_field_ising(14, h=1.0)
-    scheme = build_trotter(spec, 0.05, order=2)
+    scheme = build_trotter(spec, 0.05, order=2, imag=False)
     psi0 = neel(14)
     calls = _count_center_moves(monkeypatch)
     n_steps = 6
-    out, _ = evolve_gates(psi0, scheme, n_steps, max_bond=32)
+    out, _ = evolve_gates(psi0, scheme, n_steps, max_bond=32, rel_cutoff=0.0, abort_threshold=1e-3)
     # a forward-only sweep walks the center back before each layer: 54 per step
     assert len(calls) / n_steps <= 20
     assert canonical_residual(out) < 1e-12
@@ -255,8 +256,10 @@ def test_gate_sweeps_skip_the_center_walk_back(monkeypatch):
 
 def test_gate_sweeps_match_forward_only_order_without_truncation():
     spec = heisenberg_xxz(14, J=1.0, delta=0.6)
-    scheme = build_trotter(spec, 0.05, order=2)
-    out, trace = evolve_gates(neel(14), scheme, 4, max_bond=128)
+    scheme = build_trotter(spec, 0.05, order=2, imag=False)
+    out, trace = evolve_gates(
+        neel(14), scheme, 4, max_bond=128, rel_cutoff=0.0, abort_threshold=1e-3
+    )
     assert max(trace.discarded) == 0.0
     ref = _forward_only(neel(14), scheme, 4, max_bond=128)
     np.testing.assert_allclose(to_dense(out), to_dense(ref), rtol=0, atol=1e-12)
@@ -268,7 +271,7 @@ def test_gate_sweeps_match_forward_only_order_without_truncation():
 
 def test_two_site_chain_with_an_empty_layer():
     spec = transverse_field_ising(2, h=0.7)
-    assert build_trotter(spec, 0.01).layers[1] == ()
+    assert build_trotter(spec, 0.01, order=2, imag=False).layers[1] == ()
     out, _ = evolve(neel(2), spec, TebdConfig(dt=0.01, n_steps=50, max_bond=2))
     want = dense_evolve(dense_hamiltonian(spec), to_dense(neel(2)), 0.5)
     assert abs(np.vdot(want, to_dense(out))) == pytest.approx(1.0, abs=1e-6)
@@ -318,7 +321,7 @@ def test_infinite_temperature_state_is_maximally_mixed():
 
 def test_thermal_state_beta_zero():
     spec = transverse_field_ising(5, h=1.1)
-    psi, ln_z, trace = thermal_state(spec, beta=0.0, dt=0.01, max_bond=8)
+    psi, ln_z, trace = thermal_state(spec, ThermalConfig(beta=0.0, dt=0.01, max_bond=8))
     assert ln_z == pytest.approx(5 * np.log(2), abs=1e-12)
     assert trace.times == (0.0,)
     e = expect_mpo(psi, lift_mpo(build_mpo(spec))).real
@@ -330,7 +333,7 @@ def test_thermal_state_matches_dense_gibbs(beta):
     spec = transverse_field_ising(5, J=1.0, h=0.8)
     dh = dense_hamiltonian(spec)
     ref = dense_gibbs(dh, beta)
-    psi, ln_z, _ = thermal_state(spec, beta=beta, dt=0.005, max_bond=32)
+    psi, ln_z, _ = thermal_state(spec, ThermalConfig(beta=beta, dt=0.005, max_bond=32))
     assert ln_z == pytest.approx(ref.ln_z, abs=5e-4 * abs(ref.ln_z))
     e = expect_mpo(psi, lift_mpo(build_mpo(spec))).real
     assert e == pytest.approx(ref.energy, rel=2e-4)
@@ -359,7 +362,7 @@ def test_evolve_rejects_wrong_lattice():
 
 def test_imaginary_time_and_thermal_states_of_real_models_are_real():
     spec = transverse_field_ising(5, J=1.0, h=0.8)
-    psi, _, _ = thermal_state(spec, beta=0.4, dt=0.05, max_bond=16)
+    psi, _, _ = thermal_state(spec, ThermalConfig(beta=0.4, dt=0.05, max_bond=16))
     assert all(a.dtype == np.float64 for a in psi.sites)
     cooled = imaginary_time_ground_state(spec, max_bond=8, schedule=((0.1, 5),))
     assert all(a.dtype == np.float64 for a in cooled.sites)

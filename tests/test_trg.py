@@ -9,6 +9,7 @@ from tnkit.models import ClassicalModelSpec
 from tnkit.oracle import ising_brute_force, onsager_f
 from tnkit.tensor import TruncationSpec
 from tnkit.trg import (
+    CoarseGrainConfig,
     CoarseGrainState,
     _bond_root,
     _halves,
@@ -162,12 +163,12 @@ PINNED_COLD_FLOW = (
 
 @pytest.mark.parametrize("method", ["trg", "hotrg"])
 def test_flows_at_low_temperature(method):
-    _, trace = coarse_grain(ClassicalModelSpec(beta=350.0), method, max_bond=8, n_iters=6)
+    _, trace = coarse_grain(ClassicalModelSpec(beta=350.0), CoarseGrainConfig(8, 6, method))
     np.testing.assert_allclose(trace.free_energies, PINNED_COLD_FLOW, rtol=1e-13, atol=0)
     # a site tensor of cosh(beta J)^2 would overflow above beta J ~ 355;
     # the two ground states leave f = -2J - ln 2 / (beta sites)
     for beta in (356.0, 400.0, 1e3):
-        _, trace = coarse_grain(ClassicalModelSpec(beta=beta), method, max_bond=8, n_iters=6)
+        _, trace = coarse_grain(ClassicalModelSpec(beta=beta), CoarseGrainConfig(8, 6, method))
         for i, f in enumerate(trace.free_energies):
             assert np.isfinite(f) and f <= -2.0
             assert -2.0 - f <= 2 * np.log(2) / (beta * 2 ** (i + 1))
@@ -178,14 +179,14 @@ def test_step_validation():
     with pytest.raises(ValueError):
         hotrg_step(state, FULL, "x")
     with pytest.raises(ValueError):
-        coarse_grain(ClassicalModelSpec(beta=0.4), method="dmrg", max_bond=32, n_iters=25)
+        coarse_grain(ClassicalModelSpec(beta=0.4), CoarseGrainConfig(32, 25, "dmrg"))
     with pytest.raises(ValueError):
-        coarse_grain(ClassicalModelSpec(beta=0.4), max_bond=32, n_iters=0)
+        coarse_grain(ClassicalModelSpec(beta=0.4), CoarseGrainConfig(32, 0))
 
 
 def test_plaquette_flow_converges_to_onsager():
     model = ClassicalModelSpec(beta=0.3)
-    f, trace = coarse_grain(model, "trg", max_bond=16, n_iters=18)
+    f, trace = coarse_grain(model, CoarseGrainConfig(16, 18, "trg"))
     want = onsager_f(0.3)
     assert abs(f - want) / abs(want) < 1e-6
     assert len(trace.free_energies) == 18
@@ -196,33 +197,33 @@ def test_plaquette_flow_converges_to_onsager():
 
 def test_merging_flow_converges_to_onsager():
     model = ClassicalModelSpec(beta=0.3)
-    f, trace = coarse_grain(model, "hotrg", max_bond=10, n_iters=18)
+    f, trace = coarse_grain(model, CoarseGrainConfig(10, 18, "hotrg"))
     want = onsager_f(0.3)
     assert abs(f - want) / abs(want) < 1e-6
     assert trace.method == "hotrg"
 
 
 def test_high_temperature_limit():
-    f, _ = coarse_grain(ClassicalModelSpec(beta=0.1), "trg", max_bond=8, n_iters=15)
+    f, _ = coarse_grain(ClassicalModelSpec(beta=0.1), CoarseGrainConfig(8, 15, "trg"))
     want = onsager_f(0.1)
     assert abs(f - want) / abs(want) < 1e-7
 
 
 def test_schemes_agree_off_criticality():
     model = ClassicalModelSpec(beta=0.35)
-    f_plaq, _ = coarse_grain(model, "trg", max_bond=16, n_iters=20)
-    f_merge, _ = coarse_grain(model, "hotrg", max_bond=16, n_iters=20)
+    f_plaq, _ = coarse_grain(model, CoarseGrainConfig(16, 20, "trg"))
+    f_merge, _ = coarse_grain(model, CoarseGrainConfig(16, 20, "hotrg"))
     assert abs(f_plaq - f_merge) / abs(f_plaq) < 1e-6
 
 
 def test_flow_is_deterministic():
     model = ClassicalModelSpec(beta=0.42)
-    f1, t1 = coarse_grain(model, "trg", max_bond=12, n_iters=12)
-    f2, t2 = coarse_grain(model, "trg", max_bond=12, n_iters=12)
+    f1, t1 = coarse_grain(model, CoarseGrainConfig(12, 12, "trg"))
+    f2, t2 = coarse_grain(model, CoarseGrainConfig(12, 12, "trg"))
     assert f1 == f2
     assert t1.free_energies == t2.free_energies
-    f3, _ = coarse_grain(model, "hotrg", max_bond=12, n_iters=12)
-    f4, _ = coarse_grain(model, "hotrg", max_bond=12, n_iters=12)
+    f3, _ = coarse_grain(model, CoarseGrainConfig(12, 12, "hotrg"))
+    f4, _ = coarse_grain(model, CoarseGrainConfig(12, 12, "hotrg"))
     assert f3 == f4
 
 
@@ -627,7 +628,7 @@ def test_non_finite_gram_raises():
 
 @pytest.mark.parametrize("method", ["trg", "hotrg"])
 def test_flow_at_criticality_is_pinned(method):
-    _, trace = coarse_grain(ClassicalModelSpec(beta=BETA_C), method, max_bond=32, n_iters=7)
+    _, trace = coarse_grain(ClassicalModelSpec(beta=BETA_C), CoarseGrainConfig(32, 7, method))
     pinned = PINNED_FLOWS[method]
     np.testing.assert_allclose(trace.free_energies, pinned["free_energies"], rtol=1e-10, atol=0)
     assert trace.bond_dims == pinned["bond_dims"]
