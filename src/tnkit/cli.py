@@ -216,6 +216,8 @@ def _run_trg(s: TrgSettings, warm):
         "free_energies": list(trace.free_energies),
         "bond_dims": list(trace.bond_dims),
         "discarded": list(trace.discarded),
+        "subspace_iterations": list(trace.subspace_iterations),
+        "dense_solves": list(trace.dense_solves),
     }, None
 
 

@@ -28,37 +28,47 @@ the left/right Gram matrices, keeping whichever side discards less weight.
 
 Merge by value. Both schemes truncate through one kernel, ``_top_eigh``:
 the leading ``max_bond`` eigenpairs of each parity block of a symmetric
-Gram matrix (M M^T for a plaquette split, the left/right density of a
-merged pair) are merged by value and the package-wide rule of
-``tensor.truncate_spectrum`` is applied once to the square roots of the
-merged list. The kept vectors of each parity become the even and the odd
-part of the new leg. The discarded weight is the trace minus the kept
-eigenvalues, over the trace of both blocks; it is exactly 0.0 when nothing
-is cut, but on a rank-deficient step that cuts only zero values it is a
-difference of two sums and sits at rounding level (~1e-16).
+Gram matrix G (M M^T for a plaquette split, given by its factor blocks M;
+the left/right density of a merged pair, given as G) are merged by value
+and the package-wide rule of ``tensor.truncate_spectrum`` is applied once
+to the square roots of the merged list. The kept vectors of each parity
+become the even and the odd part of the new leg. The discarded weight is
+the trace minus the kept eigenvalues, over the trace of both blocks (for a
+factor, trace M M^T = ||M||_F^2); it is exactly 0.0 when nothing is cut,
+but on a rank-deficient step that cuts only zero values it is a difference
+of two sums and sits at rounding level (~1e-16).
 
 Top eigenpairs. A block of more than 4 ``max_bond`` rows is solved by
 randomized subspace iteration (``_subspace_top``; Halko, Martinsson &
 Tropp, SIAM Rev. 53, 217 (2011)): a Gaussian start block of width
-2 ``max_bond`` from a fixed seed, so reruns are byte-identical, then per
-iteration one product Y = G Q, a Rayleigh-Ritz ``eigh`` of Q^T Y and
-Q = qr(Y). It stops once every kept Ritz pair has a residual
-|G v - theta v| of at most 64 eps theta_max, the backward error of a dense
-solver. Gram spectra fall off steeply past the cut, so that takes 1-3
-iterations on a plaquette step and up to 7 on a saturated merging step at
-beta_c. Smaller blocks, and a block still above the bound after 30
-iterations, go to the dense ``scipy.linalg.eigh(subset_by_index=...)``.
+2 ``max_bond`` from a fixed seed, drawn once per shape and kept read-only
+(``_start_block``), so reruns are byte-identical, then per iteration
+Q = qr(Y), one product Y = G Q and a Rayleigh-Ritz ``eigh`` of Q^T Y. The
+schemes differ only in that product: a plaquette split applies
+G Q = M (M^T Q) and never forms M M^T, a merging step multiplies by its
+density. It stops once every kept Ritz pair has a residual |G v - theta v|
+of at most 64 eps theta_max, the backward error of a dense solver. Gram
+spectra fall off steeply past the cut, so few iterations are needed; each
+step records its count, summed over its blocks, in
+``CoarseGrainTrace.subspace_iterations`` (at beta_c and chi = 32 about 3
+per block on a plaquette step and up to 7 on a saturated merging step).
+Smaller blocks, and a block still above the bound after 30 iterations, go
+to the dense ``scipy.linalg.eigh(subset_by_index=...)``, counted in
+``CoarseGrainTrace.dense_solves``; only there is M M^T formed.
 
 Cost per step, with every leg of extent chi and even and odd halves near
-chi/2: a plaquette step forms two chi^2 x chi^2 Gram matrices, O(chi^6),
-solves their top eigenpairs, O(chi^5) per iteration, and recombines the
-halves, O(chi^6); a merging step forms its four half-row Gram matrices and
-two densities, O(chi^6), and contracts the pair, O(chi^7), one new index
-at a time so that no intermediate has more than chi^4 entries. On parity
-blocks each product costs about a quarter of the dense one: at chi = 32
-the eigensolver sees two blocks near 512 x 512 instead of one 1024 x 1024
-matrix, and multiplies each by a block of 64 columns instead of
-tridiagonalizing it.
+chi/2: a plaquette step applies its two chi^2 x chi^2 Gram matrices
+through their factors, two O(chi^5) products per iteration, and recombines
+the halves, O(chi^6); a merging step forms its four half-row Gram matrices
+and two densities, O(chi^6), and contracts the pair, O(chi^7), one new
+index at a time so that no intermediate has more than chi^4 entries. On
+parity blocks each product costs about a quarter of the dense one: at
+chi = 32 the eigensolver sees two blocks near 512 x 512 instead of one
+1024 x 1024 matrix, and multiplies each by a block of 64 columns instead
+of tridiagonalizing it. The O(chi^7) products of a merging step run at the
+rate of a large matrix product: the pair of each new index is two products
+of a 512 x 512 block of the top tensor, which stays in cache across all
+new indices, with a 512 x 256 block.
 
 Block layouts. With every leg sorted even-first, the entries of parity q
 of a combined index (i, j) are two contiguous sub-blocks, (i even, j q)
@@ -67,10 +77,11 @@ index. So every parity block of a matrix view of a tensor is assembled
 from contiguous slices of the 4D array (``_block``), written in place with
 one transposed copy per sub-block, and every regrouping of a Gram matrix
 G[(i j), (i' j')] into H[(i i'), (j j')] moves sub-blocks the same way
-(``_regroup``); nothing is gathered or scattered by index arrays and no
-dense chi^4 array is transposed. The merged pair is written into a layout
-ordered by the parity of its merged legs, so each isometry block meets
-only the rows of its own parity.
+(``_regroup``); nothing is gathered or scattered by index arrays. The
+pair of a merging step is never transposed: each row block of a product,
+fixed parities of u and rt, is the contiguous array (u, (rt rb), d), and
+the isometry block of the parity of (rt rb) is applied to it by one
+batched product that writes the coarse tensor in (u, l, d, r) order.
 
 Degenerate cuts. When the cut falls inside a degenerate group the kept
 subspace is arbitrary: between blocks, exactly equal values are taken
@@ -88,6 +99,7 @@ the trg settings of the command line extend it."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,12 +115,16 @@ class CoarseGrainState:
     sites_represented original lattice sites and the true tensor is
     exp(log_norm_per_site * sites_represented) times the stored one.
     Each leg is sorted even-first and even[i] counts the even indices of
-    leg i; entries whose four indices have odd total parity are 0.0."""
+    leg i; entries whose four indices have odd total parity are 0.0.
+    subspace_iterations and dense_solves count the eigensolver work of the
+    step that built the tensor (``_top_eigh``; 0 for the initial tensor)."""
 
     tensor: np.ndarray
     log_norm_per_site: float
     sites_represented: int
     even: tuple[int, int, int, int]
+    subspace_iterations: int = 0
+    dense_solves: int = 0
 
 
 def _bond_root(spec: ClassicalModelSpec) -> np.ndarray:
@@ -147,19 +163,25 @@ def torus_trace(state: CoarseGrainState) -> float:
 
 def free_energy_density(state: CoarseGrainState, beta: float) -> float:
     closure = torus_trace(state)
-    if closure <= 0.0:
-        raise RuntimeError("torus closure is not positive; flow has broken down")
+    if not (np.isfinite(closure) and closure > 0.0):
+        raise RuntimeError(f"torus closure is {closure}; flow has broken down")
     ln_z_per_site = state.log_norm_per_site + np.log(closure) / state.sites_represented
     return float(-ln_z_per_site / beta)
 
 
-def _rescaled(tensor: np.ndarray, even, state: CoarseGrainState) -> CoarseGrainState:
+def _rescaled(tensor: np.ndarray, even, state: CoarseGrainState, work) -> CoarseGrainState:
+    """The state after a step: tensor, which the step has just built and
+    nothing else holds, divided in place by its max-norm; work is the
+    step's (subspace iterations, dense solves)."""
     n_new = 2 * state.sites_represented
-    scale = float(np.max(np.abs(tensor)))
+    scale = float(max(tensor.max(), -tensor.min()))
+    if not np.isfinite(scale):
+        raise RuntimeError("coarse tensor is not finite; flow has broken down")
     if scale == 0.0:
         raise RuntimeError("coarse tensor vanished; flow has broken down")
+    tensor /= scale
     log_norm = state.log_norm_per_site + np.log(scale) / n_new
-    return CoarseGrainState(tensor / scale, float(log_norm), n_new, tuple(even))
+    return CoarseGrainState(tensor, float(log_norm), n_new, tuple(even), *work)
 
 
 def _halves(dim: int, even: int) -> tuple[slice, slice]:
@@ -235,81 +257,100 @@ _SUBSPACE_TOL = 64.0  # Ritz residual bound in units of eps * largest Ritz value
 _SUBSPACE_ITERS = 30  # iterations before the dense solver takes over
 
 
-def _subspace_top(gram: np.ndarray, top: int):
-    """The top eigenpairs of a symmetric positive semi-definite matrix by
-    randomized subspace iteration of width 2 top with a Rayleigh-Ritz step
-    (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)), largest first,
-    or None when some kept residual |G v - theta v| is still above
-    ``_SUBSPACE_TOL`` eps theta_max after ``_SUBSPACE_ITERS`` iterations.
-    The start block is seeded, so the result is a function of gram alone."""
-    if not np.isfinite(gram).all():
-        raise ValueError("array must not contain infs or NaNs")
-    rng = np.random.default_rng(_SUBSPACE_SEED)
-    y = gram @ rng.standard_normal((gram.shape[0], 2 * top))
-    for _ in range(_SUBSPACE_ITERS):
-        q = np.linalg.qr(y)[0]
-        y = gram @ q
+@functools.lru_cache(maxsize=8)
+def _start_block(n: int, width: int) -> np.ndarray:
+    """The seeded Gaussian start block of ``_subspace_top``, read-only: a
+    function of its shape alone, drawn once per shape."""
+    block = np.random.default_rng(_SUBSPACE_SEED).standard_normal((n, width))
+    block.flags.writeable = False
+    return block
+
+
+def _subspace_top(apply, n: int, top: int):
+    """The top eigenpairs of an n x n symmetric positive semi-definite
+    matrix G, given as apply(Q) = G Q, by randomized subspace iteration of
+    width 2 top with a Rayleigh-Ritz step (Halko, Martinsson & Tropp, SIAM
+    Rev. 53, 217 (2011)), largest first. Returns (theta, v, iterations);
+    theta and v are None when some kept residual |G v - theta v| is still
+    above ``_SUBSPACE_TOL`` eps theta_max after ``_SUBSPACE_ITERS``
+    iterations. The start block is seeded, so the result is a function of
+    G alone."""
+    y = apply(_start_block(n, 2 * top))
+    for iteration in range(1, _SUBSPACE_ITERS + 1):
+        q = scipy.linalg.qr(y, mode="economic", check_finite=False)[0]
+        y = apply(q)
         theta, s = np.linalg.eigh(q.T @ y)
         theta, s = theta[::-1][:top], s[:, ::-1][:, :top]
         v = q @ s
         residual = np.linalg.norm(y @ s - v * theta, axis=0)
         if np.all(residual <= _SUBSPACE_TOL * np.finfo(float).eps * abs(theta[0])):
-            return theta, v
-    return None
+            return theta, v, iteration
+    return None, None, _SUBSPACE_ITERS
 
 
-def _top_eigh(blocks, spec: TruncationSpec):
+def _top_eigh(blocks, spec: TruncationSpec, factors: bool = False):
     """Leading eigenpairs of a symmetric positive semi-definite Gram matrix
-    given as its even and odd blocks, cut by the truncation rule applied to
-    their square roots.
+    given as its even and odd blocks, or with ``factors`` as the blocks m of
+    a factor, G = m m^T, cut by the truncation rule applied to their square
+    roots.
 
     The top ``max_bond`` eigenpairs of each block are computed and merged by
     value (equal values even-first); the discarded weight is the trace of
-    both blocks minus the kept eigenvalues, over that trace, so the rest of
-    the spectrum is never formed. It is exactly 0.0 when nothing is cut.
-    A block of more than 4 ``max_bond`` rows is solved by ``_subspace_top``;
+    both blocks (||m||_F^2 for a factor) minus the kept eigenvalues, over
+    that trace, so the rest of the spectrum is never formed. It is exactly
+    0.0 when nothing is cut. A block of more than 4 ``max_bond`` rows is
+    solved by ``_subspace_top``, which applies a factor as m (m^T Q);
     smaller blocks, and a block it leaves unconverged, by the dense
-    ``scipy.linalg.eigh(subset_by_index=...)``. Non-finite input raises
-    ValueError. Returns (v_even, v_odd, discarded) with the kept
-    eigenvectors of each block as columns, largest first.
+    ``scipy.linalg.eigh(subset_by_index=...)``, the only place m m^T is
+    formed. Non-finite input raises ValueError before any LAPACK call.
+    Returns (v_even, v_odd, discarded, (subspace iterations, dense solves))
+    with the kept eigenvectors of each block as columns, largest first.
     """
+    if not all(np.isfinite(m).all() for m in blocks):
+        raise ValueError("array must not contain infs or NaNs")
     values, vectors = [], []
-    for gram in blocks:
-        n = gram.shape[0]
+    total, iterations, dense = 0.0, 0, 0
+    for m in blocks:
+        n = m.shape[0]
         top = min(spec.max_bond, n)
-        pairs = _subspace_top(gram, top) if n > 4 * top else None
-        if pairs is not None:
-            w, v = pairs
-        elif top == 0:
-            w, v = np.zeros(0), np.zeros((n, 0))
-        else:
-            w, v = scipy.linalg.eigh(gram, subset_by_index=[n - top, n - 1])
+        w = None
+        if n > 4 * top:
+            apply = (lambda x, m=m: m @ (m.T @ x)) if factors else m.__matmul__
+            w, v, steps = _subspace_top(apply, n, top)
+            iterations += steps
+        if w is None and top > 0:
+            gram = m @ m.T if factors else m
+            w, v = scipy.linalg.eigh(gram, subset_by_index=[n - top, n - 1], check_finite=False)
             w, v = w[::-1], v[:, ::-1]
+            dense += 1
+        elif w is None:
+            w, v = np.zeros(0), np.zeros((n, 0))
         values.append(np.clip(w, 0.0, None))
         vectors.append(v)
+        total += float(np.vdot(m, m)) if factors else float(np.trace(m))
     w = np.concatenate(values)
     order = np.argsort(-w, kind="stable")
     k, _ = truncate_spectrum(np.sqrt(w[order]), spec.max_bond, spec.rel_cutoff)
     k_even = int(np.count_nonzero(order[:k] < values[0].size))
-    total = sum(float(np.trace(gram)) for gram in blocks)
-    if k == sum(gram.shape[0] for gram in blocks) or total <= 0.0:
+    if k == sum(m.shape[0] for m in blocks) or total <= 0.0:
         discarded = 0.0
     else:
         discarded = max(total - float(np.sum(w[order[:k]])), 0.0) / total
-    return vectors[0][:, :k_even], vectors[1][:, : k - k_even], discarded
+    return vectors[0][:, :k_even], vectors[1][:, : k - k_even], discarded, (iterations, dense)
 
 
 def _split(t: np.ndarray, axes, halves, spec: TruncationSpec):
     """Truncated symmetric split M ~ A @ B of the matrix view M of a graded
     tensor with rows (axes[0], axes[1]) and columns (axes[2], axes[3]),
     with the spectrum shared evenly: A = U sqrt(s), B = sqrt(s) V. U are
-    the leading eigenvectors of the two blocks of M M^T (``_block``); the
-    singular values are the row norms of U^T M = s V. Returns (A as (row
-    legs, new), B^T as (column legs, new), the even count of the new
-    index, discarded weight); the new index is sorted even-first."""
+    the leading eigenvectors of the two blocks of M M^T, solved from the
+    blocks of M (``_block``) without forming M M^T; the singular values are
+    the row norms of U^T M = s V. Returns (A as (row legs, new), B^T as
+    (column legs, new), the even count of the new index, discarded weight,
+    eigensolver work); the new index is sorted even-first."""
     i, j, k, l = axes
     blocks = [_block(t, axes, halves, q) for q in (0, 1)]
-    *us, discarded = _top_eigh([m @ m.T for m in blocks], spec)
+    *us, discarded, work = _top_eigh(blocks, spec, factors=True)
     k_even = us[0].shape[1]
     new = _halves(k_even + us[1].shape[1], k_even)
     a = np.zeros((t.shape[i], t.shape[j], new[1].stop))
@@ -324,7 +365,7 @@ def _split(t: np.ndarray, axes, halves, spec: TruncationSpec):
             a[ri, rj, new[q]] = us_q[rr].reshape(_size(ri), _size(rj), u.shape[1])
         for _, ck, cl, cc in _pair_blocks(halves[k], halves[l], q):
             b[ck, cl, new[q]] = vs_q[cc].reshape(_size(ck), _size(cl), u.shape[1])
-    return a, b, k_even, discarded
+    return a, b, k_even, discarded, work
 
 
 def trg_step(state: CoarseGrainState, spec: TruncationSpec) -> tuple[CoarseGrainState, float]:
@@ -335,8 +376,8 @@ def trg_step(state: CoarseGrainState, spec: TruncationSpec) -> tuple[CoarseGrain
     # diagonal split 1: (right, up) x (left, down); diagonal split 2:
     # (left, up) x (right, down). The halves are t3 (r, u, a), t1 (l, d, a),
     # t4 (l, u, b) and t2 (r, d, b)
-    t3, t1, e1, w1 = _split(t, (3, 0, 1, 2), halves, spec)
-    t4, t2, e2, w2 = _split(t, (1, 0, 3, 2), halves, spec)
+    t3, t1, e1, w1, work1 = _split(t, (3, 0, 1, 2), halves, spec)
+    t4, t2, e2, w2, work2 = _split(t, (1, 0, 3, 2), halves, spec)
     n1, n2 = _halves(t1.shape[2], e1), _halves(t2.shape[2], e2)
     # the four halves around a plaquette of the rotated lattice: the left
     # leg x of one half meets the right leg of the next (same grading), and
@@ -384,15 +425,17 @@ def trg_step(state: CoarseGrainState, spec: TruncationSpec) -> tuple[CoarseGrain
             for _, c, e, cols in news[q]:
                 shape = (_size(a), _size(b), _size(c), _size(e))
                 out[b, c, e, a] = new[rows, cols].reshape(shape).transpose(1, 2, 3, 0)
-    return _rescaled(out, (e2, e1, e2, e1), state), float(w1 + w2)
+    work = (work1[0] + work2[0], work1[1] + work2[1])
+    return _rescaled(out, (e2, e1, e2, e1), state, work), float(w1 + w2)
 
 
 def _merge_isometry(t: np.ndarray, even, spec: TruncationSpec):
     """Projector for the doubled horizontal legs of a vertical pair, chosen
     from the side whose Gram spectrum loses less weight (ties pick left).
 
-    Returns (v_even, v_odd, discarded): the kept columns of each parity,
-    rows (top leg, bottom leg) of that parity laid out by ``_pair_blocks``.
+    Returns (v_even, v_odd, discarded, eigensolver work of both sides): the
+    kept columns of each parity, rows (top leg, bottom leg) of that parity
+    laid out by ``_pair_blocks``.
     """
     halves = [_halves(n, e) for n, e in zip(t.shape, even)]
     up, left, down, right = halves
@@ -410,78 +453,83 @@ def _merge_isometry(t: np.ndarray, even, spec: TruncationSpec):
     g1 = [g.T for g in _regroup([b.T @ b for b in y], down, right)]  # y^T y (m, r, m', r')
     g2 = _regroup([b.T @ b for b in x], up, right)  # x^T x (m, r, m', r')
     on_right = _top_eigh(_regroup([a @ b for a, b in zip(g1, g2)], right, right), spec)
-    return on_left if on_left[2] <= on_right[2] else on_right
+    work = (on_left[3][0] + on_right[3][0], on_left[3][1] + on_right[3][1])
+    return (*(on_left if on_left[2] <= on_right[2] else on_right)[:3], work)
 
 
 def _merge_vertical(t: np.ndarray, even, spec: TruncationSpec):
     """Contract a vertical pair (top above bottom) and compress both merged
-    horizontal legs with one shared isometry. Returns (tensor, even count
-    of the new legs, discarded weight).
+    horizontal legs with one shared isometry. Returns (tensor (u, l, d, r),
+    even count of the new legs, discarded weight, eigensolver work).
 
     Works one new left index a at a time, as matrix products on layouts
     prepared once, so no intermediate exceeds chi^4 entries. For a of
     parity p the pair P[(u rt), (rb d)] = top[(u rt), (lt m)] R[(lt m),
     (rb d)], with R = sum_lb iso[lt, lb, a] T[m, lb, d, rb], vanishes
-    unless the rows have parity q and the columns q ^ p, so it is two
-    products of half-size blocks, each combined index laid out by
-    ``_pair_blocks``. Each product is written into the pair layout P[(rt
-    rb), (u d)] ordered by the parity of (rt rb), and the isometry block
-    of each parity is applied to the rows of that parity only.
+    unless the rows have parity q and the columns q ^ p, so it is a product
+    of half-size blocks, one per parity of rb, each combined index laid out
+    by ``_pair_blocks``. The parity q is the outer loop, so each block of
+    top stays in cache across all a. Every row block of a product, fixed
+    parities of u and rt, is the contiguous array (u, (rt rb), d), and the
+    isometry block of the parity of (rt rb) is applied to it by one batched
+    product, written straight into the output: the two parities q add up.
     """
-    chi_u, chi, chi_d, _ = t.shape
+    chi_u, _, chi_d, _ = t.shape
     halves = [_halves(n, e) for n, e in zip(t.shape, even)]
     U, L, D, R = halves
-    *vs, err = _merge_isometry(t, even, spec)
+    *vs, err, work = _merge_isometry(t, even, spec)
     k_even = vs[0].shape[1]
     k = k_even + vs[1].shape[1]
     new = _halves(k, k_even)
     isos = [np.ascontiguousarray(v.T) for v in vs]  # (new, (leg leg)) of each parity
+    legs = [_pair_blocks(L, L, s) for s in (0, 1)]  # (lt lb) and (rt rb)
     tops = [_block(t, (0, 3, 1, 2), halves, q) for q in (0, 1)]  # ((u rt), (lt m)) of parity q
     bottom = t.transpose(1, 0, 3, 2)  # (lb, m, rb, d)
-    bottoms = [  # (lb, m, (rb d) of parity c)
-        np.concatenate(
-            [
-                bottom[:, :, rb, d].reshape(chi, chi_d, _size(cols))
-                for _, rb, d, cols in _pair_blocks(R, D, c)
-            ],
-            axis=2,
+    bottoms = {  # the matrix (lb, (m rb d)) of each parity block of the bottom tensor
+        (p_lb, p_m, p_rb, p_d): np.ascontiguousarray(bottom[lb, m, rb, d]).reshape(
+            _size(lb), _size(m) * _size(rb) * _size(d)
         )
-        for c in (0, 1)
-    ]
-    legs = [_pair_blocks(L, L, p) for p in (0, 1)]  # (lt lb) and (rt rb)
-    sides = [_pair_blocks(U, D, p) for p in (0, 1)]  # (u d)
-    out = np.zeros((k, k, chi_u, chi_d))  # (a, b, u, d)
-    # pairs[p][s]: rows (rt rb) of parity s, columns (u d) of parity p ^ s;
-    # every entry is written for each a of parity p
-    pairs = [
-        [np.empty((legs[s][1][3].stop, sides[p ^ s][1][3].stop)) for s in (0, 1)] for p in (0, 1)
-    ]
-    for a in range(k):
-        p = int(a >= k_even)
-        row = isos[p][a - new[p].start]  # (lt lb), nonzero where p(lt) + p(lb) = p
-        for q in (0, 1):
-            c = q ^ p
-            width = bottoms[c].shape[2]
-            r = np.empty((tops[q].shape[1], width))
-            for p_lt, lt, m, inner in _pair_blocks(L, D, q):
-                lb = L[p_lt ^ p]
-                np.matmul(
-                    row[legs[p][p_lt][3]].reshape(_size(lt), _size(lb)),
-                    bottoms[c][lb, m].reshape(_size(lb), _size(m) * width),
-                    out=r[inner].reshape(_size(lt), _size(m) * width),
-                )
-            block = tops[q] @ r
-            for p_u, u, rt, rows in _pair_blocks(U, R, q):
-                for p_rb, rb, d, cols in _pair_blocks(R, D, c):
+        for p_lb, lb in enumerate(L)
+        for p_m, m in enumerate(D)
+        for p_rb, rb in enumerate(R)
+        for p_d, d in enumerate(D)
+    }
+    out = np.zeros((chi_u, k, chi_d, k))  # (u, a, d, b)
+    # one buffer each for R and for the pair, reused by every product
+    most = max(_size(rb) * _size(d) for rb in R for d in D)
+    r_buf = np.empty(max(top.shape[1] for top in tops) * most)
+    pair_buf = np.empty(max(top.shape[0] for top in tops) * most)
+    for q in (0, 1):
+        inner = _pair_blocks(L, D, q)  # (lt m)
+        rows_q = _pair_blocks(U, R, q)  # (u rt)
+        n_rows, n_inner = tops[q].shape
+        for a in range(k):
+            p = int(a >= k_even)
+            row = isos[p][a - new[p].start]  # (lt lb), nonzero where p(lt) + p(lb) = p
+            for p_rb, rb in enumerate(R):
+                d = D[p_rb ^ q ^ p]
+                width = _size(rb) * _size(d)
+                r = r_buf[: n_inner * width].reshape(n_inner, width)
+                for p_lt, lt, m, rows in inner:
+                    block = bottoms[p_lt ^ p, p_lt ^ q, p_rb, p_rb ^ q ^ p]  # (lb, (m rb d))
+                    np.matmul(
+                        row[legs[p][p_lt][3]].reshape(_size(lt), len(block)),
+                        block,
+                        out=r[rows].reshape(_size(lt), _size(m) * width),
+                    )
+                pair = pair_buf[: n_rows * width].reshape(n_rows, width)
+                np.matmul(tops[q], r, out=pair)
+                for p_u, u, rt, rows in rows_q:
                     s = p_u ^ q ^ p_rb  # parity of (rt rb)
-                    shape = (_size(u), _size(rt), _size(rb), _size(d))
-                    dst = pairs[p][s][legs[s][p_u ^ q][3], sides[p ^ s][p_u][3]]
-                    _put(dst, block[rows, cols].reshape(shape).transpose(1, 2, 0, 3))
-        for s in (0, 1):
-            image = isos[s] @ pairs[p][s]  # (b of parity s, (u d) of parity p ^ s)
-            for _, u, d, cols in sides[p ^ s]:
-                out[a, new[s], u, d] = image[:, cols].reshape(len(image), _size(u), _size(d))
-    return out.transpose(2, 0, 3, 1), k_even, err  # -> (u, l, d, r)
+                    shape = (_size(u), _size(rt) * _size(rb), _size(d))
+                    x = pair[rows].reshape(shape).transpose(0, 2, 1)
+                    iso = isos[s][:, legs[s][p_u ^ q][3]].T  # ((rt rb), b)
+                    dst = out[u, a, d, new[s]]
+                    if q == 0:
+                        np.matmul(x, iso, out=dst)
+                    else:
+                        dst += x @ iso
+    return out, k_even, err, work
 
 
 def hotrg_step(
@@ -495,12 +543,14 @@ def hotrg_step(
     e_u, e_l, e_d, e_r = state.even
     if direction == "h":
         # rotate so the horizontal merge becomes a vertical one, then undo
-        new, k_even, err = _merge_vertical(t.transpose(1, 2, 3, 0), (e_l, e_d, e_r, e_u), spec)
+        new, k_even, err, work = _merge_vertical(
+            t.transpose(1, 2, 3, 0), (e_l, e_d, e_r, e_u), spec
+        )
         new, even = new.transpose(3, 0, 1, 2), (k_even, e_l, k_even, e_r)
     else:
-        new, k_even, err = _merge_vertical(t, state.even, spec)
+        new, k_even, err, work = _merge_vertical(t, state.even, spec)
         even = (e_u, k_even, e_d, k_even)
-    return _rescaled(new, even, state), err
+    return _rescaled(new, even, state, work), err
 
 
 @dataclass(frozen=True)
@@ -524,12 +574,16 @@ class CoarseGrainConfig:
 @dataclass(frozen=True)
 class CoarseGrainTrace:
     """free_energies[i] is the estimate after i+1 steps; bond_dims the
-    largest tensor extent then; discarded the weight dropped at that step."""
+    largest tensor extent then; discarded the weight dropped at that step;
+    subspace_iterations and dense_solves the eigensolver work of that step
+    (``CoarseGrainState``)."""
 
     free_energies: tuple[float, ...]
     bond_dims: tuple[int, ...]
     discarded: tuple[float, ...]
     method: str
+    subspace_iterations: tuple[int, ...]
+    dense_solves: tuple[int, ...]
 
 
 def coarse_grain(
@@ -543,6 +597,7 @@ def coarse_grain(
     fs: list[float] = []
     dims: list[int] = []
     weights: list[float] = []
+    work: list[tuple[int, int]] = []
     for i in range(config.n_iters):
         if config.method == "trg":
             state, err = trg_step(state, spec)
@@ -551,10 +606,14 @@ def coarse_grain(
         fs.append(free_energy_density(state, model.beta))
         dims.append(max(state.tensor.shape))
         weights.append(err)
+        work.append((state.subspace_iterations, state.dense_solves))
+    iterations, dense = zip(*work)
     trace = CoarseGrainTrace(
         free_energies=tuple(fs),
         bond_dims=tuple(dims),
         discarded=tuple(weights),
         method=config.method,
+        subspace_iterations=iterations,
+        dense_solves=dense,
     )
     return fs[-1], trace

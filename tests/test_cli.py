@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tnkit
-from tnkit import cli
+from tnkit import cli, trg
 from tnkit.checkpoint import checkpoint_read, checkpoint_write
 from tnkit.cli import (
     EXIT_CONFIG,
@@ -579,6 +579,38 @@ class TestFailureModes:
         assert code == EXIT_NUMERICAL
         assert json.loads((out / "error.json").read_text())["error"]["kind"] == "numerical"
 
+    @pytest.mark.parametrize("method", ["trg", "hotrg"])
+    @pytest.mark.parametrize("where", ["closure", "coarse tensor"])
+    def test_non_finite_flow_is_numerical_failure(self, tmp_path, monkeypatch, method, where):
+        # one NaN in a step's coarse tensor or in the torus closure stops the
+        # flow before an f of NaN can reach results.jsonl
+        nan = float("nan")
+        if where == "closure":
+            monkeypatch.setattr(trg, "torus_trace", lambda state: nan)
+        else:
+            rescaled = trg._rescaled
+
+            def poisoned(tensor, *args):
+                tensor[(0,) * tensor.ndim] = nan
+                return rescaled(tensor, *args)
+
+            monkeypatch.setattr(trg, "_rescaled", poisoned)
+        cfg = {
+            "run": "trg",
+            "seed": 1,
+            "model": {"name": "ising_2d", "beta": 0.4},
+            "method": method,
+            "max_bond": 4,
+            "n_iters": 3,
+        }
+        out = tmp_path / "out"
+        code = main(["trg", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "numerical"
+        assert ("torus closure is nan" if where == "closure" else "not finite") in err["message"]
+        assert not (out / "results.jsonl").exists()
+
     @pytest.mark.parametrize(
         "extra, field",
         [
@@ -744,6 +776,11 @@ class TestOtherSubcommands:
         assert len(rec["free_energies"]) == len(rec["bond_dims"]) == len(rec["discarded"]) == 8
         assert rec["bond_dims"][0] == 4 and max(rec["bond_dims"]) == 8
         assert all(0.0 <= w < 1e-3 for w in rec["discarded"])
+        # the eigensolver work of each step: every step solves its blocks
+        # with one of the two solvers
+        for key in ("subspace_iterations", "dense_solves"):
+            assert len(rec[key]) == 8 and all(isinstance(n, int) and n >= 0 for n in rec[key])
+        assert all(i + d > 0 for i, d in zip(rec["subspace_iterations"], rec["dense_solves"]))
 
     @pytest.mark.parametrize("method", ["trg", "hotrg"])
     def test_trg_at_low_temperature(self, tmp_path, method):
@@ -878,3 +915,5 @@ class TestBundledConfigs:
         assert got["free_energies"] == list(trace.free_energies)
         assert got["bond_dims"] == list(trace.bond_dims)
         assert got["discarded"] == list(trace.discarded)
+        assert got["subspace_iterations"] == list(trace.subspace_iterations)
+        assert got["dense_solves"] == list(trace.dense_solves)

@@ -9,13 +9,16 @@ from tnkit.models import ClassicalModelSpec
 from tnkit.oracle import ising_brute_force, onsager_f
 from tnkit.tensor import TruncationSpec
 from tnkit.trg import (
+    _SUBSPACE_SEED,
     CoarseGrainConfig,
     CoarseGrainState,
     _bond_root,
     _halves,
     _merge_isometry,
     _merge_vertical,
+    _rescaled,
     _split,
+    _start_block,
     _top_eigh,
     build_plaquette_tensor,
     coarse_grain,
@@ -217,14 +220,90 @@ def test_schemes_agree_off_criticality():
 
 
 def test_flow_is_deterministic():
+    # a trg, a hotrg and a trg flow in one process: the cached start blocks
+    # of the subspace iteration are shared, and neither flow changes them
     model = ClassicalModelSpec(beta=0.42)
     f1, t1 = coarse_grain(model, CoarseGrainConfig(12, 12, "trg"))
+    f3, t3 = coarse_grain(model, CoarseGrainConfig(12, 12, "hotrg"))
     f2, t2 = coarse_grain(model, CoarseGrainConfig(12, 12, "trg"))
     assert f1 == f2
-    assert t1.free_energies == t2.free_energies
-    f3, _ = coarse_grain(model, CoarseGrainConfig(12, 12, "hotrg"))
-    f4, _ = coarse_grain(model, CoarseGrainConfig(12, 12, "hotrg"))
+    assert t1 == t2
+    assert sum(t1.subspace_iterations) > 0 and sum(t3.subspace_iterations) > 0
+    f4, t4 = coarse_grain(model, CoarseGrainConfig(12, 12, "hotrg"))
     assert f3 == f4
+    assert t3 == t4
+
+
+def test_start_block_is_cached_and_read_only():
+    block = _start_block(40, 8)
+    assert _start_block(40, 8) is block
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+    want = np.random.default_rng(_SUBSPACE_SEED).standard_normal((40, 8))
+    assert np.array_equal(block, want)
+
+
+def _steps(state, spec, method, n):
+    for i in range(n):
+        if method == "trg":
+            state, _ = trg_step(state, spec)
+        else:
+            state, _ = hotrg_step(state, spec, "v" if i % 2 == 0 else "h")
+    return state
+
+
+@pytest.mark.parametrize("method, direction", [("trg", None), ("hotrg", "v"), ("hotrg", "h")])
+def test_steps_leave_their_input_unchanged(method, direction):
+    # the coarse tensor is divided by its max-norm in place; the input
+    # state's tensor is never written. Four steps at max_bond 10 saturate
+    # every leg, so the step runs the subspace iteration
+    spec = TruncationSpec(max_bond=10)
+    state = _steps(initial_state(ClassicalModelSpec(beta=BETA_C)), spec, method, 4)
+    before = state.tensor.tobytes()
+    if method == "trg":
+        new, _ = trg_step(state, spec)
+    else:
+        new, _ = hotrg_step(state, spec, direction)
+    assert new.subspace_iterations > 0
+    assert state.tensor.tobytes() == before
+    assert not np.shares_memory(new.tensor, state.tensor)
+    assert np.max(np.abs(new.tensor)) == 1.0
+
+
+def test_non_finite_coarse_tensor_raises():
+    state = initial_state(ClassicalModelSpec(beta=0.4))
+    even = (1, 1, 1, 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        t = build_plaquette_tensor(ClassicalModelSpec(beta=0.4))
+        t[0, 1, 0, 1] = bad  # an entry of the torus closure
+        with pytest.raises(RuntimeError, match="torus closure"):
+            free_energy_density(CoarseGrainState(t, 0.0, 1, even), 0.4)
+        with pytest.raises(RuntimeError, match="not finite"):
+            _rescaled(t, even, state, (0, 0))
+    with pytest.raises(RuntimeError, match="vanished"):
+        _rescaled(np.zeros((2, 2, 2, 2)), even, state, (0, 0))
+    negative = CoarseGrainState(-build_plaquette_tensor(ClassicalModelSpec(beta=0.4)), 0.0, 1, even)
+    with pytest.raises(RuntimeError, match="torus closure"):
+        free_energy_density(negative, 0.4)
+
+
+@pytest.mark.parametrize("method", ["trg", "hotrg"])
+def test_trace_counts_the_eigensolver_work(method, dense_eigh_calls, monkeypatch):
+    # one QR per subspace iteration, one scipy.linalg.eigh per dense solve
+    qr_calls = []
+    qr = scipy.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        qr_calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counted)
+    _, trace = coarse_grain(ClassicalModelSpec(beta=BETA_C), CoarseGrainConfig(16, 8, method))
+    assert len(trace.subspace_iterations) == len(trace.dense_solves) == 8
+    assert sum(trace.subspace_iterations) == len(qr_calls) > 0
+    assert sum(trace.dense_solves) == len(dense_eigh_calls) > 0
+    assert all(type(n) is int for n in trace.subspace_iterations + trace.dense_solves)
 
 
 def test_torus_trace_positive_along_flow():
@@ -340,7 +419,7 @@ def _check_top_eigh(parity, rng):
     blocks = [gram[np.ix_(parity == p, parity == p)] for p in (0, 1)]
     full_w, full_v = np.linalg.eigh(gram)
     full_w, full_v = full_w[::-1], full_v[:, ::-1]
-    v_even, v_odd, discarded = _top_eigh(blocks, TruncationSpec(max_bond=6))
+    v_even, v_odd, discarded, _ = _top_eigh(blocks, TruncationSpec(max_bond=6))
     v = _embed(v_even, v_odd, parity)
     assert v.shape[1] == 6
     # the kept values are the top of the merged spectrum, each block largest first
@@ -352,7 +431,7 @@ def _check_top_eigh(parity, rng):
     np.testing.assert_allclose(v @ v.T, full_v[:, :6] @ full_v[:, :6].T, atol=1e-12)
     assert discarded == pytest.approx(np.sum(full_w[6:]) / np.sum(full_w), abs=1e-12)
     # a cap at or beyond the size of each block returns the whole spectrum
-    v_even, v_odd, discarded = _top_eigh(blocks, TruncationSpec(max_bond=20))
+    v_even, v_odd, discarded, _ = _top_eigh(blocks, TruncationSpec(max_bond=20))
     v = _embed(v_even, v_odd, parity)
     kept = np.sort(np.diag(v.T @ gram @ v))[::-1]
     np.testing.assert_allclose(kept, full_w, rtol=1e-12, atol=1e-12)
@@ -366,7 +445,7 @@ def _check_large_top_eigh(blocks, k):
     order, and span its top eigenvectors (those of nonzero value); no value
     left out exceeds a kept one; two calls agree bit for bit. Returns the
     even count."""
-    v_even, v_odd, discarded = _top_eigh(blocks, TruncationSpec(max_bond=k))
+    v_even, v_odd, discarded, _ = _top_eigh(blocks, TruncationSpec(max_bond=k))
     again = _top_eigh(blocks, TruncationSpec(max_bond=k))
     assert np.array_equal(again[0], v_even) and np.array_equal(again[1], v_odd)
     assert again[2] == discarded
@@ -397,7 +476,7 @@ def test_top_eigh_falls_back_to_dense_solver(dense_eigh_calls):
     # within the iteration cap, so the dense solver gives the answer
     rng = np.random.default_rng(17)
     gram = _gram_with_spectrum(1.0 + 0.5 * rng.random(200), 200, rng)
-    v_even, v_odd, discarded = _top_eigh([gram, np.zeros((0, 0))], TruncationSpec(max_bond=16))
+    v_even, v_odd, discarded, _ = _top_eigh([gram, np.zeros((0, 0))], TruncationSpec(max_bond=16))
     assert dense_eigh_calls == [200]
     w, v = scipy.linalg.eigh(gram, subset_by_index=[184, 199])
     assert np.array_equal(v_even, v[:, ::-1]) and v_odd.shape == (0, 0)
@@ -421,7 +500,7 @@ def _split_view(m, rows, cols, axes, spec):
     order = np.argsort(axes)
     t = m.reshape([dim for dim, _ in legs]).transpose(order)
     halves = [_halves(*legs[i]) for i in order]
-    a, b, k_even, discarded = _split(t, axes, halves, spec)
+    a, b, k_even, discarded, _ = _split(t, axes, halves, spec)
     assert a.shape[:2] == (rows[0][0], rows[1][0]) and b.shape[:2] == (cols[0][0], cols[1][0])
     return a.reshape(m.shape[0], -1), b.reshape(m.shape[1], -1).T, k_even, discarded
 
@@ -542,7 +621,7 @@ def _isometry(t, even, spec):
     """``_merge_isometry`` as a dense matrix with rows (top leg, bottom leg)
     in C order: the rows of each parity block are the C order of the
     entries of that parity."""
-    v_even, v_odd, discarded = _merge_isometry(t, even, spec)
+    v_even, v_odd, discarded, _ = _merge_isometry(t, even, spec)
     rows = _leg_parity((t.shape[1], even[1]), (t.shape[1], even[1]))
     return _embed(v_even, v_odd, rows), v_even.shape[1], discarded
 
@@ -586,7 +665,7 @@ def _check_merge_vertical(t, even):
         iso, k_even, _ = _isometry(tensor, even, spec)
         u3 = iso.reshape(chi, chi, -1)
         want = np.einsum("xya,uxmr,mydn,rnb->uadb", u3, tensor, tensor, u3)
-        got, got_even, _ = _merge_vertical(tensor, even, spec)
+        got, got_even, _, _ = _merge_vertical(tensor, even, spec)
         assert got_even == k_even
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert np.all(got[_odd_entries(got, (even[0], k_even, even[2], k_even))] == 0.0)
@@ -606,7 +685,7 @@ def _check_merge_vertical(t, even):
     assert np.all(got.tensor[_odd_entries(got.tensor, got.even)] == 0.0)
 
 
-def test_non_finite_gram_raises():
+def test_non_finite_gram_raises(monkeypatch):
     spec = TruncationSpec(max_bond=2)
     with pytest.raises(ValueError):
         _top_eigh([np.full((3, 3), np.nan), np.eye(2)], spec)
@@ -624,6 +703,28 @@ def test_non_finite_gram_raises():
     legs = ((2, 2), (1, 1))
     with pytest.raises(ValueError):
         _split_view(np.array([[1.0, np.inf], [0.0, 1.0]]), legs, legs, (0, 1, 2, 3), spec)
+
+    # a plaquette split solves M M^T from its factor blocks M without forming
+    # it; a factor block of more than 4 max_bond rows with a NaN or an inf,
+    # in either parity, raises ValueError before any LAPACK call
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on non-finite input")
+
+    for module, name in [(scipy.linalg, "qr"), (scipy.linalg, "eigh"), (np.linalg, "eigh")]:
+        monkeypatch.setattr(module, name, no_lapack)
+    rng = np.random.default_rng(18)
+    for bad in (np.nan, np.inf):
+        m = rng.standard_normal((300, 40))
+        m[7, 25] = bad
+        for blocks in ([m, np.eye(2)], [np.eye(2), m]):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                _top_eigh(blocks, spec, factors=True)
+        # the same through a split of a tensor with 50-row parity blocks
+        legs = ((10, 5), (10, 5))
+        t = _graded_matrix(_leg_parity(*legs), _leg_parity(*legs), ([1.0] * 3, [0.5] * 3), rng)
+        t[3, 4] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _split_view(t, legs, legs, (0, 1, 2, 3), spec)
 
 
 @pytest.mark.parametrize("method", ["trg", "hotrg"])
