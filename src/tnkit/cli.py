@@ -127,6 +127,7 @@ def _run_dmrg(s: DmrgSettings, warm):
         "sweep_energies": list(trace.sweep_energies),
         "unconverged_solves": trace.unconverged_solves,
         "lanczos_matvecs": trace.lanczos_matvecs,
+        "sweep_matvecs": list(trace.sweep_matvecs),
         "bond_dims": list(psi.bond_dims),
         "warm_start": warm is not None,
     }

@@ -124,6 +124,21 @@ def test_warm_start_converges_in_fewer_sweeps(tmp_path):
     assert abs(e_warm - e_cold) <= 1e-10 * abs(e_cold)
 
 
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_warm_start_from_a_converged_checkpoint_takes_one_sweep(tmp_path, seed):
+    # the first two local solves of a search get lanczos_tol, and on a
+    # converged state the energy changes keep every later one near it
+    op = build_mpo(transverse_field_ising(12, J=1.0, h=1.0))
+    cfg = DmrgConfig(max_bond=32, n_sweeps=30, tol=1e-12, seed=seed)
+    e_cold, psi, trace_cold = ground_state(op, cfg)
+    assert trace_cold.converged and trace_cold.n_sweeps > 1
+    path = str(tmp_path / "ground.mps")
+    checkpoint_write(psi, path)
+    e_warm, _, trace_warm = ground_state(op, cfg, psi0=checkpoint_read(path))
+    assert trace_warm.converged and trace_warm.n_sweeps == 1
+    assert abs(e_warm - e_cold) <= 1e-13 * abs(e_cold)
+
+
 def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     old = _random_state(seed=1)
     path = tmp_path / "state.mps"
