@@ -179,9 +179,16 @@ def pauli_by_name(name: str, field: str) -> np.ndarray:
 
 @dataclass(frozen=True, kw_only=True)
 class _RunSettings:
-    """The ``seed`` every run requires."""
+    """The ``seed`` every run requires: a nonnegative integer, also for the
+    runs that draw nothing from it."""
 
     seed: int
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}", field="seed")
+        # then the rules of the algorithm config that the settings extend
+        getattr(super(), "__post_init__", lambda: None)()
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -275,6 +282,7 @@ class OracleSettings(_RunSettings):
     site_op: str = "sz"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.task not in _ORACLE_TASKS:
             raise ConfigError(f"unknown oracle task {self.task!r}", field="task")
         for name in _ORACLE_TASKS[self.task]:

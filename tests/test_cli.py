@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tnkit
-from tnkit import cli, trg
+from tnkit import cli, dmrg, trg
 from tnkit.checkpoint import checkpoint_read, checkpoint_write
 from tnkit.cli import (
     EXIT_CONFIG,
@@ -259,6 +259,28 @@ class TestFailureModes:
         out = tmp_path / "out"
         assert main(["dmrg", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
         assert json.loads((out / "error.json").read_text())["error"]["field"] == "seed"
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("dmrg_tfi", {}),
+            ("tebd_quench", {"state": "random"}),
+            ("thermal_tfi", {}),
+            ("trg_ising", {}),
+            ("oracle_ed", {}),
+        ],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, name, extra):
+        # every subcommand applies the same rule, also those that never
+        # draw from the seed; dmrg and a random tebd start used to hand it
+        # to numpy and exit 3
+        cfg = {**json.loads((CONFIGS_DIR / f"{name}.json").read_text()), **extra, "seed": -1}
+        out = tmp_path / "out"
+        code = main([cfg["run"], "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == "seed"
+        assert not (out / "results.jsonl").exists()
 
     def test_subcommand_mismatch_is_config_error(self, tmp_path):
         out = tmp_path / "out"
@@ -887,6 +909,22 @@ class TestBundledConfigs:
         out = tmp_path / "dmrg"
         assert run(str(CONFIGS_DIR / "dmrg_tfi.json"), out_dir=str(out)) == EXIT_OK
         assert _read_results(out)[0]["result"]["lanczos_matvecs"] == 289
+
+    def test_dmrg_operator_never_trips_the_lanczos_guard(self, tmp_path, monkeypatch):
+        # Lanczos trusts Simon's recurrence only while every step shows the
+        # operator Hermitian to working precision; a DMRG site operator is
+        checks = []
+        guard = dmrg._not_hermitian
+
+        def counted(*args):
+            checks.append(guard(*args))
+            return checks[-1]
+
+        monkeypatch.setattr(dmrg, "_not_hermitian", counted)
+        out = tmp_path / "dmrg"
+        assert run(str(CONFIGS_DIR / "dmrg_tfi.json"), out_dir=str(out)) == EXIT_OK
+        assert len(checks) > 0
+        assert sum(checks) == 0
 
     def test_dmrg_scan_lanczos_matvecs_are_pinned(self, tmp_path):
         # a change to the Krylov path moves these counts
