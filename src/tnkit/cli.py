@@ -57,7 +57,7 @@ from .config import (
 from .dmrg import excited_state, ground_state
 from .models import PAULI, bond_terms
 from .mpo import build_mpo, expect_mpo
-from .mps import expect_local, expect_profile, norm, product_state
+from .mps import _walk, expect_profile, norm, product_state
 from .tebd import evolve, lift_mpo, lift_site_operator, thermal_state
 from .trg import coarse_grain
 
@@ -155,13 +155,9 @@ def _run_tebd(s: TebdSettings, warm):
     # needs no imaginary part
     real = s.imag and all(np.isrealobj(term) for term in bond_terms(s.model))
     psi0 = _initial_state(s.state, s.model, s.seed, real)
-    watchers = {}
-    for item in s.observables:
-
-        def watcher(state, m=PAULI[item.op], site=item.site):
-            return expect_local(state, m, site).real
-
-        watchers[f"{item.op}[{item.site}]"] = watcher
+    watched = {f"{item.op}[{item.site}]": (item.site, PAULI[item.op]) for item in s.observables}
+    terms = list(watched.values())
+    watchers = {"walk": lambda state: _walk(state, terms).real} if terms else {}
     psi, trace = evolve(psi0, s.model, s, watchers)
     if trace.aborted:
         raise NonConvergenceError(
@@ -169,7 +165,7 @@ def _run_tebd(s: TebdSettings, warm):
         )
     record = {
         "times": list(trace.times),
-        "observables": {k: list(v) for k, v in trace.observables.items()},
+        "observables": dict(zip(watched, np.transpose(trace.observables.get("walk", ())))),
         "discarded": list(trace.discarded),
         "norm": norm(psi),
         "energy": expect_mpo(psi, build_mpo(s.model)).real,

@@ -5,9 +5,11 @@ right bond)``; the outermost bonds have extent 1. A state may carry an
 orthogonality center: sites to its left are then left-isometries, sites to
 its right right-isometries, which the algorithms below maintain via QR
 moves. ``center=None`` means no canonical structure is claimed. On a state
-with a center, ``expect_local``, ``expect_profile`` and ``correlator`` cost
-no factorization: they carry environments between the measured sites and
-the center, and the isometries outside contract to identities.
+with a center, measurements cost no factorization, since the isometries
+outside the measured window contract to identities: ``expect_local`` and
+``expect_profile`` are one walk (``_walk``) that carries the environment
+from the center out to the outermost measured site on each side, and
+``correlator`` contracts the window spanned by its two sites and the center.
 
 States are values: stored arrays are frozen, operations return new states.
 Site tensors are float64 when built from real data and complex128
@@ -244,12 +246,6 @@ def _overlap_left(env, bra_site, ket_site):
     return _close_left(bra_site, _absorb_left(env, ket_site))
 
 
-def _overlap_right(env, bra_site, ket_site):
-    """Carry a <bra|ket> environment (bra bond, ket bond) across one site
-    from its right bond to its left bond."""
-    return _close_right(bra_site, _absorb_right(ket_site, env.T))
-
-
 def inner(a: MatrixProductState, b: MatrixProductState) -> complex:
     """<a|b> (conjugation on ``a``)."""
     if a.n_sites != b.n_sites or a.phys_dims != b.phys_dims:
@@ -282,68 +278,60 @@ def _site_op(op, d: int) -> np.ndarray:
     return op
 
 
-def expect_local(psi: MatrixProductState, op, site: int) -> complex:
-    """<op_site>, normalized by the state norm.
+def _walk(psi: MatrixProductState, terms) -> np.ndarray:
+    """<op> of each ``(site, op)`` term, normalized by the state norm, in
+    one walk from the center.
 
-    On a state with a center no factorization is made: the sites between
-    ``site`` and the center are isometries, so an environment carried from
-    ``site`` to the center closes on the center tensor. A state without a
-    center is canonicalized around ``site`` first.
+    On a state with a center no factorization is made: the <psi|psi>
+    environment is carried from the center rightward to the rightmost term
+    and leftward to the leftmost, and each term closes it on its own site
+    (the isometries beyond contract to identities). Terms whose extreme
+    sites are lo and hi cost max(hi, c) - min(lo, c) environment transfers
+    on a state centered at c. A state without a center is canonicalized
+    around the leftmost term first.
     """
-    if not 0 <= site < psi.n_sites:
-        raise ValueError(f"site {site} out of range")
-    op = _site_op(op, psi.phys_dims[site])
+    n = psi.n_sites
+    for site, _ in terms:
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} out of range")
+    terms = [(site, _site_op(op, psi.phys_dims[site])) for site, op in terms]
+    lo, hi = min(site for site, _ in terms), max(site for site, _ in terms)
     if psi.center is None:
-        psi = canonicalize(psi, site)
+        psi = canonicalize(psi, lo)
     sites, c = psi.sites, psi.center
-    a = sites[c]
-    n2 = np.vdot(a, a).real
-    if n2 == 0.0:
-        raise ValueError("cannot take expectation values in the zero state")
-    oa = np.matmul(op, sites[site])
-    if site < c:
-        env = _close_left(sites[site], oa)
-        for k in range(site + 1, c):
-            env = _overlap_left(env, sites[k], sites[k])
-        oa = _absorb_left(env, a)
-    elif site > c:
-        env = _close_right(sites[site], oa)
-        for k in range(site - 1, c, -1):
-            env = _overlap_right(env, sites[k], sites[k])
-        oa = _absorb_right(a, env.T)
-    return complex(np.vdot(a, oa) / n2)
-
-
-def expect_profile(psi: MatrixProductState, op) -> np.ndarray:
-    """<op_i> at every site i, normalized by the state norm, in one pass.
-
-    On a state with a center no factorization is made: an environment is
-    carried once from the center to the right end and once from the center
-    to the left end, and each site's value closes it on that site (the
-    isometries beyond it contract to identities), so the profile costs
-    O(N) transfers. A state without a center is canonicalized around site
-    0 first.
-    """
-    if psi.center is None:
-        psi = canonicalize(psi, 0)
-    sites, c = psi.sites, psi.center
-    ops = [_site_op(op, d) for d in psi.phys_dims]
     n2 = np.vdot(sites[c], sites[c]).real
     if n2 == 0.0:
         raise ValueError("cannot take expectation values in the zero state")
-    out = np.empty(len(sites), dtype=complex)
+    kets = {}  # site k -> its ket with the environment between k and c
     env = np.eye(sites[c].shape[0])  # (bra, ket) left of site k
-    for k in range(c, len(sites)):
-        tmp = _absorb_left(env, sites[k])  # (bra, s, ket')
-        out[k] = np.vdot(sites[k], np.matmul(ops[k], tmp))
-        env = _close_left(sites[k], tmp)
-    # (bra, ket) right of site c - 1
-    env = _close_right(sites[c], sites[c])
-    for k in range(c - 1, -1, -1):
-        tmp = _absorb_right(sites[k], env.T)  # (ket, s, bra')
-        out[k] = np.vdot(sites[k], np.matmul(ops[k], tmp))
-        env = _close_right(sites[k], tmp)
-    return out / n2
+    for k in range(c, hi + 1):
+        kets[k] = _absorb_left(env, sites[k])  # (bra, s, ket')
+        if k < hi:
+            env = _close_left(sites[k], kets[k])
+    if lo < c:
+        env = _close_right(sites[c], sites[c])  # (bra, ket) right of site c - 1
+        for k in range(c - 1, lo - 1, -1):
+            kets[k] = _absorb_right(sites[k], env.T)  # (ket, s, bra')
+            if k > lo:
+                env = _close_right(sites[k], kets[k])
+    values = [np.vdot(sites[k], np.matmul(op, kets[k])) for k, op in terms]
+    return np.array(values, dtype=complex) / n2
+
+
+def expect_local(psi: MatrixProductState, op, site: int) -> complex:
+    """<op_site>, normalized by the state norm: one term of the center walk
+    (``_walk``), which on a state with a center makes no factorization and
+    carries the environment only between ``site`` and the center. A state
+    without a center is canonicalized around ``site`` first."""
+    return complex(_walk(psi, [(site, op)])[0])
+
+
+def expect_profile(psi: MatrixProductState, op) -> np.ndarray:
+    """<op_i> at every site i, normalized by the state norm: one center walk
+    (``_walk``) to both ends, O(N) transfers and, on a state with a center,
+    no factorization. A state without a center is canonicalized around
+    site 0 first."""
+    return _walk(psi, [(k, op) for k in range(psi.n_sites)])
 
 
 def correlator(psi: MatrixProductState, op_a, site_a: int, op_b, site_b: int) -> complex:

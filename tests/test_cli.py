@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tnkit
-from tnkit import cli, dmrg, trg
+from tnkit import cli, dmrg, mps, trg
 from tnkit.checkpoint import checkpoint_read, checkpoint_write
 from tnkit.cli import (
     EXIT_CONFIG,
@@ -25,9 +25,16 @@ from tnkit.cli import (
 from tnkit.dmrg import DmrgConfig, excited_state, ground_state
 from tnkit.models import PAULI, ClassicalModelSpec, transverse_field_ising
 from tnkit.mpo import build_mpo, expect_mpo
-from tnkit.mps import expect_local, random_mps, to_dense
+from tnkit.mps import expect_local, expect_profile, random_mps, to_dense
 from tnkit.oracle import dense_gibbs, dense_hamiltonian, ed_ground
-from tnkit.tebd import ThermalConfig, lift_mpo, thermal_state
+from tnkit.tebd import (
+    TebdConfig,
+    ThermalConfig,
+    evolve,
+    lift_mpo,
+    lift_site_operator,
+    thermal_state,
+)
 from tnkit.tensor import ConfigError
 from tnkit.trg import CoarseGrainConfig, coarse_grain
 
@@ -717,7 +724,16 @@ class TestOtherSubcommands:
             "dt": 0.05,
             "n_steps": 10,
             "max_bond": 32,
-            "observables": [{"op": "sz", "site": 2}],
+            # two operators on one site, a repeated watcher, and sites on
+            # both sides of the center (it alternates between the two ends)
+            "observables": [
+                {"op": "sz", "site": 2},
+                {"op": "sx", "site": 2},
+                {"op": "sz", "site": 5},
+                {"op": "sz", "site": 2},
+                {"op": "sy", "site": 0},
+                {"op": "sx", "site": 4},
+            ],
         }
         out = tmp_path / "out"
         assert main(["tebd", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
@@ -727,6 +743,48 @@ class TestOtherSubcommands:
         assert len(rec["observables"]["sz[2]"]) == 11
         assert rec["observables"]["sz[2]"][0] == pytest.approx(1.0)
         assert rec["norm"] == pytest.approx(1.0, abs=1e-8)
+        # each series is what one expect_local watcher per item records
+        watchers = {}
+        for item in cfg["observables"]:
+            m, site = PAULI[item["op"]], item["site"]
+            watchers[f"{item['op']}[{site}]"] = lambda st, m=m, k=site: expect_local(st, m, k).real
+        spec = transverse_field_ising(6, 1.0, 1.0)
+        _, trace = evolve(
+            _initial_state("neel", spec, 1, False),
+            spec,
+            TebdConfig(dt=0.05, n_steps=10, max_bond=32),
+            watchers,
+        )
+        assert sorted(rec["observables"]) == sorted(watchers)
+        for name, series in trace.observables.items():
+            np.testing.assert_allclose(rec["observables"][name], series, rtol=0, atol=1e-14)
+
+    def test_every_watched_site_is_one_walk_per_step(self, tmp_path, monkeypatch):
+        # every measurement carries the environment at most across the
+        # chain once, not from each watched site to the center
+        n, n_steps = 14, 3
+        closes = []
+        for name in ("_close_left", "_close_right"):
+            real = getattr(mps, name)
+            monkeypatch.setattr(mps, name, lambda a, t, real=real: closes.append(1) or real(a, t))
+        counts = []
+        for observables in ([], [{"op": "sz", "site": k} for k in range(n)]):
+            cfg = {
+                "run": "tebd",
+                "seed": 1,
+                "model": {"name": "transverse_field_ising", "n_sites": n, "h": 1.0},
+                "state": "neel",
+                "dt": 0.05,
+                "n_steps": n_steps,
+                "max_bond": 8,
+                "observables": observables,
+            }
+            closes.clear()
+            out = tmp_path / f"out{len(observables)}"
+            path = _write_cfg(tmp_path, cfg, f"cfg{len(observables)}.json")
+            assert main(["tebd", "--config", path, "--out", str(out)]) == EXIT_OK
+            counts.append(len(closes))
+        assert (counts[1] - counts[0]) / (n_steps + 1) <= n - 1
 
     def test_imaginary_time_from_random_state_stays_real(self, tmp_path):
         cfg = {
@@ -954,6 +1012,24 @@ class TestBundledConfigs:
         assert got["discarded"] == list(trace.discarded)
         assert got["log_norms"] == list(trace.log_norms)
         assert got["bond_dims"] == list(psi.bond_dims)
+        assert got["observables"] == {
+            name: expect_profile(psi, lift_site_operator(PAULI[name], 2)).real.tolist()
+            for name in ("sz", "sx")
+        }
+
+        out = tmp_path / "dmrg"
+        assert run(str(CONFIGS_DIR / "dmrg_tfi.json"), out_dir=str(out)) == EXIT_OK
+        got = _read_results(out)[0]["result"]
+        spec = transverse_field_ising(12, J=1.0, h=1.0)
+        energy, psi, trace = ground_state(
+            build_mpo(spec), DmrgConfig(max_bond=32, n_sweeps=30, tol=1e-12, seed=1)
+        )
+        assert got["energy"] == energy
+        assert got["sweep_energies"] == list(trace.sweep_energies)
+        assert got["bond_dims"] == list(psi.bond_dims)
+        assert got["observables"] == {
+            name: expect_profile(psi, PAULI[name]).real.tolist() for name in ("sz", "sx")
+        }
 
         out = tmp_path / "trg"
         assert run(str(CONFIGS_DIR / "trg_ising.json"), out_dir=str(out)) == EXIT_OK

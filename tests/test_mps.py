@@ -251,18 +251,51 @@ def test_expect_local_on_centered_state_needs_no_qr(monkeypatch, center):
     assert calls
 
 
+def _dense_local(psi, op, site):
+    """<op_site> / <psi|psi> from the dense state vector."""
+    v = to_dense(psi)
+    n = psi.n_sites
+    full = np.kron(np.eye(2**site), np.kron(op, np.eye(2 ** (n - 1 - site))))
+    return np.vdot(v, full @ v) / np.vdot(v, v)
+
+
 @pytest.mark.parametrize("center", [0, 3, 6, None])
 def test_expect_profile_matches_expect_local(monkeypatch, center):
+    # both run the center walk, so the reference is the dense vector
     psi = _unnormalized_state(center, seed=40)
     ops = [SZ, SX, np.array([[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -1.2]])]
-    want = [[expect_local(psi, op, site) for site in range(7)] for op in ops]
+    want = [[_dense_local(psi, op, site) for site in range(7)] for op in ops]
     calls = _count_factorizations(monkeypatch)
     for op, w in zip(ops, want):
         got = expect_profile(psi, op)
         assert got.shape == (7,)
         np.testing.assert_allclose(got, w, rtol=0, atol=1e-12)
+        local = [expect_local(psi, op, site) for site in range(7)]
+        np.testing.assert_allclose(got, local, rtol=0, atol=1e-14)
     if center is not None:
         assert calls == []
+
+
+@pytest.mark.parametrize("center", [0, 3, 6])
+@pytest.mark.parametrize("sites", [(3,), (1, 1, 5), (0, 6), (4, 2), (5, 6), (0, 1)])
+def test_walk_transfers_only_between_the_center_and_its_outermost_terms(
+    monkeypatch, center, sites
+):
+    import tnkit.mps as mps_module
+
+    psi = _unnormalized_state(center, seed=60 + center)
+    op_c = np.array([[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -1.2]])
+    terms = [(site, (SX, SZ, op_c)[i % 3]) for i, site in enumerate(sites)]
+    want = [_dense_local(psi, op, site) for site, op in terms]
+    closes = []
+    for name in ("_close_left", "_close_right"):
+        real = getattr(mps_module, name)
+        monkeypatch.setattr(mps_module, name, lambda a, t, real=real: closes.append(1) or real(a, t))
+    calls = _count_factorizations(monkeypatch)
+    got = mps_module._walk(psi, terms)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert len(closes) == max(max(sites), center) - min(min(sites), center)
+    assert calls == []
 
 
 def test_expect_profile_validation():
