@@ -57,7 +57,7 @@ from .config import (
 from .dmrg import excited_state, ground_state
 from .models import PAULI, bond_terms
 from .mpo import build_mpo, expect_mpo
-from .mps import _walk, expect_profile, norm, product_state
+from .mps import expect_profile, norm, product_state
 from .tebd import evolve, lift_mpo, lift_site_operator, thermal_state
 from .trg import coarse_grain
 
@@ -156,16 +156,14 @@ def _run_tebd(s: TebdSettings, warm):
     real = s.imag and all(np.isrealobj(term) for term in bond_terms(s.model))
     psi0 = _initial_state(s.state, s.model, s.seed, real)
     watched = {f"{item.op}[{item.site}]": (item.site, PAULI[item.op]) for item in s.observables}
-    terms = list(watched.values())
-    watchers = {"walk": lambda state: _walk(state, terms).real} if terms else {}
-    psi, trace = evolve(psi0, s.model, s, watchers)
+    psi, trace = evolve(psi0, s.model, s, watched)
     if trace.aborted:
         raise NonConvergenceError(
             "evolution aborted: per-step truncation loss exceeded abort_threshold"
         )
     record = {
         "times": list(trace.times),
-        "observables": dict(zip(watched, np.transpose(trace.observables.get("walk", ())))),
+        "observables": {name: [v.real for v in vs] for name, vs in trace.observables.items()},
         "discarded": list(trace.discarded),
         "norm": norm(psi),
         "energy": expect_mpo(psi, build_mpo(s.model)).real,

@@ -22,6 +22,17 @@ the neighbour. Every factorization goes through the tensor module's
 kernels, so the LAPACK SVDs and QRs set most of the time of a saturated
 quench.
 
+The trailing even(dt/2) of one second-order step and the leading one of
+the next act on the same bonds and commute, so they run as one layer of
+squared gates: n steps cost n·(|E|+|O|) gates plus |E| once, where E and O
+are the even and odd layers. Between steps the evolution holds φ_n, and
+ψ(t_n) is the owed half-layer applied to it. Observables of ψ(t_n) are
+measured without splitting that layer: each owed gate joins its two sites
+into one pair block of physical dimension d², every one-site operator is
+lifted onto its block, and one center walk (``mps._walk``) evaluates them
+all. The owed layer itself is applied, with truncation, only after the
+last step or after a step that aborts.
+
 Thermal states use purification: each physical site of dimension d is fused
 with an ancilla into a site of dimension d*d (system index major). Evolving
 the infinite-temperature product state to beta/2 in imaginary time gives
@@ -36,13 +47,13 @@ setting explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .models import HamiltonianSpec, bond_terms
 from .mpo import MatrixProductOperator
-from .mps import MatrixProductState, _move_center, canonicalize, product_state
+from .mps import MatrixProductState, _move_center, _walk, canonicalize, norm, product_state
 from .tensor import ConfigError, TruncationSpec, svd_matrix
 
 
@@ -120,18 +131,26 @@ def apply_gate(
     return MatrixProductState(sites, center=bond + 1), report
 
 
-def _gate_inplace(
-    sites: list, bond: int, gate: np.ndarray, spec: TruncationSpec, leftward: bool = False
-):
-    """Center must already sit at ``bond`` (or bond+1). Leaves it at bond+1,
-    or at ``bond`` when ``leftward`` absorbs the singular values to the left."""
+def _gated_pair(sites: list, bond: int, gate: np.ndarray) -> np.ndarray:
+    """The gate applied to sites (bond, bond+1) joined into one
+    (Dl, d1·d2, Dr) block."""
     a, b = sites[bond], sites[bond + 1]
     dl, d1, chi = a.shape
     _, d2, dr = b.shape
     if gate.shape != (d1 * d2, d1 * d2):
         raise ValueError(f"gate must be {d1 * d2} x {d1 * d2}, got {gate.shape}")
     theta = (a.reshape(dl * d1, chi) @ b.reshape(chi, d2 * dr)).reshape(dl, d1 * d2, dr)
-    theta = np.matmul(gate, theta)  # the gate on the physical pair of every (Dl, Dr)
+    return np.matmul(gate, theta)  # the gate on the physical pair of every (Dl, Dr)
+
+
+def _gate_inplace(
+    sites: list, bond: int, gate: np.ndarray, spec: TruncationSpec, leftward: bool = False
+):
+    """Center must already sit at ``bond`` (or bond+1). Leaves it at bond+1,
+    or at ``bond`` when ``leftward`` absorbs the singular values to the left."""
+    theta = _gated_pair(sites, bond, gate)
+    dl, d1 = sites[bond].shape[:2]
+    d2, dr = sites[bond + 1].shape[1:]
     u, s, vh, report = svd_matrix(theta.reshape(dl * d1, d2 * dr), spec)
     if leftward:
         u = u * s
@@ -174,6 +193,44 @@ class TebdConfig:
             raise ConfigError("abort_threshold must be positive", field="abort_threshold")
 
 
+def _owed_layout(n: int, owed) -> list:
+    """The blocks of a chain of n sites once the gates of ``owed`` join
+    their pairs: (first site, gate) per block, gate None for a site that no
+    owed bond covers."""
+    gates = {g.bond: g.matrix for g in owed}
+    layout, k = [], 0
+    while k < n:
+        layout.append((k, gates.get(k)))
+        k += 1 if gates.get(k) is None else 2
+    return layout
+
+
+def _lift_terms(terms, layout, dims) -> list:
+    """``(site, op)`` terms as ``(block, op)`` terms on the blocks of
+    ``layout``: an op on the left site of a pair becomes kron(op, I), on the
+    right site kron(I, op)."""
+    lifted = []
+    for site, op in terms:
+        i = max(j for j, (k, _) in enumerate(layout) if k <= site)
+        k, gate = layout[i]
+        if gate is not None:
+            op = np.kron(op, np.eye(dims[k + 1])) if site == k else np.kron(np.eye(dims[k]), op)
+        lifted.append((i, op))
+    return lifted
+
+
+def _owed_state(sites: list, center: int, layout, keep_center: bool) -> MatrixProductState:
+    """The state with every gate of ``layout`` applied exactly, as pair
+    blocks. Unitary gates keep the center in the block that holds it
+    (``keep_center``); other gates leave no canonical structure."""
+    blocks, block_center = [], None
+    for i, (k, gate) in enumerate(layout):
+        blocks.append(sites[k] if gate is None else _gated_pair(sites, k, gate))
+        if k <= center <= k + (gate is not None):
+            block_center = i
+    return MatrixProductState(blocks, center=block_center if keep_center else None)
+
+
 def evolve_gates(
     psi: MatrixProductState,
     scheme: TrotterScheme,
@@ -182,17 +239,26 @@ def evolve_gates(
     max_bond: int,
     rel_cutoff: float,
     abort_threshold: float,
-    observables: Mapping[str, Callable[[MatrixProductState], object]] | None = None,
+    observables: Mapping[str, tuple[int, np.ndarray]] | None = None,
 ) -> tuple[MatrixProductState, EvolutionTrace]:
     """Repeat a Trotter step, truncating after every gate.
 
-    Real time keeps the raw norm so drift stays measurable; imaginary time
-    renormalizes each truncation and pulls the state norm out once per step
-    into log_norms. The gates of one layer act on distinct bonds and
-    commute, so each layer is swept from whichever end is nearer the
-    current center. A step whose summed discarded weight exceeds
-    abort_threshold still completes, but evolution stops there and the
-    trace comes back with aborted=True.
+    ``observables`` maps names to one-site ``(site, op)`` terms; each
+    series holds <op> of the untruncated ψ(t_n), normalized, as complex
+    numbers. Real time keeps the raw norm so drift stays measurable;
+    imaginary time renormalizes each truncation and pulls the norm of
+    ψ(t_n) out once per step into log_norms. The gates of one layer act on
+    distinct bonds and commute, so each layer is swept from whichever end
+    is nearer the current center.
+
+    A second-order scheme (``order == 2``, layers E, O, E) runs step 1 as
+    E then O, every later step as E·E (one layer of squared gates, which
+    carries the previous step's trailing half) then O, and owes the final
+    E: it is measured through exactly (see the module docstring) and
+    applied with truncation after the last step, its discarded weight
+    counted in that step. A step whose summed discarded weight exceeds
+    abort_threshold still completes, owed layer included, but evolution
+    stops there and the trace comes back with aborted=True.
     """
     observables = dict(observables or {})
     trunc = TruncationSpec(
@@ -203,6 +269,15 @@ def evolve_gates(
     state = canonicalize(psi, 0)
     sites = list(state.sites)
     center = 0
+    if scheme.order == 2:
+        owed, middle = scheme.layers[:2]
+        first = (owed, middle)
+        # later steps run the owed half-layer and their own leading one as one
+        later = (tuple(TrotterGate(g.bond, g.matrix @ g.matrix) for g in owed), middle)
+    else:
+        owed, first = (), scheme.layers
+        later = first
+    layout = _owed_layout(len(sites), owed)
 
     times = [0.0]
     series: dict[str, list] = {name: [] for name in observables}
@@ -210,37 +285,54 @@ def evolve_gates(
     log_norms: list[float] = []
     aborted = False
 
-    def measure():
-        if observables:  # a snapshot copies every site
-            snap = MatrixProductState(sites, center=center)
-            for name, fn in observables.items():
-                series[name].append(fn(snap))
+    def sweep(layer) -> float:
+        nonlocal center
+        weight = 0.0
+        if not layer:  # two sites have no odd bond
+            return weight
+        leftward = abs(layer[-1].bond + 1 - center) < abs(layer[0].bond - center)
+        for gate in reversed(layer) if leftward else layer:
+            # either site of the gate may hold the center
+            _move_center(sites, center, min(max(center, gate.bond), gate.bond + 1))
+            weight += _gate_inplace(sites, gate.bond, gate.matrix, trunc, leftward).discarded_weight
+            center = gate.bond if leftward else gate.bond + 1
+        return weight
 
-    measure()
+    def pull_norm() -> float:
+        scale = float(np.linalg.norm(sites[center]))
+        if scale == 0.0:
+            raise RuntimeError("state collapsed to zero during evolution")
+        sites[center] = sites[center] / scale
+        return scale
+
+    def measure(snapshot, terms):
+        for name, value in zip(series, _walk(snapshot, terms)):
+            series[name].append(complex(value))
+
+    terms = list(observables.values())
+    if terms:  # also checks every site and operator before any step
+        measure(state, terms)
+        terms = _lift_terms(terms, layout, state.phys_dims)
+    owed_norm = 1.0
     for step in range(n_steps):
-        step_discarded = 0.0
-        for layer in scheme.layers:
-            if not layer:  # two sites have no odd bond
-                continue
-            leftward = abs(layer[-1].bond + 1 - center) < abs(layer[0].bond - center)
-            for gate in reversed(layer) if leftward else layer:
-                # either site of the gate may hold the center
-                _move_center(sites, center, min(max(center, gate.bond), gate.bond + 1))
-                report = _gate_inplace(sites, gate.bond, gate.matrix, trunc, leftward)
-                center = gate.bond if leftward else gate.bond + 1
-                step_discarded += report.discarded_weight
+        weight = sum(sweep(layer) for layer in (later if step else first))
+        scale = pull_norm() if scheme.imag else 1.0
+        if terms or (scheme.imag and owed):
+            snapshot = _owed_state(sites, center, layout, not (scheme.imag and owed))
         if scheme.imag:
-            scale = float(np.linalg.norm(sites[center]))
-            if scale == 0.0:
-                raise RuntimeError("state collapsed to zero during evolution")
-            sites[center] = sites[center] / scale
-            log_norms.append(float(np.log(scale)))
+            previous, owed_norm = owed_norm, norm(snapshot) if owed else 1.0
+            log_norms.append(float(np.log(scale) + np.log(owed_norm) - np.log(previous)))
         else:
             log_norms.append(0.0)
-        discarded.append(step_discarded)
+        if terms:
+            measure(snapshot, terms)
+        if step == n_steps - 1 or weight > abort_threshold:
+            weight += sweep(owed)
+            if scheme.imag:
+                pull_norm()  # the owed layer's norm, already in log_norms
+        discarded.append(weight)
         times.append((step + 1) * scheme.dt)
-        measure()
-        if step_discarded > abort_threshold:
+        if weight > abort_threshold:
             aborted = True
             break
 
@@ -259,7 +351,7 @@ def evolve(
     psi: MatrixProductState,
     spec: HamiltonianSpec,
     config: TebdConfig,
-    observables: Mapping[str, Callable[[MatrixProductState], object]] | None = None,
+    observables: Mapping[str, tuple[int, np.ndarray]] | None = None,
 ) -> tuple[MatrixProductState, EvolutionTrace]:
     """exp(-i H t) |psi> (or exp(-tau H) |psi> when imag) by Trotter steps."""
     if psi.phys_dims != (spec.phys_dim,) * spec.n_sites:

@@ -28,14 +28,14 @@ from tnkit.mpo import build_mpo, expect_mpo
 from tnkit.mps import expect_local, expect_profile, random_mps, to_dense
 from tnkit.oracle import dense_gibbs, dense_hamiltonian, ed_ground
 from tnkit.tebd import (
-    TebdConfig,
     ThermalConfig,
-    evolve,
+    apply_gate,
+    build_trotter,
     lift_mpo,
     lift_site_operator,
     thermal_state,
 )
-from tnkit.tensor import ConfigError
+from tnkit.tensor import ConfigError, TruncationSpec
 from tnkit.trg import CoarseGrainConfig, coarse_grain
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -743,21 +743,25 @@ class TestOtherSubcommands:
         assert len(rec["observables"]["sz[2]"]) == 11
         assert rec["observables"]["sz[2]"][0] == pytest.approx(1.0)
         assert rec["norm"] == pytest.approx(1.0, abs=1e-8)
-        # each series is what one expect_local watcher per item records
-        watchers = {}
-        for item in cfg["observables"]:
-            m, site = PAULI[item["op"]], item["site"]
-            watchers[f"{item['op']}[{site}]"] = lambda st, m=m, k=site: expect_local(st, m, k).real
+        # every series is expect_local on a full-rank state evolved by
+        # all three layers of every step, nothing fused or owed
         spec = transverse_field_ising(6, 1.0, 1.0)
-        _, trace = evolve(
-            _initial_state("neel", spec, 1, False),
-            spec,
-            TebdConfig(dt=0.05, n_steps=10, max_bond=32),
-            watchers,
-        )
-        assert sorted(rec["observables"]) == sorted(watchers)
-        for name, series in trace.observables.items():
-            np.testing.assert_allclose(rec["observables"][name], series, rtol=0, atol=1e-14)
+        scheme = build_trotter(spec, 0.05, order=2, imag=False)
+        psi = _initial_state("neel", spec, 1, False)
+        want = {name: [] for name in rec["observables"]}
+        for step in range(11):
+            if step:
+                for layer in scheme.layers:
+                    for gate in layer:
+                        psi, _ = apply_gate(psi, gate.bond, gate.matrix, TruncationSpec(32))
+            for item in cfg["observables"]:
+                name = f"{item['op']}[{item['site']}]"
+                value = expect_local(psi, PAULI[item["op"]], item["site"]).real
+                if len(want[name]) == step:  # a repeated watcher records once
+                    want[name].append(value)
+        assert sorted(rec["observables"]) == sorted(want)
+        for name, series in want.items():
+            np.testing.assert_allclose(rec["observables"][name], series, rtol=0, atol=1e-12)
 
     def test_every_watched_site_is_one_walk_per_step(self, tmp_path, monkeypatch):
         # every measurement carries the environment at most across the

@@ -201,12 +201,7 @@ def test_real_time_preserves_norm_and_energy_full_rank():
 def test_observable_series_and_times():
     spec = transverse_field_ising(4, h=1.0)
     config = TebdConfig(dt=0.05, n_steps=10, max_bond=8)
-    out, trace = evolve(
-        neel(4),
-        spec,
-        config,
-        observables={"sz0": lambda m: expect_local(m, SZ, 0).real},
-    )
+    out, trace = evolve(neel(4), spec, config, observables={"sz0": (0, SZ)})
     assert trace.times == tuple(pytest.approx(0.05 * k) for k in range(11))
     assert len(trace.observables["sz0"]) == 11
     assert trace.observables["sz0"][0] == pytest.approx(1.0, abs=1e-12)
@@ -217,17 +212,27 @@ def test_observable_series_and_times():
     assert trace.observables["sz0"][-1] == pytest.approx(want, abs=1e-4)
 
 
-def _forward_only(psi, scheme, n_steps, max_bond):
-    """Every layer swept left to right, the center walked back each time."""
+def _forward_only(psi, scheme, n_steps, max_bond, watched):
+    """Every layer of every step swept left to right, the center walked
+    back each time, no layer fused; <sz> at the ``watched`` sites after
+    every step, and in imaginary time the norm pulled out per step."""
     trunc = TruncationSpec(max_bond=max_bond)
     sites, center = list(canonicalize(psi, 0).sites), 0
+    series = {k: [expect_local(psi, SZ, k)] for k in watched}
+    log_norms = []
     for _ in range(n_steps):
         for layer in scheme.layers:
             for gate in layer:
                 _move_center(sites, center, gate.bond)
                 _gate_inplace(sites, gate.bond, gate.matrix, trunc)
                 center = gate.bond + 1
-    return MatrixProductState(sites, center=center)
+        scale = np.linalg.norm(sites[center]) if scheme.imag else 1.0
+        sites[center] = sites[center] / scale
+        log_norms.append(float(np.log(scale)))
+        state = MatrixProductState(sites, center=center)
+        for k in watched:
+            series[k].append(expect_local(state, SZ, k))
+    return state, series, log_norms
 
 
 def _count_center_moves(monkeypatch):
@@ -243,30 +248,65 @@ def _count_center_moves(monkeypatch):
 
 
 def test_gate_sweeps_skip_the_center_walk_back(monkeypatch):
+    import tnkit.tebd as tebd_module
+
     spec = transverse_field_ising(14, h=1.0)
     scheme = build_trotter(spec, 0.05, order=2, imag=False)
+    even, odd = len(scheme.layers[0]), len(scheme.layers[1])
     psi0 = neel(14)
     calls = _count_center_moves(monkeypatch)
+    svds = []
+    real_svd = tebd_module.svd_matrix
+    monkeypatch.setattr(
+        tebd_module, "svd_matrix", lambda m, spec: svds.append(1) or real_svd(m, spec)
+    )
     n_steps = 6
     out, _ = evolve_gates(psi0, scheme, n_steps, max_bond=32, rel_cutoff=0.0, abort_threshold=1e-3)
-    # a forward-only sweep walks the center back before each layer: 54 per step
-    assert len(calls) / n_steps <= 20
+    # one fused even layer and one odd layer per step, the owed even
+    # half-layer once: 85 gates, where three layers a step made 120
+    assert len(svds) == n_steps * (even + odd) + even == 85
+    # one move between neighbouring gates of a layer and one into the odd
+    # layer, where three layers a step made 108; a forward-only sweep walks
+    # the center back before each layer
+    assert len(calls) == n_steps * (even - 1 + odd) + even - 1 == 78
     assert canonical_residual(out) < 1e-12
+    # no step, no owed layer: the start state comes back as it was
+    calls.clear()
+    svds.clear()
+    same, trace = evolve_gates(
+        psi0, scheme, 0, max_bond=32, rel_cutoff=0.0, abort_threshold=1e-3,
+        observables={"sz0": (0, SZ)},
+    )
+    assert trace.times == (0.0,) and trace.discarded == () and trace.log_norms == ()
+    assert trace.observables == {"sz0": (1.0,)}
+    assert svds == [] and calls == []
+    assert same.center == psi0.center
+    for a, b in zip(same.sites, psi0.sites):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_gate_sweeps_match_forward_only_order_without_truncation():
-    spec = heisenberg_xxz(14, J=1.0, delta=0.6)
-    scheme = build_trotter(spec, 0.05, order=2, imag=False)
-    out, trace = evolve_gates(
-        neel(14), scheme, 4, max_bond=128, rel_cutoff=0.0, abort_threshold=1e-3
-    )
-    assert max(trace.discarded) == 0.0
-    ref = _forward_only(neel(14), scheme, 4, max_bond=128)
-    np.testing.assert_allclose(to_dense(out), to_dense(ref), rtol=0, atol=1e-12)
-    for site in (0, 6, 13):
-        assert expect_local(out, SZ, site) == pytest.approx(
-            expect_local(ref, SZ, site), abs=1e-12
+    # (sites, imaginary time, order)
+    cases = [
+        (14, False, 2), (14, True, 2), (14, False, 1), (13, False, 2), (13, True, 2), (13, True, 1)
+    ]
+    for n, imag, order in cases:
+        spec = heisenberg_xxz(n, J=1.0, delta=0.6)
+        scheme = build_trotter(spec, 0.05, order=order, imag=imag)
+        # both ends and one interior site; on 13 sites the last lies on no
+        # even bond
+        watched = (0, 6, n - 1)
+        psi0 = random_mps([2] * n, 4, 9, dtype=float) if imag else neel(n)
+        out, trace = evolve_gates(
+            psi0, scheme, 4, max_bond=128, rel_cutoff=0.0, abort_threshold=1e-3,
+            observables={k: (k, SZ) for k in watched},
         )
+        assert max(trace.discarded) == 0.0
+        ref, ref_series, ref_log_norms = _forward_only(psi0, scheme, 4, 128, watched)
+        np.testing.assert_allclose(to_dense(out), to_dense(ref), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.log_norms, ref_log_norms, rtol=0, atol=1e-12)
+        for k in watched:
+            np.testing.assert_allclose(trace.observables[k], ref_series[k], rtol=0, atol=1e-12)
 
 
 def test_two_site_chain_with_an_empty_layer():
@@ -289,6 +329,27 @@ def test_truncated_quench_aborts_on_weight_threshold():
     assert trace.discarded[-1] > 1e-8
     assert len(trace.times) == steps_done + 1
     assert max(out.bond_dims) <= 2
+    # the aborted step applied the owed half-layer: the state is psi(t_k),
+    # as a run of exactly k steps leaves it
+    full = TebdConfig(dt=0.1, n_steps=steps_done, max_bond=2, abort_threshold=np.inf)
+    same, same_trace = evolve(neel(8), spec, full)
+    assert not same_trace.aborted
+    assert same_trace.discarded == trace.discarded
+    np.testing.assert_array_equal(to_dense(same), to_dense(out))
+    # on the last step the abort check sees the owed layer's weight: two
+    # sites have no odd layer, and one step cuts after the leading half
+    # and again after the owed one
+    pair = heisenberg_xxz(2, J=1.0, delta=0.5)
+    half = build_trotter(pair, 0.3, order=2, imag=False).layers[0][0].matrix
+    lead_weight = apply_gate(neel(2), 0, half, TruncationSpec(max_bond=1))[1].discarded_weight
+    once = TebdConfig(dt=0.3, n_steps=1, max_bond=1, abort_threshold=np.inf)
+    _, one = evolve(neel(2), pair, once)
+    assert one.discarded[0] > 1.5 * lead_weight > 0.0
+    threshold = (lead_weight + one.discarded[0]) / 2
+    _, tripped = evolve(
+        neel(2), pair, TebdConfig(dt=0.3, n_steps=1, max_bond=1, abort_threshold=threshold)
+    )
+    assert tripped.aborted and tripped.discarded == one.discarded
 
 
 def test_imaginary_time_reaches_ground_state():
