@@ -8,7 +8,9 @@ Outputs written to --out:
   results.jsonl  one canonical-JSON record per run: index, scan values,
                  config hash, code version and the numeric results. This
                  file is byte-identical across reruns of the same config.
-  run.json       run-level metadata: config hash, version, wall times.
+  run.json       run-level metadata: config hash, version, wall times and
+                 the machine fingerprint (CPU count, library versions,
+                 BLAS, thread settings).
   summary.txt    human-readable digest, includes wall times.
   error.json     written instead of results on failure; for config errors
                  it names the offending field, and for a failed run its
@@ -33,10 +35,12 @@ import hashlib
 import itertools
 import json
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .checkpoint import CheckpointError, checkpoint_read, checkpoint_write, write_atomic
@@ -297,6 +301,36 @@ def _headline(subcommand: str, record: dict) -> str:
     return f"task={record['task']} " + " ".join(pieces)
 
 
+# the settings that fix the BLAS thread count (and so the last bits of some
+# results) and whether interpreters compile tnkit afresh
+_MACHINE_ENV = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "PYTHONDONTWRITEBYTECODE",
+)
+
+
+def _machine(workers: int) -> dict:
+    """The machine fingerprint of run.json; an unset variable is None."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": deps.get("name"), "version": deps.get("version")}
+    except (KeyError, TypeError, ValueError):
+        blas = {"name": None, "version": None}
+    machine = {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas,
+        "env": {name: os.environ.get(name) for name in _MACHINE_ENV},
+    }
+    if workers > 1:
+        machine["worker_blas"] = f"{workers} worker processes, each with its own BLAS thread pool"
+    return machine
+
+
 def _write_text(out_dir: str, name: str, text: str) -> None:
     write_atomic(os.path.join(out_dir, name), text.encode("utf-8"))
 
@@ -377,7 +411,7 @@ def _drive(
         return EXIT_CONFIG
 
     t_start = time.perf_counter()
-    runs, outcomes = (), None
+    runs, outcomes, workers = (), None, 1
 
     def fail(kind, label, exc, code):
         # results arrive in run order, so once runs have started a failure
@@ -438,6 +472,7 @@ def _drive(
         "wall_time_s": wall_total,
         "per_run_wall_s": [w for (_, w) in outcomes],
         "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "machine": _machine(workers),
     }
     _write_text(out_dir, "run.json", json.dumps(run_meta, indent=2) + "\n")
 

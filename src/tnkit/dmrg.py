@@ -22,32 +22,36 @@ estimate passes sqrt(eps), on that step and the next. The recurrence
 assumes a Hermitian operator, so one dot per step checks that the operator
 behaves as one; a solve whose operator does not gets the pass on every
 later step. On a 40-site critical transverse-field Ising ground state at
-bond dimension 32 (seed 12), 261 of the 3392 Krylov steps run a pass,
-besides the first step of each of the 158 solves (a pass against the start
-vector alone), and the matvecs and sweeps are those that full
-reorthogonalization makes. The Ritz pair of the small tridiagonal matrix
+bond dimension 32 (seed 12), 321 of the 2267 Krylov steps run a pass,
+besides the first step of each of the 316 solves (a pass against the start
+vector alone); full reorthogonalization makes the same sweeps and 2271
+matvecs. The Ritz pair of the small tridiagonal matrix
 is found on each iteration by calling LAPACK directly (dstebz for the
 lowest eigenvalue, dstein for its vector) on coefficients kept in
 preallocated arrays, and the final Ritz vector is corrected for what the
 passes removed by one tridiagonal solve; non-finite coefficients raise
 before anything divides by them.
 
-A local solve is converged only as far as the sweep has moved: it stops
-once its Ritz residual is at most ``max(lanczos_tol, |e1 - e2| / max(1,
-|e1|))`` relative to its Ritz value, where e1 and e2 are the last two
-update energies of the search (its first two solves get ``lanczos_tol``).
-The energy error of a solve is second order in its residual, so the
-error it leaves is far below the last update's energy change, and solving
-the early sweeps of a random start to rounding buys nothing while their
-environments are still far from converged (production codes tie their
-Lanczos tolerances to the sweep's error the same way; Hauschild &
-Pollmann, SciPost Phys. Lect. Notes 5 (2018)). A sweep converges only
-once its update energies spread by less than ``tol·|E|``, and by then the
-rule is back near ``lanczos_tol``. Each solve is still seeded with the
-current tensor, whose Rayleigh quotient bounds its Ritz value, so
-energies still never increase. On the 40-site chain above the Krylov
-steps fall from 4801 to 3392, and the run takes 2 sweeps either way;
-most seeds take a third, short sweep and still make fewer steps.
+A local solve is converged only as far as the next sweep can use it. It
+stops once its Ritz residual is at most ``max(lanczos_tol * max(1,
+|theta|), eta * r0)``, where r0 = ||H x0 - <x0|H|x0> x0|| is the residual
+of its start vector x0, the site's current tensor, and eta is the module
+constant ``_REDUCTION`` (0.2): the fixed forcing term of an inexact
+iteration (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 16 (1996)), as
+production codes stop their local solves early (Hauschild & Pollmann,
+SciPost Phys. Lect. Notes 5 (2018)). Every solve cuts its residual by at
+least 1/eta unless it reaches ``lanczos_tol`` first, so none sits idle,
+and none solves an early sweep's still unconverged environments to
+rounding. Each solve is still seeded with the current tensor, whose
+Rayleigh quotient bounds its Ritz value, so energies never increase. A
+sweep converges only once its update energies spread by at most
+``tol·|E|``, as before; the energy error of a solve is second order in
+its residual, so what the cut leaves then is of order eta^2 times that
+spread. On the 40-site chain above (seed 12) the search makes 2267 Krylov
+steps over 316 solves in 4 sweeps. A tolerance taken from the last
+update's energy change made 3392 over 158 in 2 sweeps: it stopped every
+other solve of the first half-sweep at its first matvec, with the energy
+unmoved, and ran the rest to ``lanczos_tol``.
 
 Arithmetic is real when the problem is: the environments start from real
 seeds, a random start state takes the dtype of the MPO, and the Lanczos
@@ -112,8 +116,9 @@ class DmrgTrace:
     lanczos_matvecs counts the effective-Hamiltonian applications of all
     local solves, retries included, and sweep_matvecs splits it by sweep,
     aligned with sweep_energies. unconverged_solves counts the solves that
-    missed their own tolerance even after a retry. final_overlaps holds
-    |<c|psi>| against each penalized state."""
+    met neither ``lanczos_tol`` nor the cut of their start residual even
+    after a retry. final_overlaps holds |<c|psi>| against each penalized
+    state."""
 
     sweep_energies: tuple[float, ...]
     update_energies: tuple[float, ...]
@@ -217,14 +222,18 @@ def _not_hermitian(coupling: complex, beta: float, norm_t: float) -> bool:
     return abs(coupling - beta) > _SEMI * norm_t
 
 
-def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float):
+def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float, reduction: float = 0.0):
     """Smallest Ritz pair of a Hermitian operator given as a matvec.
 
     Stops at the first step whose Ritz residual ``beta_k |u_k|`` is at most
-    ``tol * max(1, |theta|)``; a loose ``tol`` stops early, and since the
-    start vector is the first basis row, theta never exceeds its Rayleigh
-    quotient. The basis is the rows of one array, filled row by row, and
-    kept for the Ritz vector.
+    ``max(tol * max(1, |theta|), reduction * r0)``, with r0 the residual
+    ``||H v0 - <v0|H|v0> v0||`` of the normalized start vector (the first
+    step's beta). The default ``reduction`` of 0 stops at ``tol`` alone; a
+    reduction in (0, 1) cuts the start vector's own residual by that
+    factor, and a loose ``tol`` stops early. Since the start vector is the
+    first basis row, theta never exceeds its Rayleigh quotient. The basis
+    is the rows of one array, filled row by row, and kept for the Ritz
+    vector.
 
     Orthogonality is kept partially (Simon 1984; Parlett & Scott 1979 for
     selective orthogonalization, its forerunner). Simon's recurrence
@@ -316,7 +325,9 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float):
             passes.append((k - 1, c))
             nu[:] = rounding
             owed = not owed
-        if beta * abs(u[-1]) <= tol * max(1.0, abs(theta)):
+        if k == 1:  # the start vector's own residual, cut by the factor
+            target = reduction * beta
+        if beta * abs(u[-1]) <= max(tol * max(1.0, abs(theta)), target):
             converged = True
             break
         if beta <= 1e-14 * scale or k == m:  # invariant subspace
@@ -357,6 +368,14 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float):
 # ---------------------------------------------------------------------------
 
 
+# the forcing term of every local solve (module docstring): it stops once its
+# Ritz residual is this fraction of its start vector's, unless lanczos_tol
+# ends it first. On the 40-site chain's seeds 0.1 made 22% more matvecs, and
+# 0.3 left the penalized states of a 10-site XXZ chain about 10 times less
+# orthogonal to the states below
+_REDUCTION = 0.2
+
+
 class _Workspace:
     """Mutable sweep state: the site list, its Hamiltonian environments, and
     one <psi|lower> environment per penalized state."""
@@ -387,13 +406,14 @@ class _Workspace:
 
     def solve_site(self, k, x0, max_iter, tol):
         """Lowest Ritz pair of site k, seeded with ``x0``, the site's
-        current tensor. An unconverged solve is retried once from its Ritz
-        vector with twice the iterations. Returns (value, tensor,
-        converged)."""
+        current tensor, converged to ``tol`` or to ``_REDUCTION`` times its
+        start residual. An unconverged solve is retried once from its Ritz
+        vector with twice the iterations, which cuts that vector's residual
+        by the same factor. Returns (value, tensor, converged)."""
         matvec = self.site_matvec(k)
-        theta, vec, ok = lanczos_ground(matvec, x0.reshape(-1), max_iter, tol)
+        theta, vec, ok = lanczos_ground(matvec, x0.reshape(-1), max_iter, tol, _REDUCTION)
         if not ok:
-            theta, vec, ok = lanczos_ground(matvec, vec, 2 * max_iter, tol)
+            theta, vec, ok = lanczos_ground(matvec, vec, 2 * max_iter, tol, _REDUCTION)
         return theta, vec.reshape(x0.shape), ok
 
 
@@ -423,12 +443,7 @@ def _sweep(op, config, psi, lowers):
 
     def solve(k, start):
         nonlocal unconverged
-        # converge each solve only as far as the last update moved the energy
-        tol = config.lanczos_tol
-        if len(update_energies) >= 2:
-            last, before = update_energies[-1], update_energies[-2]
-            tol = max(tol, abs(last - before) / max(1.0, abs(last)))
-        theta, vec, ok = ws.solve_site(k, start(), config.lanczos_max_iter, tol)
+        theta, vec, ok = ws.solve_site(k, start(), config.lanczos_max_iter, config.lanczos_tol)
         if not ok:
             unconverged += 1
         if config.noise > 0.0:

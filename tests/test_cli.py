@@ -216,6 +216,38 @@ class TestDmrgRuns:
             e_ref, _ = ed_ground(dense_hamiltonian(transverse_field_ising(8, 1.0, h)))
             assert abs(r["result"]["energy"] - e_ref) <= 1e-8 * abs(e_ref)
         assert (serial / "results.jsonl").read_bytes() == (pooled / "results.jsonl").read_bytes()
+        # each pool worker is its own interpreter with its own BLAS threads
+        serial_meta = json.loads((serial / "run.json").read_text())
+        pooled_meta = json.loads((pooled / "run.json").read_text())
+        assert "worker_blas" not in serial_meta["machine"]
+        assert "own BLAS thread pool" in pooled_meta["machine"]["worker_blas"]
+
+    def test_run_json_records_the_machine(self, tmp_path, monkeypatch):
+        import platform
+
+        import scipy
+
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        cfg_path = _write_cfg(tmp_path, _dmrg_cfg())
+        out = tmp_path / "out"
+        assert main(["dmrg", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        machine = json.loads((out / "run.json").read_text())["machine"]
+        assert set(machine) == {"cpu_count", "python", "numpy", "scipy", "blas", "env"}
+        assert machine["cpu_count"] == os.cpu_count()
+        assert machine["python"] == platform.python_version()
+        assert (machine["numpy"], machine["scipy"]) == (np.__version__, scipy.__version__)
+        assert set(machine["blas"]) == {"name", "version"}
+        assert machine["env"] == {
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": None,
+            "PYTHONDONTWRITEBYTECODE": "1",
+        }
+        # the fingerprint stays out of the byte-identical results
+        text = (out / "results.jsonl").read_text()
+        assert "cpu_count" not in text and "machine" not in text
 
     def test_checkpoint_round_trip_warm_start(self, tmp_path):
         cfg = _dmrg_cfg(model={"name": "transverse_field_ising", "n_sites": 12, "h": 1.0})
@@ -970,7 +1002,7 @@ class TestBundledConfigs:
         # random start state does
         out = tmp_path / "dmrg"
         assert run(str(CONFIGS_DIR / "dmrg_tfi.json"), out_dir=str(out)) == EXIT_OK
-        assert _read_results(out)[0]["result"]["lanczos_matvecs"] == 289
+        assert _read_results(out)[0]["result"]["lanczos_matvecs"] == 344
 
     def test_dmrg_operator_never_trips_the_lanczos_guard(self, tmp_path, monkeypatch):
         # Lanczos trusts Simon's recurrence only while every step shows the
@@ -993,7 +1025,7 @@ class TestBundledConfigs:
         out = tmp_path / "scan"
         assert run(str(CONFIGS_DIR / "dmrg_scan.json"), out_dir=str(out)) == EXIT_OK
         counts = [rec["result"]["lanczos_matvecs"] for rec in _read_results(out)]
-        assert counts == [304, 289, 242]
+        assert counts == [307, 344, 271]
 
     def test_dmrg_and_oracle_configs_agree(self, tmp_path):
         out_dmrg, out_ed = tmp_path / "dmrg", tmp_path / "ed"

@@ -25,7 +25,7 @@ from tnkit.mps import (
     random_mps,
     to_dense,
 )
-from tnkit.oracle import dense_hamiltonian, ed_ground, ed_spectrum
+from tnkit.oracle import dense_hamiltonian, ed_ground, ed_spectrum, free_fermion_ground
 
 
 def _hermitian_with_spectrum(spectrum, complex_entries, seed):
@@ -341,31 +341,80 @@ def test_energies_monotone_and_seed_deterministic():
         np.testing.assert_array_equal(a, b)
 
 
-def test_each_local_solve_gets_the_energy_change_tolerance(monkeypatch):
-    """The first two solves of each search get lanczos_tol; every later one
-    the relative change between the two update energies before it, with
-    lanczos_tol as its floor."""
-    tols = []
+def test_each_local_solve_cuts_its_own_start_residual(monkeypatch):
+    """Every solve of a ground and of an excited search gets lanczos_tol and
+    the module's reduction factor, and none stops at its first matvec unless
+    its start vector's residual already meets lanczos_tol * max(1, |theta|).
+    A tolerance taken from the last update's energy change stopped 12 of
+    this chain's solves at their first matvec with start residuals up to
+    about 4e10 times that bound."""
+    solves = []
 
-    def spy(matvec, v0, max_iter, tol):
-        tols.append(tol)
-        return lanczos_ground(matvec, v0, max_iter, tol)
+    def spy(matvec, v0, max_iter, tol, *rest):
+        images = []
+
+        def counted(x):
+            y = matvec(x)
+            images.append((x.copy(), y.copy()))
+            return y
+
+        theta, vec, ok = lanczos_ground(counted, v0, max_iter, tol, *rest)
+        x, y = images[0]  # the normalized start vector and its image
+        start_residual = np.linalg.norm(y - np.vdot(x, y).real * x)
+        solves.append((tol, rest, len(images), start_residual, theta, np.linalg.norm(y)))
+        return theta, vec, ok
 
     monkeypatch.setattr(tnkit.dmrg, "lanczos_ground", spy)
-    op = build_mpo(heisenberg_xxz(10, J=1.0, delta=0.4, field=0.1))
+    op = build_mpo(transverse_field_ising(16, h=1.0))
     config = DmrgConfig(max_bond=16, n_sweeps=40, seed=9, lanczos_tol=1e-11)
     _, psi, ground = ground_state(op, config)
-    n_ground = len(tols)
+    n_ground = len(solves)
     _, _, excited = excited_state(op, config, [psi])
-    for trace, got in ((ground, tols[:n_ground]), (excited, tols[n_ground:])):
-        assert trace.unconverged_solves == 0  # one Lanczos call per update
-        e = trace.update_energies
-        want = [1e-11, 1e-11] + [
-            max(1e-11, abs(e[i - 1] - e[i - 2]) / max(1.0, abs(e[i - 1])))
-            for i in range(2, len(e))
-        ]
-        assert got == want
-        assert max(got) > 1e-3  # the first sweep runs loose
+    assert ground.converged and excited.converged
+    assert n_ground == len(ground.update_energies)  # one Lanczos call per update
+    assert len(solves) - n_ground == len(excited.update_energies)
+    eps = np.finfo(float).eps
+    for tol, rest, matvecs, start_residual, theta, image_norm in solves:
+        if matvecs == 1:
+            bound = 1e-11 * max(1.0, abs(theta))
+            assert start_residual <= bound + 64 * eps * image_norm
+    assert 0.0 < tnkit.dmrg._REDUCTION < 1.0
+    assert {(tol, rest) for tol, rest, *_ in solves} == {(1e-11, (tnkit.dmrg._REDUCTION,))}
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("reduction", [0.5, 0.2, 1e-3])
+def test_reduction_cuts_the_start_residual_by_its_factor(reduction, complex_entries):
+    """With a reduction factor eta, Lanczos stops once the Ritz residual is
+    at most eta times the start vector's own residual ||A x0 - rho x0||
+    (rho its Rayleigh quotient): the returned pair's measured residual
+    meets that, theta stays at or below rho, and the solve is shorter than
+    one run to lanczos_tol."""
+    spectrum = np.concatenate([[-3.0], np.linspace(-2.0, 4.0, 199)])
+    m = _hermitian_with_spectrum(spectrum, complex_entries, seed=21)
+    start = np.random.default_rng(23).normal(size=spectrum.size)
+    x0 = start / np.linalg.norm(start)
+    rho = np.vdot(x0, m @ x0).real
+    start_residual = np.linalg.norm(m @ x0 - rho * x0)
+    matvec, seen = _recorded(lambda x: m @ x)
+    theta, vec, ok = lanczos_ground(matvec, start, 100, 1e-12, reduction=reduction)
+    assert ok
+    rounding = 1e-12 * np.abs(spectrum).max()
+    assert np.linalg.norm(m @ vec - theta * vec) <= reduction * start_residual + rounding
+    assert theta <= rho
+    full, unseen = _recorded(lambda x: m @ x)
+    lanczos_ground(full, start, 100, 1e-12)
+    assert 1 < len(seen) < len(unseen)
+
+
+@pytest.mark.parametrize("h", [0.7, 1.0, 1.4])
+def test_ground_energy_matches_free_fermions_on_24_sites(h):
+    """Past exact diagonalization: the open transverse-field Ising chain of
+    24 sites against its free-fermion solution."""
+    op = build_mpo(transverse_field_ising(24, J=1.0, h=h))
+    energy, _, trace = ground_state(op, DmrgConfig(max_bond=32, seed=4))
+    assert trace.converged
+    assert energy == pytest.approx(free_fermion_ground(24, 1.0, h), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("lanczos_max_iter", [100, 2])
@@ -459,11 +508,11 @@ def test_excited_states_on_ten_sites_are_pinned():
     e2, _, trace2 = excited_state(op, config, [psi0, psi1])
     assert e1 == pytest.approx(-13.21817119384246, rel=1e-12, abs=0)
     assert e2 == pytest.approx(-12.818171193842462, rel=1e-12, abs=0)
-    assert (trace1.n_sweeps, trace2.n_sweeps) == (3, 3)
-    assert (trace1.lanczos_matvecs, trace2.lanczos_matvecs) == (340, 353)
-    np.testing.assert_allclose(trace1.final_overlaps, [5.157352125632319e-13], rtol=1e-2)
+    assert (trace1.n_sweeps, trace2.n_sweeps) == (5, 5)
+    assert (trace1.lanczos_matvecs, trace2.lanczos_matvecs) == (430, 454)
+    np.testing.assert_allclose(trace1.final_overlaps, [1.0804543753773517e-12], rtol=1e-2)
     np.testing.assert_allclose(
-        trace2.final_overlaps, [2.1084017065501268e-11, 1.0736730795216921e-10], rtol=1e-2
+        trace2.final_overlaps, [3.896148441057235e-11, 7.565267635556711e-11], rtol=1e-2
     )
 
 

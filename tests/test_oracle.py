@@ -21,6 +21,19 @@ def test_tfi_classical_limit():
     assert np.isclose(e0, -4.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("J, h", [(1.0, 0.7), (1.0, 1.0), (0.8, 1.4), (1.0, 0.0), (0.0, 0.5)])
+def test_free_fermion_ground_matches_ed(J, h):
+    dh = oracle.dense_hamiltonian(models.transverse_field_ising(8, J, h))
+    e0, _ = oracle.ed_ground(dh)
+    assert oracle.free_fermion_ground(8, J, h) == pytest.approx(e0, rel=1e-12, abs=1e-12)
+
+
+def test_free_fermion_ground_single_site_and_bad_length():
+    assert oracle.free_fermion_ground(1, 1.0, 0.3) == pytest.approx(-0.3, abs=1e-15)
+    with pytest.raises(ValueError):
+        oracle.free_fermion_ground(0)
+
+
 def test_hamiltonian_is_hermitian_and_real_spectrum():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
