@@ -390,6 +390,13 @@ def _warm_start(subcommand: str, runs: tuple[RunSpec, ...], checkpoint: str | No
     if subcommand != "dmrg" or not os.path.exists(checkpoint):
         return None
     psi = checkpoint_read(checkpoint)
+    model = runs[0].settings.model
+    if psi.phys_dims != (model.phys_dim,) * model.n_sites:
+        raise ConfigError(
+            f"checkpoint site dimensions {psi.phys_dims} do not match the model's "
+            f"{model.n_sites} sites of dimension {model.phys_dim}",
+            "--checkpoint",
+        )
     if max(psi.bond_dims, default=1) > runs[0].settings.max_bond:
         raise ConfigError(f"checkpoint bonds {psi.bond_dims} exceed max_bond", "max_bond")
     return psi

@@ -201,8 +201,11 @@ class DmrgSettings(_RunSettings, DmrgConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_excited < 0:
-            raise ConfigError("n_excited must be >= 0", field="n_excited")
+        # the chain has d**N levels; the power is taken only as far as
+        # n_excited reaches, so that a long chain costs nothing
+        d, n = self.model.phys_dim, self.model.n_sites
+        if not 0 <= self.n_excited < d ** min(n, self.n_excited.bit_length()):
+            raise ConfigError(f"need 0 <= n_excited < {d}**{n}, got {self.n_excited}", "n_excited")
         for i, name in enumerate(self.observables):
             pauli_by_name(name, f"observables[{i}]")
 

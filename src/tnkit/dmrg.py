@@ -12,25 +12,18 @@ Each local solve is Lanczos on the operator of one site. It is built once
 per site (``_Environments.site_operator``): the left environment times the
 site's MPO tensor as a ``(f·o·w', k·s)`` matrix and the right environment
 as a ``(w'·k', f')`` matrix, so every Krylov vector costs two matrix
-products and no transposed copy. The Krylov basis is kept semi-orthogonal
-rather than orthogonal (partial reorthogonalization; Simon, Math. Comp. 42,
-115 (1984)): Simon's recurrence estimates the overlap of each new Krylov
-vector with every earlier one from the tridiagonal coefficients alone, in
-O(k) per step, and a full classical Gram-Schmidt pass, repeated only when
-it cancels (Daniel, Gragg, Kaufman & Stewart 1976), runs only once an
-estimate passes sqrt(eps), on that step and the next. The recurrence
-assumes a Hermitian operator, so one dot per step checks that the operator
-behaves as one; a solve whose operator does not gets the pass on every
-later step. On a 40-site critical transverse-field Ising ground state at
-bond dimension 32 (seed 12), 321 of the 2267 Krylov steps run a pass,
-besides the first step of each of the 316 solves (a pass against the start
-vector alone); full reorthogonalization makes the same sweeps and 2271
-matvecs. The Ritz pair of the small tridiagonal matrix
-is found on each iteration by calling LAPACK directly (dstebz for the
-lowest eigenvalue, dstein for its vector) on coefficients kept in
-preallocated arrays, and the final Ritz vector is corrected for what the
-passes removed by one tridiagonal solve; non-finite coefficients raise
-before anything divides by them.
+products and no transposed copy. Each new Krylov vector is orthogonalized
+against the whole basis by one classical Gram-Schmidt pass, repeated only
+when it cancels (Daniel, Gragg, Kaufman & Stewart 1976), so the basis stays
+orthonormal to rounding. The solves are short, so the pass is cheap: on a
+40-site critical transverse-field Ising ground state at bond dimension 32
+(seeds 12, 101 and 160), each search makes 316 solves over 4 sweeps and
+2219-2344 matvecs, and a solve runs a median of 6 Krylov steps (90th
+percentile 13-15, at most 25-33). The Ritz pair of the small tridiagonal
+matrix is found on each iteration by calling LAPACK directly (dstebz for
+the lowest eigenvalue, dstein for its vector) on coefficients kept in
+preallocated arrays; non-finite coefficients raise before anything divides
+by them.
 
 A local solve is converged only as far as the next sweep can use it. It
 stops once its Ritz residual is at most ``max(lanczos_tol * max(1,
@@ -47,7 +40,7 @@ Rayleigh quotient bounds its Ritz value, so energies never increase. A
 sweep converges only once its update energies spread by at most
 ``tol·|E|``, as before; the energy error of a solve is second order in
 its residual, so what the cut leaves then is of order eta^2 times that
-spread. On the 40-site chain above (seed 12) the search makes 2267 Krylov
+spread. On the 40-site chain above (seed 12) the search makes 2257 Krylov
 steps over 316 solves in 4 sweeps. A tolerance taken from the last
 update's energy change made 3392 over 158 in 2 sweeps: it stopped every
 other solve of the first half-sweep at its first matvec, with the energy
@@ -72,8 +65,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dsbmv, idamax, zaxpy
-from scipy.linalg.lapack import dgtsv, dstebz, dstein, zgtsv
+from scipy.linalg.lapack import dstebz, dstein
 
 from .mpo import (
     MatrixProductOperator,
@@ -170,56 +162,20 @@ def _norm(x: np.ndarray) -> float:
 
 # Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)
 _DGKS = 1.0 / np.sqrt(2.0)
-_EPS = np.finfo(float).eps
-# semi-orthogonality: while no two basis rows overlap by more than this, the
-# tridiagonal matrix is the operator's projection to working precision
-# (Simon, Math. Comp. 42, 115 (1984))
-_SEMI = math.sqrt(_EPS)
 
 
-def _orthogonalize(q: np.ndarray, w: np.ndarray, norm_in: float) -> tuple[float, np.ndarray]:
+def _orthogonalize(q: np.ndarray, w: np.ndarray, norm_in: float) -> float:
     """Classical Gram-Schmidt of ``w`` (of norm ``norm_in``) against the
     rows ``q``, in place, as two matrix-vector products. A pass that keeps
     more than 1/sqrt(2) of the norm leaves ``w`` orthogonal to rounding;
     only one that cancelled is repeated (the DGKS test). Returns the norm
-    of what is left and the coefficients <q_i|w> that were removed."""
-    c = (q @ w.conj()).conj()
-    w -= c @ q
+    of what is left."""
+    w -= (q @ w.conj()).conj() @ q
     beta = _norm(w)
     if beta < _DGKS * norm_in:
-        again = (q @ w.conj()).conj()
-        w -= again @ q
-        c = c + again
+        w -= (q @ w.conj()).conj() @ q
         beta = _norm(w)
-    return beta, c
-
-
-def _ritz_coefficients(u, theta, alphas, betas, passes):
-    """The Ritz vector ``u`` of the tridiagonal matrix T, corrected to first
-    order for the full passes. A pass that removes ``c`` from the residual
-    of row j adds ``c`` as column j to the matrix of the Lanczos relation,
-    A Q = Q (T + C) + beta q e^T, so the Ritz vector Q u of T alone carries
-    the residual Q C u, of order sqrt(eps) beta times the coefficients of
-    u at the steps that ran a pass. The correction solves (T - theta) delta
-    = -C u on the complement of u by one tridiagonal solve; along u,
-    T - theta is singular to rounding, and that component is dropped.
-    Returns ``u`` unchanged if the solve meets an exactly zero pivot."""
-    cu = np.zeros(u.size, dtype=np.result_type(*(c for _, c in passes)))
-    for j, c in passes:
-        cu[: c.size] += u[j] * c
-    cu -= (u @ cu) * u
-    gtsv = zgtsv if cu.dtype.kind == "c" else dgtsv
-    *_, delta, info = gtsv(betas, alphas - theta, betas, -cu)
-    if info != 0:
-        return u
-    delta -= (u @ delta) * u
-    return u + delta
-
-
-def _not_hermitian(coupling: complex, beta: float, norm_t: float) -> bool:
-    """The guard of the recurrence: for a Hermitian operator the computed
-    <q_{k-1}|H q_k> equals beta_{k-1} up to rounding of ``norm_t``."""
-    return abs(coupling - beta) > _SEMI * norm_t
+    return beta
 
 
 def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float, reduction: float = 0.0):
@@ -235,36 +191,17 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float, reduction:
     is the rows of one array, filled row by row, and kept for the Ritz
     vector.
 
-    Orthogonality is kept partially (Simon 1984; Parlett & Scott 1979 for
-    selective orthogonalization, its forerunner). Simon's recurrence
-    estimates the overlap of each new residual with every basis row from
-    the stored alphas and betas: it is the Lanczos three-term recurrence
-    again, with the tridiagonal matrix T in place of the operator, so it
-    costs O(k) per step against the O(k n) of a Gram-Schmidt pass. Each
-    step feeds it a rounding term of ``eps sqrt(n) ||T||``, the rounding of
-    a dense matvec, with the sign that grows the estimate, so that the
-    estimate bounds the true loss. A full pass against the basis (``_orthogonalize``) runs only
-    when an estimated overlap exceeds sqrt(eps), on that step and on the
-    next, which cleans the row that the three-term update reads next; the
-    estimates then restart at rounding level. The first residual always
-    gets the pass, against the start vector alone, before any matvec could
-    show the operator not Hermitian. A basis kept semi-orthogonal this way
-    gives Ritz values to working precision; the Ritz vector is corrected
-    for what the passes removed (``_ritz_coefficients``).
-
-    The recurrence holds for a Hermitian operator only. After each matvec
-    one dot compares <q_{k-1}|H q_k> with beta_{k-1}; if they differ by more
-    than sqrt(eps) ``||T||``, the operator is not Hermitian to working
-    precision and every later step of the solve gets the full pass.
-
-    The three-term update writes the residual straight into the next basis
-    row, which is normalized in place. The coefficients and the estimates
-    live in preallocated arrays. The basis is float64 when the start vector
-    and the operator's images are real and complex128 as soon as either is
-    complex, so an imaginary part is never dropped. Returns (value,
-    normalized vector, converged). Raises if the operator is detectably
-    non-Hermitian, or as soon as the start-vector norm or a Lanczos
-    coefficient is not finite.
+    Full reorthogonalization keeps the basis orthonormal to rounding. The
+    three-term update writes each new residual straight into the next
+    basis row, and ``_orthogonalize`` then takes it against the whole
+    basis, with a second pass only when the first cancels; at the few
+    dozen rows a DMRG local solve needs, that pass costs little beside the
+    matvec. The tridiagonal coefficients live in preallocated arrays. The
+    basis is float64 when the start vector and the operator's images are
+    real and complex128 as soon as either is complex, so an imaginary part
+    is never dropped. Returns (value, normalized vector, converged). Raises
+    if the operator is detectably non-Hermitian, or as soon as the
+    start-vector norm or a Lanczos coefficient is not finite.
     """
     v = np.asarray(v0).reshape(-1)
     nv = np.linalg.norm(v)
@@ -274,19 +211,12 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float, reduction:
         raise ValueError("Lanczos start vector is zero")
     v = v / nv
     hv = matvec(v)
-    n = v.size
-    # at most n orthonormal vectors exist; row k holds the residual of row
+    # at most v.size orthonormal vectors exist; row k holds the residual of row
     # k - 1 until it is normalized, and rows never written cost no memory
-    m = min(max_iter, n)
-    basis = np.empty((m + 1, n), dtype=np.result_type(v, hv, float))
-    axpy = zaxpy if basis.dtype.kind == "c" else daxpy
+    m = min(max_iter, v.size)
+    basis = np.empty((m + 1, v.size), dtype=np.result_type(v, hv, float))
     alphas = np.empty(m)
     betas = np.empty(m)  # betas[j] couples rows j and j + 1
-    # T again in LAPACK's upper band storage, for the recurrence: column j
-    # holds betas[j - 1] over alphas[j]
-    band = np.zeros((2, m), order="F")
-    omega = np.zeros(m)  # estimated overlaps of the newest row with rows 0..k-1
-    omega_prev = np.zeros(m)  # and those of the row before it
     basis[0] = v
     k = 1
     a = np.vdot(basis[0], hv)
@@ -295,36 +225,16 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float, reduction:
     scale = max(1.0, _norm(hv))
     if abs(a.imag) > 1e-8 * scale:
         raise ValueError("operator is not Hermitian: <v|Hv> has an imaginary part")
-    alphas[0] = band[1, 0] = a.real
+    alphas[0] = a.real
     w = basis[1]
     np.subtract(hv, a.real * basis[0], out=w)
     theta, u = _tridiag_ground(alphas[:1], betas[:0])
     converged = False
-    omega[0] = 1.0
-    norm_t = scale  # grows to the largest Gershgorin bound of the rows of T
-    beta_prev = 0.0
-    hermitian = True  # until the guard sees otherwise
-    owed = True  # a full pass is due on this step
-    passes = []  # (row whose residual a pass cleaned, coefficients removed)
     for _ in range(max_iter - 1):
         beta = _norm(w)
         if not math.isfinite(beta):
             raise _not_finite("beta")
-        norm_t = max(norm_t, abs(alphas[k - 1]) + beta_prev + beta)
-        rounding = _EPS * math.sqrt(n) * norm_t
-        # Simon's recurrence, over omega_prev's storage: beta times the
-        # estimated overlaps of the new row, T omega - alpha_{k-1} omega -
-        # beta_{k-2} omega_prev; BLAS takes positional arguments here, as
-        # keywords cost the wrappers about 1 us a call
-        nu = dsbmv(1, 1.0, band[:, :k], omega, 1, 0, -beta_prev, omega_prev[:k], 1, 0, 0, 1)
-        nu = daxpy(omega, nu, k, -alphas[k - 1])
-        nu += np.copysign(rounding, nu)
-        nu[-1] = rounding  # the update leaves only rounding along row k - 1
-        if owed or not hermitian or abs(nu[idamax(nu)]) > _SEMI * beta:
-            beta, c = _orthogonalize(basis[:k], w, beta)
-            passes.append((k - 1, c))
-            nu[:] = rounding
-            owed = not owed
+        beta = _orthogonalize(basis[:k], w, beta)
         if k == 1:  # the start vector's own residual, cut by the factor
             target = reduction * beta
         if beta * abs(u[-1]) <= max(tol * max(1.0, abs(theta)), target):
@@ -334,30 +244,20 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float, reduction:
             converged = True
             break
         w /= beta
-        betas[k - 1] = band[0, k] = beta
-        nu /= beta  # the estimates of row k
-        omega, omega_prev = omega_prev, omega
-        omega[k] = 1.0
+        betas[k - 1] = beta
         hv = matvec(basis[k])
         if hv.dtype.kind == "c" and basis.dtype.kind != "c":
             # a complex operator whose first images happened to be real
             basis = basis.astype(complex)
-            axpy = zaxpy
         a = np.vdot(basis[k], hv).real
         if not math.isfinite(a):
             raise _not_finite("alpha")
-        alphas[k] = band[1, k] = a
-        if hermitian and _not_hermitian(np.vdot(basis[k - 1], hv), beta, norm_t):
-            hermitian = False
+        alphas[k] = a
         w = basis[k + 1]
-        w[:] = hv
-        axpy(basis[k], w, n, -a)
-        axpy(basis[k - 1], w, n, -beta)
-        beta_prev = beta
+        np.subtract(hv, a * basis[k], out=w)
+        w -= beta * basis[k - 1]
         k += 1
         theta, u = _tridiag_ground(alphas[:k], betas[: k - 1])
-    if hermitian and len(passes) > 1:  # the first pass removes only rounding
-        u = _ritz_coefficients(u, theta, alphas[:k], betas[: k - 1], passes)
     vec = u @ basis[:k]
     vec /= _norm(vec)
     return float(theta), vec, converged

@@ -183,8 +183,9 @@ def canonicalize(psi: MatrixProductState, center: int) -> MatrixProductState:
 
 
 def canonical_residual(psi: MatrixProductState) -> float:
-    """Largest isometry defect around the center (0.0 for center=None states
-    with a single site; requires a center otherwise)."""
+    """Largest isometry defect around the center: |A^dag A - 1| for the
+    sites left of it and |A A^dag - 1| for those right of it (0.0 for a
+    single site). Raises ``ValueError`` for a state without a center."""
     if psi.center is None:
         raise ValueError("state has no orthogonality center")
     worst = 0.0

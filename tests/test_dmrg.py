@@ -74,10 +74,9 @@ def _gram_error(rows):
     return np.max(np.abs(q.conj() @ q.T - np.eye(len(rows))))
 
 
-# Lanczos keeps its basis semi-orthogonal on a Hermitian operator: a full
-# Gram-Schmidt pass runs only once the estimated overlap of a new row with
-# an old one exceeds sqrt(eps)
-SEMI_ORTHOGONAL = np.sqrt(np.finfo(float).eps)
+# Lanczos runs a full Gram-Schmidt pass on every step, so its basis is
+# orthonormal to rounding
+ORTHONORMAL = 1e-13
 
 
 def test_lanczos_invariant_subspace():
@@ -119,7 +118,7 @@ def test_lanczos_matches_dense_eigh(dim, max_iter):
     assert theta == pytest.approx(w[0], abs=1e-12)
     assert abs(np.vdot(v[:, 0], vec)) == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
-    assert _gram_error(seen) <= SEMI_ORTHOGONAL
+    assert _gram_error(seen) <= ORTHONORMAL
 
 
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
@@ -136,7 +135,7 @@ def test_lanczos_basis_stays_orthonormal_over_many_steps(complex_entries):
     theta, vec, ok = lanczos_ground(matvec, start, 300, 1e-12)
     assert ok
     assert len(seen) >= 60
-    assert _gram_error(seen) <= SEMI_ORTHOGONAL
+    assert _gram_error(seen) <= ORTHONORMAL
     assert abs(theta - spectrum[0]) <= 1e-12
     assert np.linalg.norm(m @ vec - theta * vec) < 1e-10
 
@@ -171,25 +170,14 @@ def test_lanczos_keeps_ghost_eigenvalues_out_of_a_long_run(complex_entries, monk
     spectrum = np.concatenate([[-1.0], np.linspace(0.0, 1.0, 599)])
     m = _hermitian_with_spectrum(spectrum, complex_entries, seed=11)
     start = np.random.default_rng(12).normal(size=spectrum.size)
-    passes = []
-    full_pass = tnkit.dmrg._orthogonalize
-
-    def counted(*args):
-        passes.append(args[0].shape[0])
-        return full_pass(*args)
-
-    monkeypatch.setattr(tnkit.dmrg, "_orthogonalize", counted)
     matvec, seen = _recorded(lambda y: m @ y)
     theta, vec, _ = lanczos_ground(matvec, start, 300, 0.0)
     assert len(seen) == 300
     assert abs(theta + 1.0) <= 1e-12
     assert np.linalg.norm(m @ vec - theta * vec) <= 1e-12
-    # no overlap outgrows what the estimate allows before a full pass, and
-    # the passes run on a minority of the steps
-    assert _gram_error(seen) <= SEMI_ORTHOGONAL
-    assert 1 < len(passes) < len(seen) / 3
-    # with the estimate never acted on, the same run loses orthogonality
-    monkeypatch.setattr(tnkit.dmrg, "_SEMI", np.inf)
+    assert _gram_error(seen) <= ORTHONORMAL
+    # with the Gram-Schmidt pass a no-op, the same run loses orthogonality
+    monkeypatch.setattr(tnkit.dmrg, "_orthogonalize", lambda q, w, norm_in: norm_in)
     matvec, seen = _recorded(lambda y: m @ y)
     lanczos_ground(matvec, start, 300, 0.0)
     assert _gram_error(seen) > 0.5
@@ -556,7 +544,7 @@ def test_lanczos_mixed_dtypes_match_dense_eigh(complex_matrix, complex_start):
     assert vec.dtype == np.complex128
     assert theta == pytest.approx(w[0], abs=1e-12)
     assert abs(np.vdot(v[:, 0], vec)) == pytest.approx(1.0, abs=1e-10)
-    assert _gram_error(seen) <= SEMI_ORTHOGONAL
+    assert _gram_error(seen) <= ORTHONORMAL
 
 
 def test_lanczos_keeps_a_complex_image_after_real_ones():
