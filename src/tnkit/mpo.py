@@ -11,12 +11,24 @@ ket bond)``. Their seeds are real, so every tensor takes its dtype from
 the states and operators it is built from: a real Hamiltonian gives a
 float64 MPO, and real states and operators give float64 environments.
 
+One kernel grows them all. A left environment times the next site's MPO
+tensor is laid out as the ``(f·o·w', k·s)`` matrix (``_left_product``),
+and the next left environment is that matrix times the ket tensor, then
+the conjugate bra tensor times the result: two matrix products
+(``_grow_left``). The mirror product, the MPO tensor times a right
+environment as the ``(w·s·k', o·f')`` matrix (``_right_product``), grows
+right environments the same way (``_grow_right``). ``expect_mpo`` and the
+first build of the right environments run the same kernel.
+
 The variational fit and DMRG are one sweep (Schollwöck, Ann. Phys. 326,
 96 (2011)): ``_sweep_center`` updates one site, makes it an isometry and
 carries the cached environments of ``_Environments`` across it, from
 site 0 to the last site and back. The fit's update is the target
 projected onto the environments; DMRG's is the lowest eigenvector of the
-site's effective Hamiltonian.
+site's effective Hamiltonian. Either one goes through the site's operator,
+which is built from the very product that then grows the next
+environment, so a sweep builds one product per update and grows each
+environment from it.
 """
 
 from __future__ import annotations
@@ -170,26 +182,46 @@ def build_mpo(spec: HamiltonianSpec) -> MatrixProductOperator:
 # ---------------------------------------------------------------------------
 
 
-def _transfer_left(env, bra_site, op_site, ket_site):
-    """Grow a (bra, op, ket) environment by one site from the left."""
-    tmp = np.tensordot(env, ket_site, axes=(2, 0))  # (b, w, s, k')
-    tmp = np.tensordot(tmp, op_site, axes=([1, 2], [0, 2]))  # (b, k', o, w')
-    new = np.tensordot(bra_site.conj(), tmp, axes=([0, 1], [0, 2]))  # (b', k', w')
-    return new.transpose(0, 2, 1)
+def _left_product(left, op_site):
+    """A left environment ``(f, w, k)`` times the MPO tensor of the next
+    site, as the ``(f·o·w', k·s)`` matrix."""
+    f, _, kl = left.shape
+    _, o, s, w = op_site.shape
+    lw = np.tensordot(left, op_site, axes=(1, 0))  # (f, k, o, s, w')
+    return lw.transpose(0, 2, 4, 1, 3).reshape(f * o * w, kl * s)
 
 
-def _transfer_right(env, bra_site, op_site, ket_site):
-    """Grow a (bra, op, ket) environment by one site from the right."""
-    tmp = np.tensordot(ket_site, env, axes=(2, 2))  # (k, s, b, w)
-    tmp = np.tensordot(op_site, tmp, axes=([2, 3], [1, 3]))  # (w', o, k, b)
-    new = np.tensordot(tmp, bra_site.conj(), axes=([1, 3], [1, 2]))  # (w', k, b')
-    return new.transpose(2, 0, 1)
+def _right_product(op_site, right):
+    """The MPO tensor of a site times the right environment ``(f', w',
+    k')`` of the site, as the ``(w·s·k', o·f')`` matrix."""
+    w, o, s, _ = op_site.shape
+    fr, _, kr = right.shape
+    wr = np.tensordot(op_site, right, axes=(3, 1))  # (w, o, s, f', k')
+    return wr.transpose(0, 2, 4, 1, 3).reshape(w * s * kr, o * fr)
+
+
+def _grow_left(lw, bra_site, ket_site):
+    """The left environment one site further right, from that site's
+    ``_left_product``: two matrix products."""
+    bra = bra_site.reshape(-1, bra_site.shape[2])  # (f·o, b')
+    kr = ket_site.shape[2]
+    y = lw @ ket_site.reshape(-1, kr)  # (f·o·w', k')
+    return (bra.conj().T @ y.reshape(bra.shape[0], -1)).reshape(bra.shape[1], -1, kr)
+
+
+def _grow_right(wr, bra_site, ket_site):
+    """The right environment one site further left, from that site's
+    ``_right_product``: two matrix products."""
+    b = bra_site.shape[0]
+    ket = ket_site.reshape(ket_site.shape[0], -1)  # (k, s·k')
+    y = bra_site.reshape(b, -1).conj() @ wr.T  # (b, w·s·k')
+    return (y.reshape(-1, ket.shape[1]) @ ket.T).reshape(b, -1, ket.shape[0])
 
 
 def _sandwich(bra: MatrixProductState, op: MatrixProductOperator, ket: MatrixProductState) -> complex:
     env = np.ones((1, 1, 1))
     for bs, os_, ks in zip(bra.sites, op.sites, ket.sites):
-        env = _transfer_left(env, bs, os_, ks)
+        env = _grow_left(_left_product(env, os_), bs, ks)
     return complex(env[0, 0, 0])
 
 
@@ -230,50 +262,79 @@ class _Environments:
     """The left and right environments of <bra|op|ket> over site lists that
     a sweep edits in place: ``left[k]`` covers sites ``0..k-1`` and
     ``right[k]`` sites ``k..n-1``. Built for a sweep that starts at site 0;
-    the sweep grows them across each site it moves the center off."""
+    the sweep grows them across each site it moves the center off.
+
+    Going rightward, site k's operator and the growth of ``left[k+1]``
+    share one product, ``left[k]`` times the site's MPO tensor; going
+    leftward they share the site's MPO tensor times ``right[k+1]``. The
+    last site operator's product is kept for the next growth, which takes
+    it only if it is that of the same site and direction, and drops it in
+    any case, so a product never outlives a change of its environment."""
 
     def __init__(self, bra, op_sites, ket):
         self.bra, self.op, self.ket = bra, op_sites, ket
         n = len(op_sites)
         self.left = [np.ones((1, 1, 1))] + [None] * n
         self.right = [None] * n + [np.ones((1, 1, 1))]
+        self._kept = None  # (k, rightward, product) of the last site operator
         for k in range(n - 1, 0, -1):
-            self.grow_right(k)
+            self.grow(k, False)
 
-    def grow_left(self, k):
-        self.left[k + 1] = _transfer_left(self.left[k], self.bra[k], self.op[k], self.ket[k])
+    def _product(self, k, rightward):
+        if rightward:
+            return _left_product(self.left[k], self.op[k])
+        return _right_product(self.op[k], self.right[k + 1])
 
-    def grow_right(self, k):
-        self.right[k] = _transfer_right(self.right[k + 1], self.bra[k], self.op[k], self.ket[k])
+    def grow(self, k, rightward):
+        """Carry the environments across site k: ``left[k+1]`` from
+        ``left[k]`` going rightward, ``right[k]`` from ``right[k+1]`` going
+        leftward."""
+        kept, self._kept = self._kept, None
+        if kept is not None and kept[:2] == (k, rightward):
+            product = kept[2]
+        else:
+            product = self._product(k, rightward)
+        if rightward:
+            self.left[k + 1] = _grow_left(product, self.bra[k], self.ket[k])
+        else:
+            self.right[k] = _grow_right(product, self.bra[k], self.ket[k])
 
-    def site_operator(self, k):
+    def site_operator(self, k, rightward):
         """The operator that site k sees through its environments, as a
         function of the ket tensor (flattened or not) giving the bra tensor
         ``(f, o, f')``.
 
-        The left environment and the site's MPO tensor are contracted once
-        into a ``(f·o·w', k·s)`` matrix and the right environment is laid
-        out as ``(w'·k', f')``, so each application is two matrix products
-        and pure reshapes.
+        Each application is two matrix products and pure reshapes. Going
+        rightward the ``(f·o·w', k·s)`` product acts first and the right
+        environment after it; going leftward the left environment acts
+        first and the ``(w·s·k', o·f')`` product after it.
         """
-        left, op_site, right = self.left[k], self.op[k], self.right[k + 1]
-        f, _, kl = left.shape
-        _, o, s, w = op_site.shape
-        fr, _, kr = right.shape
-        lw = np.tensordot(left, op_site, axes=(1, 0))  # (f, k, o, s, w')
-        lw = lw.transpose(0, 2, 4, 1, 3).reshape(f * o * w, kl * s)
-        r = right.transpose(1, 2, 0).reshape(w * kr, fr)
+        left, right = self.left[k], self.right[k + 1]
+        f, w, kl = left.shape
+        o, s = self.op[k].shape[1:3]
+        fr, w_r, kr = right.shape
+        product = self._product(k, rightward)
+        self._kept = (k, rightward, product)
+        if rightward:
+            r = right.transpose(1, 2, 0).reshape(w_r * kr, fr)
 
-        def apply(ket):
-            y = lw @ ket.reshape(kl * s, kr)  # (f·o·w', k')
-            return (y.reshape(f * o, w * kr) @ r).reshape(f, o, fr)
+            def apply(ket):
+                y = product @ ket.reshape(kl * s, kr)  # (f·o·w', k')
+                return (y.reshape(f * o, w_r * kr) @ r).reshape(f, o, fr)
+
+        else:
+            l = left.reshape(f * w, kl)
+
+            def apply(ket):
+                y = l @ ket.reshape(kl, s * kr)  # (f·w, s·k')
+                return (y.reshape(f, w * s * kr) @ product).reshape(f, o, fr)
 
         return apply
 
 
 def _sweep_center(sites, envs, update):
     """One sweep of the orthogonality center from site 0 to the last site
-    and back. ``update(k, start)`` must write a new tensor into
+    and back. ``update(k, start, rightward)`` must write a new tensor into
     ``sites[k]``; each site but the last one updated is then made an
     isometry, and every environment in ``envs`` is carried across it. The
     QR/RQ factor that the isometry leaves behind is owed to the next site:
@@ -283,18 +344,18 @@ def _sweep_center(sites, envs, update):
     n = len(sites)
     start = lambda: sites[0]  # site 0 holds the center: no factor is owed to it
     for k in range(n - 1):
-        update(k, start)
+        update(k, start, True)
         r = _left_factor(sites, k)
         for env in envs:
-            env.grow_left(k)
+            env.grow(k, True)
         start = partial(_absorb_left, r, sites[k + 1])
     for k in range(n - 1, 0, -1):
-        update(k, start)
+        update(k, start, False)
         l = _right_factor(sites, k)
         for env in envs:
-            env.grow_right(k)
+            env.grow(k, False)
         start = partial(_absorb_right, sites[k - 1], l)
-    update(0, start)
+    update(0, start, False)
 
 
 def apply_mpo_variational(
@@ -325,10 +386,10 @@ def apply_mpo_variational(
     phi = list(canonicalize(guess, 0).sites)
     env = _Environments(phi, op.sites, psi.sites)
 
-    def update(k, start):
+    def update(k, start, rightward):
         # the optimal center tensor is the target projected onto the fixed
         # environments, since the gauge makes the normal matrix the identity
-        phi[k] = env.site_operator(k)(psi.sites[k])
+        phi[k] = env.site_operator(k, rightward)(psi.sites[k])
 
     residuals = []
     converged = False

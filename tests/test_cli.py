@@ -26,7 +26,7 @@ from tnkit.dmrg import DmrgConfig, excited_state, ground_state
 from tnkit.models import PAULI, ClassicalModelSpec, transverse_field_ising
 from tnkit.mpo import build_mpo, expect_mpo
 from tnkit.mps import expect_local, expect_profile, random_mps, to_dense
-from tnkit.oracle import dense_gibbs, dense_hamiltonian, ed_ground
+from tnkit.oracle import dense_gibbs, dense_hamiltonian, ed_ground, free_fermion_ground
 from tnkit.tebd import (
     ThermalConfig,
     apply_gate,
@@ -274,6 +274,25 @@ class TestDmrgRuns:
         assert all(a.dtype == np.float64 for a in psi.sites)
         assert all(a.dtype == np.float64 for a in checkpoint_read(str(ck)).sites)
         assert warm["energy"] == pytest.approx(-14.92597110990865, rel=1e-12, abs=0)
+
+    def test_warm_start_from_a_smaller_bond_dimension_reaches_max_bond(self, tmp_path):
+        # single-site sweeps never grow a bond, so the warm start's bonds are
+        # padded to the profile of a cold start before the first sweep
+        model = {"name": "transverse_field_ising", "n_sites": 24, "J": 1.0, "h": 1.0}
+        small = _write_cfg(tmp_path, _dmrg_cfg(model=model, max_bond=4), "small.json")
+        large = _write_cfg(tmp_path, _dmrg_cfg(model=model, max_bond=32), "large.json")
+        ck = str(tmp_path / "state.mps")
+        out_small, out_warm, out_cold = tmp_path / "small", tmp_path / "warm", tmp_path / "cold"
+        assert main(["dmrg", "--config", small, "--out", str(out_small), "--checkpoint", ck]) == 0
+        assert max(checkpoint_read(ck).bond_dims) == 4
+        assert main(["dmrg", "--config", large, "--out", str(out_warm), "--checkpoint", ck]) == 0
+        assert main(["dmrg", "--config", large, "--out", str(out_cold)]) == EXIT_OK
+        warm = _read_results(out_warm)[0]["result"]
+        cold = _read_results(out_cold)[0]["result"]
+        assert warm["warm_start"]
+        assert warm["bond_dims"] == cold["bond_dims"]
+        exact = free_fermion_ground(24, 1.0, 1.0)
+        assert warm["energy"] == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 class TestFailureModes:
@@ -652,12 +671,19 @@ class TestFailureModes:
         assert not (out / "results.jsonl").exists()
 
     def test_unconverged_dmrg_exits_nonconvergence(self, tmp_path):
-        cfg = _dmrg_cfg(n_sweeps=1, tol=0.0)
-        out = tmp_path / "out"
-        code = main(["dmrg", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
-        assert code == EXIT_NONCONVERGENCE
-        err = json.loads((out / "error.json").read_text())["error"]
-        assert err["kind"] == "non_convergence"
+        # the 40-site critical chain stops after its third sweep (test_dmrg),
+        # so two sweeps at the default tol are one too few
+        chain = {"name": "transverse_field_ising", "n_sites": 40, "J": 1.0, "h": 1.0}
+        for name, cfg in [
+            ("tol0", _dmrg_cfg(n_sweeps=1, tol=0.0)),
+            ("short", _dmrg_cfg(seed=12, model=chain, max_bond=32, n_sweeps=2)),
+        ]:
+            out = tmp_path / name
+            code = main(["dmrg", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+            assert code == EXIT_NONCONVERGENCE
+            err = json.loads((out / "error.json").read_text())["error"]
+            assert err["kind"] == "non_convergence"
+            assert not (out / "results.jsonl").exists()
 
     def test_aborted_evolution_exits_nonconvergence(self, tmp_path):
         cfg = {
@@ -1032,14 +1058,14 @@ class TestBundledConfigs:
         # random start state does
         out = tmp_path / "dmrg"
         assert run(str(CONFIGS_DIR / "dmrg_tfi.json"), out_dir=str(out)) == EXIT_OK
-        assert _read_results(out)[0]["result"]["lanczos_matvecs"] == 344
+        assert _read_results(out)[0]["result"]["lanczos_matvecs"] == 282
 
     def test_dmrg_scan_lanczos_matvecs_are_pinned(self, tmp_path):
         # a change to the Krylov path moves these counts
         out = tmp_path / "scan"
         assert run(str(CONFIGS_DIR / "dmrg_scan.json"), out_dir=str(out)) == EXIT_OK
         counts = [rec["result"]["lanczos_matvecs"] for rec in _read_results(out)]
-        assert counts == [307, 344, 271]
+        assert counts == [254, 282, 229]
 
     def test_dmrg_and_oracle_configs_agree(self, tmp_path):
         out_dmrg, out_ed = tmp_path / "dmrg", tmp_path / "ed"

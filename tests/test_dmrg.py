@@ -280,15 +280,17 @@ def test_site_operator_matches_dense_effective_hamiltonian(site, penalized):
     ws = _Workspace(op, list(psi.sites), lowers, 2.5)
     for k in range(site):
         for env in [ws.env, *ws.penalties]:
-            env.grow_left(k)
-    matvec = ws.site_matvec(site)
+            env.grow(k, True)
     dim = psi.sites[site].size
-    got = np.column_stack([matvec(e) for e in np.eye(dim, dtype=complex)])
     want = _dense_site_operator(psi.sites, op, site, lowers, 2.5)
     scale = np.linalg.norm(want)
-    assert np.linalg.norm(got - want) <= 1e-12 * scale
-    assert np.linalg.norm(got - got.conj().T) <= 1e-12 * scale
-    assert ws.matvecs == dim
+    # the rightward and the leftward sweep build the operator differently
+    for rightward in (True, False):
+        matvec = ws.site_matvec(site, rightward)
+        got = np.column_stack([matvec(e) for e in np.eye(dim, dtype=complex)])
+        assert np.linalg.norm(got - want) <= 1e-12 * scale
+        assert np.linalg.norm(got - got.conj().T) <= 1e-12 * scale
+    assert ws.matvecs == 2 * dim
 
 
 @pytest.mark.parametrize("h", [0.4, 1.0, 1.6])
@@ -405,6 +407,19 @@ def test_ground_energy_matches_free_fermions_on_24_sites(h):
     assert energy == pytest.approx(free_fermion_ground(24, 1.0, h), rel=1e-12, abs=0)
 
 
+def test_search_stops_at_the_first_sweep_whose_last_pass_is_flat():
+    """The benchmark's chain: 40 critical sites at bond dimension 32. The
+    third sweep's last pass, one solve per site from the last site down to
+    site 0, spreads by less than ``tol·|E|``, so the search stops there
+    instead of confirming it with a fourth sweep."""
+    op = build_mpo(transverse_field_ising(40, J=1.0, h=1.0))
+    energy, _, trace = ground_state(op, DmrgConfig(max_bond=32, seed=12))
+    assert trace.converged and trace.n_sweeps == 3
+    last_pass = trace.update_energies[-40:]
+    assert max(last_pass) - min(last_pass) <= 1e-12 * abs(energy)
+    assert energy == pytest.approx(free_fermion_ground(40, 1.0, 1.0), rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("lanczos_max_iter", [100, 2])
 def test_sweep_matvecs_split_lanczos_matvecs(lanczos_max_iter):
     # with two Krylov steps every solve is retried, and retries count too
@@ -426,6 +441,25 @@ def test_warm_start_converges_immediately():
     e2, _, trace2 = ground_state(op, DmrgConfig(max_bond=12, seed=1), psi0=psi)
     assert trace2.n_sweeps < trace.n_sweeps
     assert e2 == pytest.approx(energy, abs=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_warm_start_padding_fills_the_bond_profile_and_keeps_the_state(dtype):
+    n = 9
+    op = build_mpo(heisenberg_xxz(n, J=1.0, delta=0.6, field=0.2))
+    psi = random_mps([2] * n, max_bond=3, rng=5, dtype=dtype)
+    padded = tnkit.dmrg._prepare_initial(op, DmrgConfig(max_bond=8, seed=7), psi)
+    assert padded.center == 0
+    assert padded.bond_dims == random_mps([2] * n, max_bond=8, rng=0).bond_dims
+    assert canonical_residual(padded) < 1e-14
+    for new, old in zip(padded.sites, psi.sites):
+        assert new.dtype == old.dtype
+        dl, _, dr = old.shape
+        # the old entries bit for bit, zero columns, and new right-isometry rows
+        assert np.array_equal(new[:dl, :, :dr], old)
+        assert not new[:dl, :, dr:].any()
+    np.testing.assert_allclose(to_dense(padded), to_dense(psi), rtol=0, atol=1e-14)
+    assert abs(expect_mpo(padded, op) - expect_mpo(psi, op)) < 1e-13
 
 
 def test_bounded_bond_dimension_is_variational():
@@ -488,7 +522,13 @@ def test_excited_states_on_ten_sites_are_pinned():
     values of the environment code that carried each penalized state by
     pure overlap transfers. The energies and matvec counts must hold; the
     final overlaps are set by the sweep tolerance, and their leading digits
-    must hold too (the smallest is near the rounding of psi0 itself)."""
+    must hold too (the smallest is near the rounding of psi0 itself).
+
+    A search stops at the first sweep whose last pass, one solve per site,
+    is flat, one pass before the whole sweep would be: the overlaps of the
+    second state grew from 3.9e-11 and 7.6e-11 to 1.5e-9 and 5.7e-9. Their
+    weight in the penalized energy, w |<c|psi>|^2 ~ 6e-16, is still far
+    below what ``tol`` resolves."""
     op = build_mpo(heisenberg_xxz(10, J=1.0, delta=0.4, field=0.1))
     config = DmrgConfig(max_bond=16, n_sweeps=40, seed=9, penalty_weight=20.0)
     _, psi0, _ = ground_state(op, config)
@@ -496,11 +536,11 @@ def test_excited_states_on_ten_sites_are_pinned():
     e2, _, trace2 = excited_state(op, config, [psi0, psi1])
     assert e1 == pytest.approx(-13.21817119384246, rel=1e-12, abs=0)
     assert e2 == pytest.approx(-12.818171193842462, rel=1e-12, abs=0)
-    assert (trace1.n_sweeps, trace2.n_sweeps) == (5, 5)
-    assert (trace1.lanczos_matvecs, trace2.lanczos_matvecs) == (430, 454)
-    np.testing.assert_allclose(trace1.final_overlaps, [1.0804543753773517e-12], rtol=1e-2)
+    assert (trace1.n_sweeps, trace2.n_sweeps) == (4, 4)
+    assert (trace1.lanczos_matvecs, trace2.lanczos_matvecs) == (355, 367)
+    np.testing.assert_allclose(trace1.final_overlaps, [2.1043319853440556e-12], rtol=1e-2)
     np.testing.assert_allclose(
-        trace2.final_overlaps, [3.896148441057235e-11, 7.565267635556711e-11], rtol=1e-2
+        trace2.final_overlaps, [1.4730582556636187e-09, 5.700011552464141e-09], rtol=1e-2
     )
 
 

@@ -13,6 +13,7 @@ from tnkit.models import (
 )
 from tnkit.mpo import (
     MatrixProductOperator,
+    _sweep_center,
     apply_mpo_exact,
     apply_mpo_variational,
     build_mpo,
@@ -127,6 +128,79 @@ def test_expect_mpo_matches_dense():
     v = to_dense(psi)
     want = np.vdot(v, h @ v).real
     assert expect_mpo(psi, op).real == pytest.approx(want, abs=1e-11)
+    # a random complex operator, so the value has both parts
+    rng = np.random.default_rng(4)
+    shapes = [(1, 2, 2, 3)] + [(3, 2, 2, 3)] * 4 + [(3, 2, 2, 1)]
+    op = MatrixProductOperator([rng.normal(size=sh) + 1j * rng.normal(size=sh) for sh in shapes])
+    want = np.vdot(v, mpo_to_dense(op) @ v) / np.vdot(v, v)
+    assert abs(want.imag) > 1e-3 * abs(want)
+    assert abs(expect_mpo(psi, op) - want) <= 1e-13 * abs(want)
+
+
+def _env_by_einsum(env, side, k):
+    """``env.left[k]`` or ``env.right[k]`` contracted by einsum from its
+    bra, operator and ket sites."""
+    n = len(env.op)
+    if side == "left":
+        order, sites = "awk,aob,wosv,ksc->bvc", range(k)
+    else:
+        order, sites = "bvc,aob,wosv,ksc->awk", range(n - 1, k - 1, -1)
+    out = np.ones((1, 1, 1))
+    for j in sites:
+        out = np.einsum(order, out, env.bra[j].conj(), env.op[j], env.ket[j])
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, dtype",
+    [
+        (transverse_field_ising(7, h=0.9), float),
+        (heisenberg_xxz(7, J=1.0, delta=0.7, field=0.2), complex),
+    ],
+    ids=["tfi-real", "xxz-complex"],
+)
+def test_grown_environments_match_a_direct_contraction(spec, dtype, monkeypatch):
+    """A DMRG sweep with one penalized state: every environment that the
+    sweep grows from a site operator's product equals the same environment
+    contracted directly by einsum, so no product is reused after the
+    environment it was built from changed. Each product is built once per
+    update."""
+    import tnkit.mpo as mpo_module
+    from tnkit.dmrg import _Workspace
+
+    builds = []
+    for name in ("_left_product", "_right_product"):
+        real = getattr(mpo_module, name)
+        monkeypatch.setattr(
+            mpo_module, name, lambda *args, real=real: builds.append(1) or real(*args)
+        )
+    n = spec.n_sites
+    op = build_mpo(spec)
+    psi = random_mps([2] * n, max_bond=6, rng=2, dtype=dtype)
+    lower = random_mps([2] * n, max_bond=4, rng=3, dtype=dtype)
+    ws = _Workspace(op, list(psi.sites), [lower], 3.0)
+    envs = [ws.env, *ws.penalties]
+
+    def check(side, ks):
+        for env in envs:
+            for k in ks:
+                want = _env_by_einsum(env, side, k)
+                got = getattr(env, side)[k]
+                assert got.dtype == want.dtype
+                assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    check("right", range(1, n + 1))
+    builds.clear()
+
+    def update(k, start, rightward):
+        if k == n - 1:  # the turn: every left environment is in use
+            check("left", range(n))
+        _, vec, _ = ws.solve_site(k, rightward, start(), 30, 1e-12)
+        ws.sites[k] = vec
+
+    _sweep_center(ws.sites, envs, update)
+    check("right", range(1, n + 1))
+    assert len(builds) == len(envs) * (2 * n - 1)
 
 
 def test_mpo_dagger_and_multiply():
