@@ -38,13 +38,15 @@ class CheckpointError(Exception):
     or the operating system refused to read or write it."""
 
 
-def write_atomic(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` whole or not at all: a synced temporary file
-    beside ``path`` replaces it, so on failure ``path`` keeps its content."""
+def write_atomic(path: str, chunks) -> None:
+    """Write the bytes-like ``chunks``, in order, to ``path`` whole or not at
+    all: a synced temporary file beside ``path`` replaces it, so on failure
+    ``path`` keeps its content. A generator of chunks holds one at a time."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -53,17 +55,32 @@ def write_atomic(path: str, data: bytes) -> None:
             os.unlink(tmp)
 
 
+def _payload(psi: MatrixProductState):
+    """The payload of the checkpoint of ``psi`` as consecutive chunks, one
+    per site's complex128 data, so a widened site is held only while it is
+    written."""
+    yield struct.pack("<I", psi.n_sites)
+    for a in psi.sites:
+        yield struct.pack("<III", *a.shape)
+    for a in psi.sites:
+        yield np.ascontiguousarray(a, dtype="<c16")
+    yield struct.pack("<i", -1 if psi.center is None else psi.center)
+
+
+def _file_chunks(psi: MatrixProductState):
+    """The checkpoint file of ``psi``: magic, payload and its CRC-32, taken
+    chunk by chunk as the payload goes by."""
+    yield MAGIC
+    crc = 0
+    for chunk in _payload(psi):
+        crc = zlib.crc32(chunk, crc)
+        yield chunk
+    yield struct.pack("<I", crc)
+
+
 def checkpoint_write(psi: MatrixProductState, path: str) -> None:
-    parts = [struct.pack("<I", psi.n_sites)]
-    for a in psi.sites:
-        parts.append(struct.pack("<III", *a.shape))
-    for a in psi.sites:
-        parts.append(np.ascontiguousarray(a, dtype="<c16").tobytes())
-    center = -1 if psi.center is None else psi.center
-    parts.append(struct.pack("<i", center))
-    payload = b"".join(parts)
     try:
-        write_atomic(path, MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+        write_atomic(path, _file_chunks(psi))
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint: {exc}") from exc
 

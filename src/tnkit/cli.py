@@ -332,7 +332,7 @@ def _machine(workers: int) -> dict:
 
 
 def _write_text(out_dir: str, name: str, text: str) -> None:
-    write_atomic(os.path.join(out_dir, name), text.encode("utf-8"))
+    write_atomic(os.path.join(out_dir, name), [text.encode("utf-8")])
 
 
 def _fail(

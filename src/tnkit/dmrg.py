@@ -4,9 +4,9 @@ Sweeps move the orthogonality center across the chain, replacing each site
 tensor with the lowest eigenvector of the effective Hamiltonian built from
 cached left/right environments. The sweep and the environments are those
 of the mpo module (``mpo._sweep_center``, ``mpo._Environments``), which
-the variational operator fit runs too. With zero noise every local solve
-is a Rayleigh-quotient minimization seeded with the current tensor, so
-recorded energies never increase.
+the variational operator fit runs too. Every local solve is a
+Rayleigh-quotient minimization seeded with the current tensor, so recorded
+energies never increase.
 
 A sweep runs from site 0 to the last site and back, 2N - 1 solves, and
 the search stops after the first sweep whose last pass, the N solves from
@@ -36,7 +36,11 @@ median of 7 Krylov steps (90th percentile 15-16, at most 25-33). The Ritz
 pair of the small tridiagonal matrix is found on each iteration by calling
 LAPACK directly (dstebz for the lowest eigenvalue, dstein for its vector)
 on coefficients kept in preallocated arrays; non-finite coefficients raise
-before anything divides by them.
+before anything divides by them. The two routines come from
+scipy.linalg, which loads a second BLAS library (about 27 MB and 0.13 s
+per process), so they are bound on first use (``_load_lapack``, called
+when a ``DmrgConfig`` is built and at the start of each solve), and runs
+of the other algorithms never load it.
 
 A local solve is converged only as far as the next sweep can use it. It
 stops once its Ritz residual is at most ``max(lanczos_tol * max(1,
@@ -74,11 +78,11 @@ own tensor is the g with <c|psi> = vdot(g, x) for the center tensor x.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
 
 from .mpo import (
     MatrixProductOperator,
@@ -98,7 +102,6 @@ class DmrgConfig:
     tol: float = 1e-12
     lanczos_max_iter: int = 100
     lanczos_tol: float = 1e-12
-    noise: float = 0.0
     seed: int = 0
     penalty_weight: float = 10.0
 
@@ -107,18 +110,19 @@ class DmrgConfig:
         for name in ("n_sweeps", "lanczos_max_iter"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}", field=name)
-        for name in ("tol", "lanczos_tol", "noise"):
+        for name in ("tol", "lanczos_tol"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative", field=name)
         if not self.penalty_weight > 0.0:
             raise ConfigError("penalty_weight must be positive", field="penalty_weight")
+        _load_lapack()
 
 
 @dataclass(frozen=True)
 class DmrgTrace:
     """sweep_energies has one entry per completed sweep; update_energies one
-    per local solve (monotone nonincreasing when noise is zero), 2N - 1 per
-    sweep of N sites. converged says that the last sweep's last pass, its
+    per local solve (monotone nonincreasing), 2N - 1 per sweep of N
+    sites. converged says that the last sweep's last pass, its
     final N update energies (sites N - 1 down to 0), spread by at most
     ``tol·max(1, |E|)``; every sweep is complete, and the state's center
     is at site 0.
@@ -144,13 +148,23 @@ class DmrgTrace:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _load_lapack() -> None:
+    """Bind LAPACK's dstebz and dstein to this module's globals, importing
+    scipy.linalg on the first call only."""
+    global dstebz, dstein
+    from scipy.linalg.lapack import dstebz, dstein
+
+
 def _tridiag_ground(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the real symmetric tridiagonal matrix with
     diagonal ``alphas`` and off-diagonal ``betas``: bisection for the one
     eigenvalue (LAPACK dstebz, by index) and inverse iteration for its
     vector (dstein). These are the routines behind
     ``scipy.linalg.eigh_tridiagonal(select="i")``, called without its input
-    validation; the caller passes finite float64 arrays."""
+    validation; the caller passes finite float64 arrays and has bound the
+    routines by ``_load_lapack``, so a Krylov step makes no call for
+    them."""
     if alphas.size == 1:
         return float(alphas[0]), np.ones(1)
     _, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
@@ -220,6 +234,7 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float, reduction:
     if the operator is detectably non-Hermitian, or as soon as the
     start-vector norm or a Lanczos coefficient is not finite.
     """
+    _load_lapack()
     v = np.asarray(v0).reshape(-1)
     nv = np.linalg.norm(v)
     if not math.isfinite(nv):
@@ -380,7 +395,6 @@ def _pad_bonds(psi, max_bond, seed):
 
 def _sweep(op, config, psi, lowers):
     ws = _Workspace(op, list(psi.sites), lowers, config.penalty_weight)
-    rng = np.random.default_rng(config.seed + 1)
     update_energies: list[float] = []
     sweep_energies: list[float] = []
     sweep_matvecs: list[int] = []
@@ -394,12 +408,6 @@ def _sweep(op, config, psi, lowers):
         )
         if not ok:
             unconverged += 1
-        if config.noise > 0.0:
-            bump = rng.normal(size=vec.shape)
-            if np.iscomplexobj(vec):
-                bump = bump + 1j * rng.normal(size=vec.shape)
-            vec = vec + config.noise * bump * np.linalg.norm(vec) / np.linalg.norm(bump)
-            vec = vec / np.linalg.norm(vec)
         ws.sites[k] = vec
         update_energies.append(theta)
 

@@ -184,11 +184,17 @@ def build_mpo(spec: HamiltonianSpec) -> MatrixProductOperator:
 
 def _left_product(left, op_site):
     """A left environment ``(f, w, k)`` times the MPO tensor of the next
-    site, as the ``(f·o·w', k·s)`` matrix."""
-    f, _, kl = left.shape
-    _, o, s, w = op_site.shape
-    lw = np.tensordot(left, op_site, axes=(1, 0))  # (f, k, o, s, w')
-    return lw.transpose(0, 2, 4, 1, 3).reshape(f * o * w, kl * s)
+    site, as the ``(f·o·w', k·s)`` matrix: one ``(f·k, w) @ (w, w')``
+    product per physical pair (o, s), each written into its strided slice
+    of the output, so no 5-D product is transposed."""
+    f, w, kl = left.shape
+    _, o, s, wr = op_site.shape
+    out = np.empty((f, o, wr, kl, s), dtype=np.result_type(left, op_site))
+    lt = left.transpose(0, 2, 1).reshape(f * kl, w)
+    for a in range(o):
+        for b in range(s):
+            out[:, a, :, :, b] = (lt @ op_site[:, a, b]).reshape(f, kl, wr).transpose(0, 2, 1)
+    return out.reshape(f * o * wr, kl * s)
 
 
 def _right_product(op_site, right):

@@ -53,8 +53,10 @@ step records its count, summed over its blocks, in
 ``CoarseGrainTrace.subspace_iterations`` (at beta_c and chi = 32 about 3
 per block on a plaquette step and up to 7 on a saturated merging step).
 Smaller blocks, and a block still above the bound after 30 iterations, go
-to the dense ``scipy.linalg.eigh(subset_by_index=...)``, counted in
-``CoarseGrainTrace.dense_solves``; only there is M M^T formed.
+to a full dense ``np.linalg.eigh`` (``_dense_top``), counted in
+``CoarseGrainTrace.dense_solves``; only there is M M^T formed. The module
+runs on numpy alone: scipy.linalg would load a second BLAS library into
+every trg process.
 
 Cost per step, with every leg of extent chi and even and odd halves near
 chi/2: a plaquette step applies its two chi^2 x chi^2 Gram matrices
@@ -103,7 +105,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .models import ClassicalModelSpec
 from .tensor import ConfigError, TruncationSpec, truncate_spectrum
@@ -277,7 +278,7 @@ def _subspace_top(apply, n: int, top: int):
     G alone."""
     y = apply(_start_block(n, 2 * top))
     for iteration in range(1, _SUBSPACE_ITERS + 1):
-        q = scipy.linalg.qr(y, mode="economic", check_finite=False)[0]
+        q = np.linalg.qr(y)[0]
         y = apply(q)
         theta, s = np.linalg.eigh(q.T @ y)
         theta, s = theta[::-1][:top], s[:, ::-1][:, :top]
@@ -286,6 +287,17 @@ def _subspace_top(apply, n: int, top: int):
         if np.all(residual <= _SUBSPACE_TOL * np.finfo(float).eps * abs(theta[0])):
             return theta, v, iteration
     return None, None, _SUBSPACE_ITERS
+
+
+def _dense_top(gram: np.ndarray, top: int):
+    """The top ``top`` eigenpairs of a symmetric matrix, largest first, from
+    a full ``np.linalg.eigh``. At the blocks of 4 ``max_bond`` rows that a
+    flow solves densely this beats scipy's subset solve (1.3 against 2.1 ms
+    at 128 rows, one BLAS thread); it loses on the rare large block that
+    subspace iteration leaves unconverged (33 against 17 ms at 512 rows
+    with 32 kept)."""
+    w, v = np.linalg.eigh(gram)
+    return w[: -top - 1 : -1], v[:, : -top - 1 : -1]
 
 
 def _top_eigh(blocks, spec: TruncationSpec, factors: bool = False):
@@ -300,9 +312,9 @@ def _top_eigh(blocks, spec: TruncationSpec, factors: bool = False):
     that trace, so the rest of the spectrum is never formed. It is exactly
     0.0 when nothing is cut. A block of more than 4 ``max_bond`` rows is
     solved by ``_subspace_top``, which applies a factor as m (m^T Q);
-    smaller blocks, and a block it leaves unconverged, by the dense
-    ``scipy.linalg.eigh(subset_by_index=...)``, the only place m m^T is
-    formed. Non-finite input raises ValueError before any LAPACK call.
+    smaller blocks, and a block it leaves unconverged, by ``_dense_top``,
+    the only place m m^T is formed. Non-finite input raises ValueError
+    before any LAPACK call.
     Returns (v_even, v_odd, discarded, (subspace iterations, dense solves))
     with the kept eigenvectors of each block as columns, largest first.
     """
@@ -320,8 +332,7 @@ def _top_eigh(blocks, spec: TruncationSpec, factors: bool = False):
             iterations += steps
         if w is None and top > 0:
             gram = m @ m.T if factors else m
-            w, v = scipy.linalg.eigh(gram, subset_by_index=[n - top, n - 1], check_finite=False)
-            w, v = w[::-1], v[:, ::-1]
+            w, v = _dense_top(gram, top)
             dense += 1
         elif w is None:
             w, v = np.zeros(0), np.zeros((n, 0))

@@ -100,6 +100,61 @@ def test_import_leaves_the_oracle_unloaded(tmp_path):
     assert len(_read_results(tmp_path / "out")) == 2
 
 
+def test_only_dmrg_loads_scipy_linalg(tmp_path):
+    # scipy.linalg loads a second BLAS library, about 27 MB and 0.13 s per
+    # process; only dmrg's Ritz solves need it, so the import, the parse of
+    # every other subcommand and their runs leave it unloaded
+    src = str(Path(tnkit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    parsed = {
+        name: str(CONFIGS_DIR / f"{name}.json")
+        for name in ("tebd_quench", "thermal_tfi", "trg_ising", "oracle_ed")
+    }
+    tebd = {**json.loads((CONFIGS_DIR / "tebd_quench.json").read_text()), "n_steps": 5}
+    thermal = {**json.loads((CONFIGS_DIR / "thermal_tfi.json").read_text()), "beta": 0.1}
+    trg_cfg = {**json.loads((CONFIGS_DIR / "trg_ising.json").read_text()), "n_iters": 3}
+    del thermal["scan"], trg_cfg["scan"]
+    runs = [
+        [cfg["run"], "--config", _write_cfg(tmp_path, cfg, f"{cfg['run']}.json"),
+         "--out", str(tmp_path / cfg["run"])]
+        for cfg in (tebd, thermal, trg_cfg)
+    ]
+    code = f"""
+import sys
+import tnkit, tnkit.cli
+loaded = lambda: "scipy.linalg" in sys.modules
+assert not loaded(), "import"
+for name, path in {parsed!r}.items():
+    tnkit.parse_run_config(name.split("_")[0], path)
+    assert not loaded(), name
+for argv in {runs!r}:
+    assert tnkit.cli.main(argv) == 0, argv
+    assert not loaded(), argv[0]
+tnkit.parse_run_config("dmrg", {str(CONFIGS_DIR / "dmrg_tfi.json")!r})
+print(loaded())
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "True"
+    for name in ("tebd", "thermal", "trg"):
+        assert _read_results(tmp_path / name)
+    # a library caller that builds no DmrgConfig still gets the Ritz solver
+    code = (
+        "import numpy as np\n"
+        "from tnkit.dmrg import lanczos_ground\n"
+        "m = np.diag(np.arange(6.0)) + 0.5 * (np.eye(6, k=1) + np.eye(6, k=-1))\n"
+        "theta, vec, ok = lanczos_ground(lambda x: m @ x, np.ones(6), 20, 1e-12)\n"
+        "assert ok and abs(theta - np.linalg.eigvalsh(m)[0]) <= 1e-12\n"
+        "assert np.linalg.norm(m @ vec - theta * vec) <= 1e-10\n"
+        "print('ok')"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "ok"
+
+
 def _write_cfg(tmp_path, obj, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
@@ -338,6 +393,16 @@ class TestFailureModes:
         assert code == EXIT_CONFIG
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["kind"] == "config" and err["field"] == "seed"
+        assert not (out / "results.jsonl").exists()
+
+    def test_removed_noise_field_is_config_error(self, tmp_path):
+        # dmrg's noise could not grow a bond and is gone; a config that
+        # still sets it fails as an unknown field
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, _dmrg_cfg(noise=1e-3))
+        assert main(["dmrg", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == "noise"
         assert not (out / "results.jsonl").exists()
 
     def test_subcommand_mismatch_is_config_error(self, tmp_path):

@@ -256,7 +256,7 @@ def _tfi(n_sites, h):
 def _dmrg(h, observables):
     return {
         "max_bond": 32, "n_sweeps": 30, "tol": 1e-12, "lanczos_max_iter": 100,
-        "lanczos_tol": 1e-12, "noise": 0.0, "seed": 1, "penalty_weight": 10.0,
+        "lanczos_tol": 1e-12, "seed": 1, "penalty_weight": 10.0,
         "model": _tfi(12, h), "n_excited": 0, "observables": observables,
     }
 

@@ -40,6 +40,25 @@ def test_svd_full_rank_reconstructs():
     assert np.allclose(vh @ vh.conj().T, np.eye(vh.shape[0]), atol=1e-12)
 
 
+
+def test_svd_falls_back_to_gesvd(monkeypatch):
+    # when gesdd fails, scipy's gesvd (imported only then) gives the same
+    # truncated factorization under the same phase convention
+    rng = np.random.default_rng(9)
+    m = rand_matrix(rng, (12, 7))
+    spec = TruncationSpec(max_bond=5)
+    u0, s0, vh0, rep0 = svd_matrix(m, spec)
+
+    def no_gesdd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_gesdd)
+    u, s, vh, rep = svd_matrix(m, spec)
+    assert rep.kept == rep0.kept == 5
+    assert rep.discarded_weight == pytest.approx(rep0.discarded_weight, rel=1e-12)
+    assert np.allclose(s, s0, rtol=1e-12, atol=0)
+    assert np.allclose(u, u0, atol=1e-12) and np.allclose(vh, vh0, atol=1e-12)
+
 def test_svd_norm_accounting():
     rng = np.random.default_rng(6)
     m = rand_matrix(rng, (6, 7))

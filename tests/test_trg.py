@@ -3,8 +3,8 @@ exact infinite-lattice free energy."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+from tnkit import trg
 from tnkit.models import ClassicalModelSpec
 from tnkit.oracle import ising_brute_force, onsager_f
 from tnkit.tensor import TruncationSpec
@@ -290,15 +290,15 @@ def test_non_finite_coarse_tensor_raises():
 
 @pytest.mark.parametrize("method", ["trg", "hotrg"])
 def test_trace_counts_the_eigensolver_work(method, dense_eigh_calls, monkeypatch):
-    # one QR per subspace iteration, one scipy.linalg.eigh per dense solve
+    # one QR per subspace iteration, one _dense_top per dense solve
     qr_calls = []
-    qr = scipy.linalg.qr
+    qr = np.linalg.qr
 
     def counted(a, *args, **kwargs):
         qr_calls.append(a.shape)
         return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "qr", counted)
+    monkeypatch.setattr(np.linalg, "qr", counted)
     _, trace = coarse_grain(ClassicalModelSpec(beta=BETA_C), CoarseGrainConfig(16, 8, method))
     assert len(trace.subspace_iterations) == len(trace.dense_solves) == 8
     assert sum(trace.subspace_iterations) == len(qr_calls) > 0
@@ -364,16 +364,16 @@ GRAM_PARITIES = [
 
 @pytest.fixture
 def dense_eigh_calls(monkeypatch):
-    """The row counts of the matrices handed to scipy.linalg.eigh, the
-    dense solver of ``_top_eigh``."""
+    """The row counts of the matrices handed to ``_dense_top``, the dense
+    solver of ``_top_eigh``."""
     calls = []
-    dense = scipy.linalg.eigh
+    dense = trg._dense_top
 
     def counted(a, *args, **kwargs):
         calls.append(a.shape[0])
         return dense(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    monkeypatch.setattr(trg, "_dense_top", counted)
     return calls
 
 
@@ -478,9 +478,9 @@ def test_top_eigh_falls_back_to_dense_solver(dense_eigh_calls):
     gram = _gram_with_spectrum(1.0 + 0.5 * rng.random(200), 200, rng)
     v_even, v_odd, discarded, _ = _top_eigh([gram, np.zeros((0, 0))], TruncationSpec(max_bond=16))
     assert dense_eigh_calls == [200]
-    w, v = scipy.linalg.eigh(gram, subset_by_index=[184, 199])
-    assert np.array_equal(v_even, v[:, ::-1]) and v_odd.shape == (0, 0)
-    assert discarded == pytest.approx(1.0 - np.sum(w) / np.trace(gram), abs=1e-12)
+    w, v = np.linalg.eigh(gram)
+    assert np.array_equal(v_even, v[:, :-17:-1]) and v_odd.shape == (0, 0)
+    assert discarded == pytest.approx(1.0 - np.sum(w[-16:]) / np.trace(gram), abs=1e-12)
 
 
 def _leg_parity(*legs):
@@ -710,19 +710,23 @@ def test_non_finite_gram_raises(monkeypatch):
     def no_lapack(*args, **kwargs):
         raise AssertionError("LAPACK called on non-finite input")
 
-    for module, name in [(scipy.linalg, "qr"), (scipy.linalg, "eigh"), (np.linalg, "eigh")]:
-        monkeypatch.setattr(module, name, no_lapack)
     rng = np.random.default_rng(18)
+    legs = ((10, 5), (10, 5))
+    cases = []
     for bad in (np.nan, np.inf):
         m = rng.standard_normal((300, 40))
         m[7, 25] = bad
+        # the same through a split of a tensor with 50-row parity blocks
+        t = _graded_matrix(_leg_parity(*legs), _leg_parity(*legs), ([1.0] * 3, [0.5] * 3), rng)
+        t[3, 4] = bad
+        cases.append((m, t))
+    # patched only once the inputs exist: their helpers call numpy's QR
+    for name in ("qr", "eigh"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    for m, t in cases:
         for blocks in ([m, np.eye(2)], [np.eye(2), m]):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 _top_eigh(blocks, spec, factors=True)
-        # the same through a split of a tensor with 50-row parity blocks
-        legs = ((10, 5), (10, 5))
-        t = _graded_matrix(_leg_parity(*legs), _leg_parity(*legs), ([1.0] * 3, [0.5] * 3), rng)
-        t[3, 4] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             _split_view(t, legs, legs, (0, 1, 2, 3), spec)
 
