@@ -162,6 +162,9 @@ def chain_spec(settings: dict) -> HamiltonianSpec:
 def classical_spec(settings: dict) -> ClassicalModelSpec:
     """The 2D classical model of the ``model`` object of ``settings``."""
     node = _coerce(settings.get("model"), dict, "model")
+    name = _coerce(node.get("name", "ising_2d"), str, "model.name")
+    if name != "ising_2d":
+        raise ConfigError(f"unknown model name {name!r}", field="model.name")
     _reject_unknown(node, ("name", "beta", "J"), "model.")
     return _typed(ClassicalModelSpec, _spec_fields(node), "model.")
 

@@ -40,7 +40,12 @@ before anything divides by them. The two routines come from
 scipy.linalg, which loads a second BLAS library (about 27 MB and 0.13 s
 per process), so they are bound on first use (``_load_lapack``, called
 when a ``DmrgConfig`` is built and at the start of each solve), and runs
-of the other algorithms never load it.
+of the other algorithms never load it. A numpy-only search, with a dense
+``np.linalg.eigh`` of the tridiagonal matrix on each step, costs more than
+that library saves: on one BLAS thread the dense solve takes 8.7 against
+3.2 µs at k = 7 Krylov steps and 53 against 9 µs at k = 25, a 40-site
+search runs 9-18% longer, and the ``dmrg_chain`` benchmark runs 12% longer
+although its start-up falls by 0.15 s and its peak memory from 63 to 43 MB.
 
 A local solve is converged only as far as the next sweep can use it. It
 stops once its Ritz residual is at most ``max(lanczos_tol * max(1,
@@ -91,7 +96,7 @@ from .mpo import (
     expect_mpo,
     identity_mpo,
 )
-from .mps import MatrixProductState, canonicalize, inner, random_mps
+from .mps import MatrixProductState, bond_caps, canonicalize, inner, random_mps
 from .tensor import ConfigError, TruncationSpec, rq_matrix
 
 
@@ -373,11 +378,11 @@ def _pad_bonds(psi, max_bond, seed):
     orthogonal to its own and its left neighbour gains zero columns, so the
     state is unchanged and its old entries stay bit for bit."""
     sites = list(psi.sites)
-    phys = psi.phys_dims
+    caps = bond_caps(psi.phys_dims, max_bond)
     rng = np.random.default_rng(seed)
     for k in range(len(sites) - 1, 0, -1):
         dl, d, dr = sites[k].shape
-        cap = min(max_bond, math.prod(phys[:k]), math.prod(phys[k:]))
+        cap = caps[k - 1]
         if dl >= cap:
             continue
         b = sites[k].reshape(dl, d * dr)

@@ -153,15 +153,12 @@ class ClassicalModelSpec:
     beta: float
     model: str = "ising_2d"
     J: float = 1.0
-    field: float = 0.0
 
     def __post_init__(self):
         if self.model != "ising_2d":
             raise ValueError(f"unknown classical model {self.model!r}")
         if not self.beta > 0.0:
             raise ConfigError(f"beta must be positive, got {self.beta}", field="beta")
-        if self.field != 0.0:
-            raise ValueError("nonzero field is not supported")
 
 
 # ---------------------------------------------------------------------------

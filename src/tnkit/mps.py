@@ -78,6 +78,18 @@ def product_state(vectors) -> MatrixProductState:
     return canonicalize(MatrixProductState(sites), 0)
 
 
+def bond_caps(phys_dims, max_bond: int) -> list[int]:
+    """min(d_0 ... d_b, d_(b+1) ... d_(N-1), max_bond) for each internal bond
+    b, the largest extent it can usefully take: exact integers from running
+    products capped at max_bond, so no product grows past max_bond max(d)."""
+    left, right = [1], [1]
+    for d in phys_dims[:-1]:
+        left.append(min(left[-1] * d, max_bond))
+    for d in phys_dims[:0:-1]:
+        right.append(min(right[-1] * d, max_bond))
+    return [min(a, b) for a, b in zip(left[1:], right[:0:-1])]
+
+
 def random_mps(phys_dims, max_bond: int, rng, dtype=complex) -> MatrixProductState:
     """Normalized random state with the full representable bond profile
     capped at ``max_bond``. ``rng`` is a seed or a numpy Generator. Entries
@@ -88,12 +100,7 @@ def random_mps(phys_dims, max_bond: int, rng, dtype=complex) -> MatrixProductSta
     n = len(phys_dims)
     if n < 1 or any(d < 1 for d in phys_dims):
         raise ValueError(f"bad physical dimensions {phys_dims}")
-    bonds = [1]
-    for k in range(1, n):
-        left = int(np.prod(phys_dims[:k], dtype=np.float64).clip(max=2**62))
-        right = int(np.prod(phys_dims[k:], dtype=np.float64).clip(max=2**62))
-        bonds.append(min(max_bond, left, right))
-    bonds.append(1)
+    bonds = [1, *bond_caps(phys_dims, max_bond), 1]
     draw_imag = np.dtype(dtype).kind == "c"
     sites = []
     for k in range(n):

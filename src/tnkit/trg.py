@@ -79,11 +79,14 @@ index. So every parity block of a matrix view of a tensor is assembled
 from contiguous slices of the 4D array (``_block``), written in place with
 one transposed copy per sub-block, and every regrouping of a Gram matrix
 G[(i j), (i' j')] into H[(i i'), (j j')] moves sub-blocks the same way
-(``_regroup``); nothing is gathered or scattered by index arrays. The
-pair of a merging step is never transposed: each row block of a product,
-fixed parities of u and rt, is the contiguous array (u, (rt rb), d), and
-the isometry block of the parity of (rt rb) is applied to it by one
-batched product that writes the coarse tensor in (u, l, d, r) order.
+(``_regroup``). Both schemes regroup through it: a merging step its
+half-row Grams and densities, a plaquette step the products of its halves,
+whose (i j) and (i' j') run over different legs. Nothing is gathered or
+scattered by index arrays. The pair of a merging step is never transposed:
+each row block of a product, fixed parities of u and rt, is the contiguous
+array (u, (rt rb), d), and the isometry block of the parity of (rt rb) is
+applied to it by one batched product that writes the coarse tensor in (u,
+l, d, r) order.
 
 Degenerate cuts. When the cut falls inside a degenerate group the kept
 subspace is arbitrary: between blocks, exactly equal values are taken
@@ -231,22 +234,24 @@ def _block(t: np.ndarray, axes, halves, q: int) -> np.ndarray:
     return out
 
 
-def _regroup(blocks, first, second) -> list[np.ndarray]:
+def _regroup(blocks, rows, cols) -> list[np.ndarray]:
     """From the blocks of G[(i j), (i' j')], rows and columns of parity s
-    in ``blocks[s]`` laid out by ``_pair_blocks(first, second, s)``, the
-    blocks of H[(i i'), (j j')] = G: rows (i i') and columns (j j') of
-    parity r in entry r, laid out by ``_pair_blocks`` of first and of
-    second. Each sub-block is one transposed copy of a slice."""
-    layouts = [_pair_blocks(first, second, s) for s in (0, 1)]
+    in ``blocks[s]``, the rows laid out by ``_pair_blocks(*rows, s)`` and
+    the columns by ``_pair_blocks(*cols, s)``, the blocks of H[(i i'),
+    (j j')] = G: rows (i i') and columns (j j') of parity r in entry r,
+    laid out by ``_pair_blocks`` of the ranges of i and i' and of j and
+    j'. Each sub-block is one transposed copy of a slice."""
+    row_layouts = [_pair_blocks(*rows, s) for s in (0, 1)]
+    col_layouts = [_pair_blocks(*cols, s) for s in (0, 1)]
     out = []
     for r in (0, 1):
-        rows = _pair_blocks(first, first, r)
-        cols = _pair_blocks(second, second, r)
-        h = np.empty((rows[1][3].stop, cols[1][3].stop))
-        for a, i, i2, rr in rows:
-            for d, j, j2, cc in cols:
+        firsts = _pair_blocks(rows[0], cols[0], r)
+        seconds = _pair_blocks(rows[1], cols[1], r)
+        h = np.empty((firsts[1][3].stop, seconds[1][3].stop))
+        for a, i, i2, rr in firsts:
+            for d, j, j2, cc in seconds:
                 s = a ^ d  # parity of (i j) and of (i' j')
-                g = blocks[s][layouts[s][a][3], layouts[s][a ^ r][3]]
+                g = blocks[s][row_layouts[s][a][3], col_layouts[s][a ^ r][3]]
                 shape = (_size(i), _size(j), _size(i2), _size(j2))
                 _put(h[rr, cc], g.reshape(shape).transpose(0, 2, 1, 3))
         out.append(h)
@@ -392,50 +397,33 @@ def trg_step(state: CoarseGrainState, spec: TruncationSpec) -> tuple[CoarseGrain
     n1, n2 = _halves(t1.shape[2], e1), _halves(t2.shape[2], e2)
     # the four halves around a plaquette of the rotated lattice: the left
     # leg x of one half meets the right leg of the next (same grading), and
-    # new[(a b), (c e)] = sum top[(a b), (d1 d2)] bot[(d1 d2), (c e)] with
-    # top = sum_x t1[x, d1, a] t2[x, d2, b], bot = sum_x t4[x, d1, e] t3[x, d2, c]
+    # new[(a b), (e c)] = sum top[(a b), (d1 d2)] bot[(d1 d2), (e c)] with
+    # top = sum_x t1[x, d1, a] t2[x, d2, b], bot = sum_x t4[x, d1, e] t3[x, d2, c],
+    # each one product per parity of x (t1 and t2 read as (x, a, d)),
+    # regrouped by ``_regroup`` as the Gram matrices of a merging step are
     hor, down = halves[1], halves[2]
-    news = [_pair_blocks(n1, n2, q) for q in (0, 1)]  # (a b) and (c e)
-    legs = [_pair_blocks(down, down, q) for q in (0, 1)]  # (d1 d2)
-    top = [np.empty((news[q][1][3].stop, legs[q][1][3].stop)) for q in (0, 1)]
-    bot = [np.empty((legs[q][1][3].stop, news[q][1][3].stop)) for q in (0, 1)]
 
-    def view(half, x, new_leg):
-        """half[x, d, n] for x of parity x as the matrix (x, (d n) of
-        parity x), and the layout of (d n)."""
-        pieces = _pair_blocks(down, new_leg, x)
+    def view(half, x, legs):
+        """half[x, i, j] for x of parity x as the matrix (x, (i j) of
+        parity x), legs holding the even and odd ranges of i and of j."""
         width = _size(hor[x])
-        blocks = [half[hor[x], d, n].reshape(width, _size(d) * _size(n)) for _, d, n, _ in pieces]
-        return np.concatenate(blocks, axis=1), pieces
+        pieces = _pair_blocks(*legs, x)
+        blocks = [half[hor[x], i, j].reshape(width, _size(i) * _size(j)) for _, i, j, _ in pieces]
+        return np.concatenate(blocks, axis=1)
 
-    for x in (0, 1):
-        # one product per parity of x; its (d n) pieces land in the blocks
-        # of parity p(n) + p(n') of top and bot
-        f1, p1 = view(t1, x, n1)
-        f2, p2 = view(t2, x, n2)
-        prod = f1.T @ f2  # ((d1 a), (d2 b))
-        for p_d1, d1, a, ra in p1:
-            for p_d2, d2, b, rb in p2:
-                q = p_d1 ^ p_d2
-                shape = (_size(d1), _size(a), _size(d2), _size(b))
-                dst = top[q][news[q][p_d1 ^ x][3], legs[q][p_d1][3]]
-                _put(dst, prod[ra, rb].reshape(shape).transpose(1, 3, 0, 2))
-        f3, p3 = view(t3, x, n1)
-        f4, p4 = view(t4, x, n2)
-        prod = f3.T @ f4  # ((d2 c), (d1 e))
-        for p_d2, d2, c, rc in p3:
-            for p_d1, d1, e, re in p4:
-                q = p_d1 ^ p_d2
-                shape = (_size(d2), _size(c), _size(d1), _size(e))
-                dst = bot[q][legs[q][p_d1][3], news[q][p_d2 ^ x][3]]
-                _put(dst, prod[rc, re].reshape(shape).transpose(2, 0, 1, 3))
+    def gram(f, g, rows, cols):
+        """sum_x f[x, i, j] g[x, i', j'] as the blocks of [(i i'), (j j')]."""
+        return _regroup([view(f, x, rows).T @ view(g, x, cols) for x in (0, 1)], rows, cols)
+
+    top = gram(t1.transpose(0, 2, 1), t2.transpose(0, 2, 1), (n1, down), (n2, down))
+    bot = gram(t4, t3, (down, n2), (down, n1))
     out = np.zeros((t2.shape[2], t1.shape[2], t2.shape[2], t1.shape[2]))  # (b, c, e, a)
     for q in (0, 1):
         new = top[q] @ bot[q]
-        for _, a, b, rows in news[q]:
-            for _, c, e, cols in news[q]:
-                shape = (_size(a), _size(b), _size(c), _size(e))
-                out[b, c, e, a] = new[rows, cols].reshape(shape).transpose(1, 2, 3, 0)
+        for _, a, b, rows in _pair_blocks(n1, n2, q):
+            for _, e, c, cols in _pair_blocks(n2, n1, q):
+                shape = (_size(a), _size(b), _size(e), _size(c))
+                out[b, c, e, a] = new[rows, cols].reshape(shape).transpose(1, 3, 2, 0)
     work = (work1[0] + work2[0], work1[1] + work2[1])
     return _rescaled(out, (e2, e1, e2, e1), state, work), float(w1 + w2)
 
@@ -457,13 +445,16 @@ def _merge_isometry(t: np.ndarray, even, spec: TruncationSpec):
     # one side at a time, so that only two of the Gram matrices are held;
     # the density of a side, rho[(a b), (c e)] = sum g1[(a c), (m m')]
     # g2[(m m'), (b e)], pairs its top-row Gram g1 with its bottom-row g2
-    g1 = _regroup([b @ b.T for b in x], left, down)  # x x^T (l, m, l', m')
-    g2 = _regroup([b @ b.T for b in y], up, left)  # y y^T (m, l, m', l')
-    on_left = _top_eigh(_regroup([a @ b for a, b in zip(g1, g2)], left, left), spec)
+    # a Gram matrix has the same legs in (i j) as in (i' j')
+    ld, ul, dr, ur = (left, down), (up, left), (down, right), (up, right)
+    ll, rr = (left, left), (right, right)
+    g1 = _regroup([b @ b.T for b in x], ld, ld)  # x x^T (l, m, l', m')
+    g2 = _regroup([b @ b.T for b in y], ul, ul)  # y y^T (m, l, m', l')
+    on_left = _top_eigh(_regroup([a @ b for a, b in zip(g1, g2)], ll, ll), spec)
     del g1, g2
-    g1 = [g.T for g in _regroup([b.T @ b for b in y], down, right)]  # y^T y (m, r, m', r')
-    g2 = _regroup([b.T @ b for b in x], up, right)  # x^T x (m, r, m', r')
-    on_right = _top_eigh(_regroup([a @ b for a, b in zip(g1, g2)], right, right), spec)
+    g1 = [g.T for g in _regroup([b.T @ b for b in y], dr, dr)]  # y^T y (m, r, m', r')
+    g2 = _regroup([b.T @ b for b in x], ur, ur)  # x^T x (m, r, m', r')
+    on_right = _top_eigh(_regroup([a @ b for a, b in zip(g1, g2)], rr, rr), spec)
     work = (on_left[3][0] + on_right[3][0], on_left[3][1] + on_right[3][1])
     return (*(on_left if on_left[2] <= on_right[2] else on_right)[:3], work)
 

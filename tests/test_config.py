@@ -87,6 +87,13 @@ class TestValidation:
             resolve_runs("dmrg", cfg)
         assert err.value.field == "model.name"
 
+    @pytest.mark.parametrize("name", ["potts", 3])
+    def test_unknown_classical_model_name(self, name):
+        cfg = {"seed": 1, "model": {"name": name, "beta": 0.3}, "max_bond": 8, "n_iters": 4}
+        with pytest.raises(ConfigError) as err:
+            resolve_runs("trg", cfg)
+        assert err.value.field == "model.name"
+
     def test_thermal_missing_beta(self):
         cfg = {
             "seed": 1,
@@ -271,7 +278,7 @@ def _thermal(beta):
 def _trg(beta):
     return {
         "max_bond": 16, "n_iters": 25, "method": "trg", "rel_cutoff": 0.0,
-        "seed": 1, "model": {"beta": beta, "model": "ising_2d", "J": 1.0, "field": 0.0},
+        "seed": 1, "model": {"beta": beta, "model": "ising_2d", "J": 1.0},
     }
 
 

@@ -1,5 +1,7 @@
 """Matrix product state behavior against dense linear algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from tnkit.mps import (
     MatrixProductState,
     _orth_left_step,
     _orth_right_step,
+    bond_caps,
     canonical_residual,
     canonicalize,
     compress,
@@ -91,6 +94,7 @@ def test_dense_index_order_site0_most_significant():
 def test_random_mps_profile_and_norm():
     psi = random_mps([2] * 6, max_bond=5, rng=7)
     assert psi.bond_dims == (2, 4, 5, 4, 2)
+    assert random_mps([2, 5, 3, 1, 4, 2], max_bond=7, rng=1).bond_dims == (2, 7, 7, 7, 2)
     assert psi.center == 0
     assert norm(psi) == pytest.approx(1.0, abs=1e-12)
     assert canonical_residual(psi) < 1e-12
@@ -99,6 +103,27 @@ def test_random_mps_profile_and_norm():
         np.testing.assert_array_equal(a, b)
     other = random_mps([2] * 6, max_bond=5, rng=8)
     assert abs(abs(inner(psi, other)) - 1.0) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "phys_dims, max_bond",
+    [
+        ((3,), 4),
+        ((2, 5, 3, 4, 2, 7), 9),
+        ((4, 1, 2, 3, 1, 5, 2), 1000),
+        ((2, 3) * 100, 64),  # the products pass 2^62 mid-chain
+        ((2, 3) * 100, 2**70),  # every bond is capped by d^k or d^(N-k) alone
+    ],
+)
+def test_bond_caps_match_the_exact_formula(phys_dims, max_bond):
+    n = len(phys_dims)
+    expected = [
+        min(max_bond, math.prod(phys_dims[: b + 1]), math.prod(phys_dims[b + 1 :]))
+        for b in range(n - 1)
+    ]
+    caps = bond_caps(phys_dims, max_bond)
+    assert caps == expected
+    assert all(type(c) is int for c in caps)
 
 
 # ---------------------------------------------------------------------------

@@ -290,5 +290,5 @@ def test_input_validation():
         models.custom_nn(3, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         models.ClassicalModelSpec(beta=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         models.ClassicalModelSpec(beta=1.0, field=0.2)

@@ -16,6 +16,7 @@ from tnkit.trg import (
     _halves,
     _merge_isometry,
     _merge_vertical,
+    _regroup,
     _rescaled,
     _split,
     _start_block,
@@ -683,6 +684,30 @@ def _check_merge_vertical(t, even):
     np.testing.assert_allclose(got.tensor, want / scale, atol=1e-12)
     assert got.log_norm_per_site == pytest.approx(np.log(scale) / 2, abs=1e-14)
     assert np.all(got.tensor[_odd_entries(got.tensor, got.even)] == 0.0)
+
+
+REGROUP_LEGS = [
+    # (extent, even count) of i, j, i' and j' of G[(i j), (i' j')]
+    ((3, 2), (4, 1), (5, 3), (2, 1)),
+    ((2, 2), (3, 1), (4, 0), (3, 3)),  # an all-odd and an all-even leg
+    ((4, 2), (3, 1), (4, 2), (3, 1)),  # rows and columns on the same legs
+]
+
+
+def test_regroup_matches_dense_transpose():
+    rng = np.random.default_rng(17)
+    for legs in REGROUP_LEGS:
+        g = _graded_tensor([n for n, _ in legs], [e for _, e in legs], rng)
+        i, j, i2, j2 = (_halves(*leg) for leg in legs)
+        rows, cols = _leg_parity(legs[0], legs[1]), _leg_parity(legs[2], legs[3])
+        dense = g.reshape(len(rows), len(cols))
+        got = _regroup([dense[np.ix_(rows == s, cols == s)] for s in (0, 1)], (i, j), (i2, j2))
+        # H[(i i'), (j j')] = G[(i j), (i' j')], graded as G is
+        h = g.transpose(0, 2, 1, 3).reshape(legs[0][0] * legs[2][0], -1)
+        rows, cols = _leg_parity(legs[0], legs[2]), _leg_parity(legs[1], legs[3])
+        assert np.all(h[rows[:, None] != cols[None, :]] == 0.0)
+        for r in (0, 1):
+            np.testing.assert_array_equal(got[r], h[np.ix_(rows == r, cols == r)])
 
 
 def test_non_finite_gram_raises(monkeypatch):
