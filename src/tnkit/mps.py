@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import TruncationSpec, _freeze, qr_matrix, rq_matrix, svd_matrix
+from .tensor import TruncationSpec, _freeze, qr_matrix, rq_matrix, split_matrix, svd_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,18 +413,20 @@ def entanglement_entropy(psi: MatrixProductState, bond: int) -> float:
 def compress(
     psi: MatrixProductState, spec: TruncationSpec
 ) -> tuple[MatrixProductState, float]:
-    """Truncate every bond by a left-to-right sweep of local SVDs, starting
-    from the right-canonical form so each cut is optimal for the current
-    state. Returns the compressed state (center at the last site) and the
-    summed per-bond discarded weight, which bounds the fidelity loss."""
+    """Truncate every bond by a left-to-right sweep of local splits
+    (``tensor.split_matrix``: an SVD where ``spec`` can cut, an exact QR
+    elsewhere), starting from the right-canonical form so each cut is
+    optimal for the current state. Returns the compressed state (center
+    at the last site) and the summed per-bond discarded weight, which
+    bounds the fidelity loss."""
     c = canonicalize(psi, 0)
     work = list(c.sites)
     total = 0.0
     for b in range(len(work) - 1):
         a = work[b]
         dl, d, dr = a.shape
-        u, s, vh, rep = svd_matrix(a.reshape(dl * d, dr), spec)
+        left, right, rep = split_matrix(a.reshape(dl * d, dr), spec)
         total += rep.discarded_weight
-        work[b] = u.reshape(dl, d, -1)
-        work[b + 1] = _absorb_left(s[:, None] * vh, work[b + 1])
+        work[b] = left.reshape(dl, d, -1)
+        work[b + 1] = _absorb_left(right, work[b + 1])
     return MatrixProductState(work, center=len(work) - 1), float(total)

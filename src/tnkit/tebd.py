@@ -12,15 +12,18 @@ real imaginary-time gates, so imaginary-time cooling and purified thermal
 states of real models run in float64, while real-time gates are complex by
 construction.
 
-Cost per gate: two matrix products and one truncated SVD. The first
-product joins the two sites' matrix views, (Dl·d1, χ) times (χ, d2·Dr);
-the second applies the gate to the physical pair of every (Dl, Dr) entry
-as one batched matmul. The SVD splits the result back into two sites. A
+Cost per gate: two matrix products and one split. The first product
+joins the two sites' matrix views, (Dl·d1, χ) times (χ, d2·Dr); the
+second applies the gate to the physical pair of every (Dl, Dr) entry as
+one batched matmul. ``tensor.split_matrix`` splits the result back into
+two sites: by a truncated SVD when the rule can cut (a positive
+``rel_cutoff``, or more than ``max_bond`` rows and columns), otherwise by
+an exact QR (RQ leftward), which costs less and keeps every value. A
 layer's gates act on every other bond, so between two gates the center
 moves one site: one QR (or RQ) and one product that pushes its factor into
 the neighbour. Every factorization goes through the tensor module's
-kernels, so the LAPACK SVDs and QRs set most of the time of a saturated
-quench.
+kernels, so the LAPACK SVDs of the gates that cut set most of the time of
+a saturated quench.
 
 The trailing even(dt/2) of one second-order step and the leading one of
 the next act on the same bonds and commute, so they run as one layer of
@@ -54,7 +57,7 @@ import numpy as np
 from .models import HamiltonianSpec, bond_terms
 from .mpo import MatrixProductOperator
 from .mps import MatrixProductState, _move_center, _walk, canonicalize, norm, product_state
-from .tensor import ConfigError, TruncationSpec, svd_matrix
+from .tensor import ConfigError, TruncationSpec, split_matrix
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,9 @@ def apply_gate(
 ):
     """Apply a two-site gate across one bond and re-truncate it.
 
-    Returns (state with center at bond+1, truncation report).
+    The gated pair is split by ``tensor.split_matrix``: a truncated SVD
+    when ``spec`` can cut it, an exact QR otherwise. Returns (state with
+    center at bond+1, truncation report).
     """
     n = psi.n_sites
     if not 0 <= bond < n - 1:
@@ -147,17 +152,13 @@ def _gate_inplace(
     sites: list, bond: int, gate: np.ndarray, spec: TruncationSpec, leftward: bool = False
 ):
     """Center must already sit at ``bond`` (or bond+1). Leaves it at bond+1,
-    or at ``bond`` when ``leftward`` absorbs the singular values to the left."""
+    or at ``bond`` when ``leftward`` splits off a right isometry."""
     theta = _gated_pair(sites, bond, gate)
     dl, d1 = sites[bond].shape[:2]
     d2, dr = sites[bond + 1].shape[1:]
-    u, s, vh, report = svd_matrix(theta.reshape(dl * d1, d2 * dr), spec)
-    if leftward:
-        u = u * s
-    else:
-        vh = s[:, None] * vh
-    sites[bond] = u.reshape(dl, d1, -1)
-    sites[bond + 1] = vh.reshape(-1, d2, dr)
+    left, right, report = split_matrix(theta.reshape(dl * d1, d2 * dr), spec, leftward)
+    sites[bond] = left.reshape(dl, d1, -1)
+    sites[bond + 1] = right.reshape(-1, d2, dr)
     return report
 
 

@@ -1,6 +1,7 @@
 """Dense matrix kernels (truncated SVD, QR and RQ under one phase
-convention), the truncation rule, and the truncation settings and
-configuration error that every module shares.
+convention, and the split that chooses between them), the truncation
+rule, and the truncation settings and configuration error that every
+module shares.
 
 Conventions used throughout the package:
 
@@ -20,6 +21,10 @@ Conventions used throughout the package:
   kept set across any degenerate group at the cutoff boundary (equal within
   1e-14 relative), and finally caps at ``max_bond``. The discarded weight
   is the truncated squared norm relative to the total squared norm.
+* A split (``split_matrix``) goes through the SVD only when the rule can
+  cut: ``rel_cutoff > 0`` or ``min(m.shape) > max_bond``. Otherwise the
+  rule keeps every value, and the exact split is a QR (an RQ leftward),
+  which restores the canonical form for less.
 """
 
 from __future__ import annotations
@@ -169,6 +174,26 @@ def svd_matrix(m: np.ndarray, spec: TruncationSpec | None = None):
     if spec is not None and spec.norm_policy == "renormalize" and discarded > 0.0:
         s *= 1.0 / np.sqrt(1.0 - discarded)
     return u, s, vh, TruncationReport(kept=kept, discarded_weight=discarded)
+
+
+def split_matrix(m: np.ndarray, spec: TruncationSpec, leftward: bool = False):
+    """Split a matrix under the truncation rule: ``m ~ a @ b``.
+
+    Returns ``(a, b, report)``. ``a`` is a left isometry, or ``b`` a right
+    one when ``leftward``. When the rule can cut (``rel_cutoff > 0`` or
+    ``min(m.shape) > max_bond``) the split goes through :func:`svd_matrix`
+    and the kept singular values are absorbed into ``b`` (into ``a`` when
+    ``leftward``). Otherwise the rule keeps all ``min(m.shape)`` values,
+    and the split is the exact QR (RQ) of ``m``, with the report that
+    :func:`truncate_spectrum` gives for such a spectrum.
+    """
+    if spec.rel_cutoff > 0.0 or min(m.shape) > spec.max_bond:
+        u, s, vh, report = svd_matrix(m, spec)
+        if leftward:
+            return u * s, vh, report
+        return u, s[:, None] * vh, report
+    a, b = rq_matrix(m) if leftward else qr_matrix(m)
+    return a, b, TruncationReport(kept=min(m.shape), discarded_weight=0.0)
 
 
 def qr_matrix(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

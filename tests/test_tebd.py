@@ -249,22 +249,31 @@ def _count_center_moves(monkeypatch):
 
 def test_gate_sweeps_skip_the_center_walk_back(monkeypatch):
     import tnkit.tebd as tebd_module
+    import tnkit.tensor as tensor_module
 
     spec = transverse_field_ising(14, h=1.0)
     scheme = build_trotter(spec, 0.05, order=2, imag=False)
     even, odd = len(scheme.layers[0]), len(scheme.layers[1])
     psi0 = neel(14)
     calls = _count_center_moves(monkeypatch)
-    svds = []
-    real_svd = tebd_module.svd_matrix
+    splits, svds = [], []
+    real_split, real_svd = tebd_module.split_matrix, tensor_module.svd_matrix
     monkeypatch.setattr(
-        tebd_module, "svd_matrix", lambda m, spec: svds.append(1) or real_svd(m, spec)
+        tebd_module, "split_matrix",
+        lambda m, spec, leftward: splits.append(m.shape) or real_split(m, spec, leftward),
+    )
+    monkeypatch.setattr(
+        tensor_module, "svd_matrix", lambda m, spec: svds.append(m.shape) or real_svd(m, spec)
     )
     n_steps = 6
     out, _ = evolve_gates(psi0, scheme, n_steps, max_bond=32, rel_cutoff=0.0, abort_threshold=1e-3)
     # one fused even layer and one odd layer per step, the owed even
     # half-layer once: 85 gates, where three layers a step made 120
-    assert len(svds) == n_steps * (even + odd) + even == 85
+    assert len(splits) == n_steps * (even + odd) + even == 85
+    # only a gate whose theta has more than max_bond rows and columns can
+    # cut, so only those go through the SVD; the others split by QR or RQ
+    assert svds == [shape for shape in splits if min(shape) > 32]
+    assert len(svds) == 12
     # one move between neighbouring gates of a layer and one into the odd
     # layer, where three layers a step made 108; a forward-only sweep walks
     # the center back before each layer
@@ -272,14 +281,14 @@ def test_gate_sweeps_skip_the_center_walk_back(monkeypatch):
     assert canonical_residual(out) < 1e-12
     # no step, no owed layer: the start state comes back as it was
     calls.clear()
-    svds.clear()
+    splits.clear()
     same, trace = evolve_gates(
         psi0, scheme, 0, max_bond=32, rel_cutoff=0.0, abort_threshold=1e-3,
         observables={"sz0": (0, SZ)},
     )
     assert trace.times == (0.0,) and trace.discarded == () and trace.log_norms == ()
     assert trace.observables == {"sz0": (1.0,)}
-    assert svds == [] and calls == []
+    assert splits == [] and calls == []
     assert same.center == psi0.center
     for a, b in zip(same.sites, psi0.sites):
         np.testing.assert_array_equal(a, b)
@@ -307,6 +316,40 @@ def test_gate_sweeps_match_forward_only_order_without_truncation():
         np.testing.assert_allclose(trace.log_norms, ref_log_norms, rtol=0, atol=1e-12)
         for k in watched:
             np.testing.assert_allclose(trace.observables[k], ref_series[k], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.0, 0.9])
+def test_untruncated_quench_splits_like_the_svd(h):
+    # rel_cutoff 1e-15 sends every gate through the SVD; with 0 and a bond
+    # cap above the full rank, every gate splits by QR or RQ
+    n = 8
+    spec = transverse_field_ising(n, J=1.0, h=h)
+    rng = np.random.default_rng(31)
+    vectors = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    psi0 = product_state(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+    runs = {}
+    for cutoff in (0.0, 1e-15):
+        config = TebdConfig(dt=0.05, n_steps=20, max_bond=16, rel_cutoff=cutoff)
+        out, trace = evolve(psi0, spec, config, observables={"sz3": (3, SZ)})
+        assert max(trace.discarded) < 1e-28
+        runs[cutoff] = to_dense(out), trace.observables["sz3"]
+    (qr_state, qr_sz), (svd_state, svd_sz) = runs[0.0], runs[1e-15]
+    np.testing.assert_allclose(qr_state, svd_state, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(qr_sz, svd_sz, rtol=0, atol=1e-12)
+    if h == 0.0:
+        # commuting bond terms: the Trotter steps are exact
+        want = dense_evolve(dense_hamiltonian(spec), to_dense(psi0), 1.0)
+        np.testing.assert_allclose(qr_state, want, rtol=0, atol=1e-10)
+
+
+def test_thermal_ln_z_splits_like_the_svd():
+    spec = transverse_field_ising(5, J=1.0, h=0.8)
+    ln_z = {}
+    for cutoff in (0.0, 1e-15):
+        config = ThermalConfig(beta=1.0, dt=0.05, max_bond=32, rel_cutoff=cutoff)
+        _, ln_z[cutoff], _ = thermal_state(spec, config)
+    assert ln_z[0.0] == pytest.approx(ln_z[1e-15], rel=0, abs=1e-12)
+    assert ln_z[0.0] == pytest.approx(dense_gibbs(dense_hamiltonian(spec), 1.0).ln_z, rel=1e-3)
 
 
 def test_two_site_chain_with_an_empty_layer():

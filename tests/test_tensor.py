@@ -7,6 +7,7 @@ from tnkit.tensor import (
     _phase_fix_columns,
     qr_matrix,
     rq_matrix,
+    split_matrix,
     svd_matrix,
     truncate_spectrum,
 )
@@ -123,8 +124,66 @@ def test_qr_isometry_and_identity_on_isometric_input():
     assert np.max(np.abs(r2 - np.eye(r2.shape[0]))) < 1e-12
 
 
+def _split_input(seed, shape, dtype, rank=None):
+    """A random matrix of ``shape``, of rank ``rank`` when given."""
+    rng = np.random.default_rng(seed)
+    inner = min(shape) if rank is None else rank
+    left, right = rng.normal(size=(shape[0], inner)), rng.normal(size=(inner, shape[1]))
+    if dtype is complex:
+        left = left + 1j * rng.normal(size=left.shape)
+        right = right + 1j * rng.normal(size=right.shape)
+    return left @ right
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(6, 6), (9, 4), (4, 9)])
+@pytest.mark.parametrize("leftward", [False, True])
+@pytest.mark.parametrize("rank", [None, 2])
+def test_split_that_keeps_every_value_is_an_exact_qr(dtype, shape, leftward, rank):
+    m = _split_input(13, shape, dtype, rank)
+    k = min(shape)
+    a, b, rep = split_matrix(m, TruncationSpec(max_bond=k), leftward)
+    assert rep.kept == k and rep.discarded_weight == 0.0
+    assert a.shape == (shape[0], k) and b.shape == (k, shape[1])
+    assert a.dtype == b.dtype == np.result_type(dtype, np.float64)
+    assert np.linalg.norm(a @ b - m) <= 1e-13 * np.linalg.norm(m)
+    # the isometry: columns of a, or rows of b leftward, orthonormal and
+    # phase-fixed (largest-magnitude entry real and positive)
+    iso = b.conj().T if leftward else a
+    assert np.max(np.abs(iso.conj().T @ iso - np.eye(k))) < 1e-13
+    leading = iso[np.argmax(np.abs(iso), axis=0), np.arange(k)]
+    assert np.all(np.abs(leading.imag) < 1e-15) and np.all(leading.real > 0.0)
+    want = rq_matrix(m) if leftward else qr_matrix(m)
+    np.testing.assert_array_equal(a, want[0])
+    np.testing.assert_array_equal(b, want[1])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("leftward", [False, True])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TruncationSpec(max_bond=3),
+        TruncationSpec(max_bond=3, norm_policy="renormalize"),
+        TruncationSpec(max_bond=8, rel_cutoff=0.2),
+        TruncationSpec(max_bond=8, rel_cutoff=1e-15),
+    ],
+)
+def test_split_that_can_cut_is_the_svd_with_values_absorbed(dtype, leftward, spec):
+    m = _split_input(14, (7, 5), dtype)
+    a, b, rep = split_matrix(m, spec, leftward)
+    u, s, vh, want = svd_matrix(m, spec)
+    want_a, want_b = (u * s, vh) if leftward else (u, s[:, None] * vh)
+    np.testing.assert_array_equal(a, want_a)
+    np.testing.assert_array_equal(b, want_b)
+    assert rep == want
+
+
 def test_split_argument_validation():
-    for factor in (svd_matrix, qr_matrix, rq_matrix):
+    def split(m):
+        return split_matrix(m, TruncationSpec(max_bond=2))
+
+    for factor in (svd_matrix, qr_matrix, rq_matrix, split):
         for bad in (np.inf, np.nan):
             m = np.eye(2)
             m[1, 0] = bad
