@@ -172,10 +172,13 @@ def classical_spec(settings: dict) -> ClassicalModelSpec:
 _SPECS = {HamiltonianSpec: chain_spec, ClassicalModelSpec: classical_spec}
 
 
-def pauli_by_name(name: str, field: str) -> np.ndarray:
-    if not isinstance(name, str) or name not in PAULI:
+def pauli_by_name(name: str, field: str, phys_dim: int) -> np.ndarray:
+    """The Pauli operator ``name`` on the model's sites of dimension ``phys_dim``."""
+    if not isinstance(name, str) or name not in PAULI or phys_dim != 2:
         raise ConfigError(
-            f"field '{field}' must be one of {sorted(PAULI)}, got {name!r}", field=field
+            f"field '{field}' must be one of {sorted(PAULI)} on spin-1/2 sites, got {name!r} "
+            f"on sites of dimension {phys_dim}",
+            field=field,
         )
     return PAULI[name]
 
@@ -210,7 +213,7 @@ class DmrgSettings(_RunSettings, DmrgConfig):
         if not 0 <= self.n_excited < d ** min(n, self.n_excited.bit_length()):
             raise ConfigError(f"need 0 <= n_excited < {d}**{n}, got {self.n_excited}", "n_excited")
         for i, name in enumerate(self.observables):
-            pauli_by_name(name, f"observables[{i}]")
+            pauli_by_name(name, f"observables[{i}]", d)
 
 
 @dataclass(frozen=True)
@@ -219,9 +222,6 @@ class SiteObservable:
 
     op: str
     site: int
-
-    def __post_init__(self):
-        pauli_by_name(self.op, "op")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -239,6 +239,7 @@ class TebdSettings(_RunSettings, TebdConfig):
                 f"state must be neel|all_up|uniform|random, got {self.state!r}", "state"
             )
         for i, obs in enumerate(self.observables):
+            pauli_by_name(obs.op, f"observables[{i}].op", self.model.phys_dim)
             if not 0 <= obs.site < self.model.n_sites:
                 raise ConfigError("site is outside the chain", field=f"observables[{i}].site")
 
@@ -253,7 +254,7 @@ class ThermalSettings(_RunSettings, ThermalConfig):
     def __post_init__(self):
         super().__post_init__()
         for i, name in enumerate(self.observables):
-            pauli_by_name(name, f"observables[{i}]")
+            pauli_by_name(name, f"observables[{i}]", self.model.phys_dim)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -307,7 +308,8 @@ class OracleSettings(_RunSettings):
             check_brute_force(self.length)
         elif self.task == "transfer_matrix":
             check_transfer_matrix(self.width, self.beta)
-        pauli_by_name(self.site_op, "site_op")
+        # only the gibbs task applies site_op to the model
+        pauli_by_name(self.site_op, "site_op", self.model.phys_dim if self.task == "gibbs" else 2)
 
 
 SETTINGS = {

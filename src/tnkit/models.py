@@ -159,6 +159,8 @@ class ClassicalModelSpec:
             raise ValueError(f"unknown classical model {self.model!r}")
         if not self.beta > 0.0:
             raise ConfigError(f"beta must be positive, got {self.beta}", field="beta")
+        if not self.J > 0.0:
+            raise ConfigError(f"only ferromagnetic J > 0 is supported, got {self.J}", field="J")
 
 
 # ---------------------------------------------------------------------------

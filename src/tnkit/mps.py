@@ -4,12 +4,12 @@ Site tensors are rank-3 arrays with index order ``(left bond, physical,
 right bond)``; the outermost bonds have extent 1. A state may carry an
 orthogonality center: sites to its left are then left-isometries, sites to
 its right right-isometries, which the algorithms below maintain via QR
-moves. ``center=None`` means no canonical structure is claimed. On a state
-with a center, measurements cost no factorization, since the isometries
-outside the measured window contract to identities: ``expect_local`` and
-``expect_profile`` are one walk (``_walk``) that carries the environment
-from the center out to the outermost measured site on each side, and
-``correlator`` contracts the window spanned by its two sites and the center.
+moves. ``center=None`` means no canonical structure is claimed. No
+measurement factorizes: ``expect_local``, ``expect_profile`` and
+``correlator`` are terms of one walk (``_walk``) over <psi|psi>
+environments, which run from the center out to the outermost measured site
+on each side (the isometries beyond contract to identities), or in from
+both ends on a state without a center.
 
 States are values: stored arrays are frozen, operations return new states.
 Site tensors are float64 when built from real data and complex128
@@ -179,13 +179,8 @@ def canonicalize(psi: MatrixProductState, center: int) -> MatrixProductState:
     if not 0 <= center < n:
         raise ValueError(f"center {center} out of range")
     work = list(psi.sites)
-    if psi.center is None:
-        for k in range(center):
-            _orth_left_step(work, k)
-        for k in range(n - 1, center, -1):
-            _orth_right_step(work, k)
-    else:
-        _move_center(work, psi.center, center)
+    for frm in (0, n - 1) if psi.center is None else (psi.center,):
+        _move_center(work, frm, center)
     return MatrixProductState(work, center=center)
 
 
@@ -279,104 +274,89 @@ def to_dense(psi: MatrixProductState) -> np.ndarray:
     return np.ascontiguousarray(acc.reshape(-1))
 
 
-def _site_op(op, d: int) -> np.ndarray:
+def _site_op(psi: MatrixProductState, site: int, op) -> np.ndarray:
+    if not 0 <= site < psi.n_sites:
+        raise ValueError(f"site {site} out of range")
+    d = psi.phys_dims[site]
     op = np.asarray(op)
     if op.shape != (d, d):
         raise ValueError(f"operator must be {d} x {d}, got {op.shape}")
     return op
 
 
-def _walk(psi: MatrixProductState, terms) -> np.ndarray:
-    """<op> of each ``(site, op)`` term, normalized by the state norm, in
-    one walk from the center.
+def _close(sites, a: int, b: int, ops: dict, left: dict, right: dict) -> complex:
+    """<psi| ops |psi> over sites a..b between the (bra, ket) environment
+    on the left bond of a (``left[a]``) and the one on the right bond of b
+    (``right[b]``); an absent environment is the identity. Each site takes
+    its environments before its operator."""
+    env = left.get(a)
+    for k in range(a, b + 1):
+        ket = sites[k] if env is None else _absorb_left(env, sites[k])
+        if k == b and b in right:
+            ket = _absorb_right(ket, right[b].T)
+        if k in ops:
+            ket = np.matmul(ops[k], ket)
+        if k < b:
+            env = _close_left(sites[k], ket)
+    return np.vdot(sites[b], ket)
 
-    On a state with a center no factorization is made: the <psi|psi>
-    environment is carried from the center rightward to the rightmost term
-    and leftward to the leftmost, and each term closes it on its own site
-    (the isometries beyond contract to identities). Terms whose extreme
-    sites are lo and hi cost max(hi, c) - min(lo, c) environment transfers
-    on a state centered at c. A state without a center is canonicalized
-    around the leftmost term first.
-    """
-    n = psi.n_sites
-    for site, _ in terms:
-        if not 0 <= site < n:
-            raise ValueError(f"site {site} out of range")
-    terms = [(site, _site_op(op, psi.phys_dims[site])) for site, op in terms]
-    lo, hi = min(site for site, _ in terms), max(site for site, _ in terms)
+
+def _walk(psi: MatrixProductState, terms) -> tuple[np.ndarray, float]:
+    """The unnormalized <psi| term |psi> of each ``{site: op}`` string of
+    one-site operators, and <psi|psi>, from one set of environments and no
+    factorization. With a center c the isometries beyond it contract to
+    identities: left environments run from c to the rightmost term start,
+    right ones from c to the leftmost term end, so terms spanning lo..hi
+    cost max(hi, c) - min(lo, c) transfers, and <psi|psi> is the center's
+    own norm. Without a center they run in from sites 0 and N-1, and
+    <psi|psi> closes at the leftmost term (site 0 if none)."""
+    terms = [{k: _site_op(psi, k, op) for k, op in term.items()} for term in terms]
+    sites = psi.sites
     if psi.center is None:
-        psi = canonicalize(psi, lo)
-    sites, c = psi.sites, psi.center
-    n2 = np.vdot(sites[c], sites[c]).real
+        first, last, m = 0, psi.n_sites - 1, min((min(t) for t in terms), default=0)
+    else:
+        first = last = m = psi.center
+    left, right, env = {}, {}, None
+    for k in range(first, max([m] + [min(t) for t in terms])):
+        env = _close_left(sites[k], sites[k] if env is None else _absorb_left(env, sites[k]))
+        left[k + 1] = env
+    env = None
+    for k in range(last, min([m] + [max(t) for t in terms]), -1):
+        env = _close_right(sites[k], sites[k] if env is None else _absorb_right(sites[k], env.T))
+        right[k - 1] = env
+    n2 = _close(sites, m, m, {}, left, right).real
     if n2 == 0.0:
         raise ValueError("cannot take expectation values in the zero state")
-    kets = {}  # site k -> its ket with the environment between k and c
-    env = np.eye(sites[c].shape[0])  # (bra, ket) left of site k
-    for k in range(c, hi + 1):
-        kets[k] = _absorb_left(env, sites[k])  # (bra, s, ket')
-        if k < hi:
-            env = _close_left(sites[k], kets[k])
-    if lo < c:
-        env = _close_right(sites[c], sites[c])  # (bra, ket) right of site c - 1
-        for k in range(c - 1, lo - 1, -1):
-            kets[k] = _absorb_right(sites[k], env.T)  # (ket, s, bra')
-            if k > lo:
-                env = _close_right(sites[k], kets[k])
-    values = [np.vdot(sites[k], np.matmul(op, kets[k])) for k, op in terms]
-    return np.array(values, dtype=complex) / n2
+    values = [_close(sites, min(t), max(t), t, left, right) for t in terms]
+    return np.array(values, dtype=complex), n2
 
 
 def expect_local(psi: MatrixProductState, op, site: int) -> complex:
-    """<op_site>, normalized by the state norm: one term of the center walk
-    (``_walk``), which on a state with a center makes no factorization and
-    carries the environment only between ``site`` and the center. A state
-    without a center is canonicalized around ``site`` first."""
-    return complex(_walk(psi, [(site, op)])[0])
+    """<op_site>, normalized by the state norm: one term of the walk
+    (``_walk``), which makes no factorization and, on a state with a
+    center, carries the environment only between ``site`` and the center."""
+    values, n2 = _walk(psi, [{site: op}])
+    return complex(values[0] / n2)
 
 
 def expect_profile(psi: MatrixProductState, op) -> np.ndarray:
-    """<op_i> at every site i, normalized by the state norm: one center walk
-    (``_walk``) to both ends, O(N) transfers and, on a state with a center,
-    no factorization. A state without a center is canonicalized around
-    site 0 first."""
-    return _walk(psi, [(k, op) for k in range(psi.n_sites)])
+    """<op_i> at every site i, normalized by the state norm: one walk
+    (``_walk``) to both ends, O(N) transfers and no factorization."""
+    values, n2 = _walk(psi, [{k: op} for k in range(psi.n_sites)])
+    return values / n2
 
 
 def correlator(psi: MatrixProductState, op_a, site_a: int, op_b, site_b: int) -> complex:
-    """<op_a(site_a) op_b(site_b)>, normalized. Operators on distinct sites
+    """<op_a(site_a) op_b(site_b)>, normalized: one two-site term of the walk
+    (``_walk``), which makes no factorization. Operators on distinct sites
     commute, so only the site indices matter; equal sites multiply the
-    operators in the given order.
-
-    On a state with a center no factorization is made: the window from the
-    leftmost to the rightmost of the two sites and the center is contracted
-    left to right, and the isometries outside it contract to identities. A
-    state without a center is canonicalized around ``site_a`` first.
-    """
-    n = psi.n_sites
-    if not (0 <= site_a < n and 0 <= site_b < n):
-        raise ValueError("correlator site out of range")
+    operators in the given order."""
     if site_a == site_b:
-        d = psi.phys_dims[site_a]
-        return expect_local(psi, _site_op(op_a, d) @ _site_op(op_b, d), site_a)
-    if site_a > site_b:
-        site_a, site_b = site_b, site_a
-        op_a, op_b = op_b, op_a
-    ops = {
-        site_a: _site_op(op_a, psi.phys_dims[site_a]),
-        site_b: _site_op(op_b, psi.phys_dims[site_b]),
-    }
-    if psi.center is None:
-        psi = canonicalize(psi, site_a)
-    sites, c = psi.sites, psi.center
-    n2 = np.vdot(sites[c], sites[c]).real
-    if n2 == 0.0:
-        raise ValueError("cannot take expectation values in the zero state")
-    lo, hi = min(site_a, c), max(site_b, c)
-    env = np.eye(sites[lo].shape[0])
-    for k in range(lo, hi + 1):
-        ket = np.matmul(ops[k], sites[k]) if k in ops else sites[k]
-        env = _overlap_left(env, sites[k], ket)
-    return complex(np.trace(env) / n2)
+        term = {site_a: _site_op(psi, site_a, op_a) @ _site_op(psi, site_b, op_b)}
+    else:
+        term = {site_a: op_a, site_b: op_b}
+    values, n2 = _walk(psi, [term])
+    return complex(values[0] / n2)
 
 
 # ---------------------------------------------------------------------------

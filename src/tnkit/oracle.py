@@ -252,12 +252,14 @@ def onsager_f(beta: float, J: float = 1.0) -> float:
     agree with the one with 10 to 1e-10 relative, else RuntimeError. Above
     beta_c, where sn = sinh(2 beta J) > 1, the terms are divided by sn^2 and
     2 ln sn is added outside the sum, so nothing overflows however large
-    beta is, and f tends to -2J.
+    beta is, and f tends to -2|J|. The square lattice is bipartite, so
+    flipping the spins of one sublattice maps J to -J: f(beta, J) =
+    f(beta, |J|).
     """
     check_onsager(beta)
     # the integrand's terms in units of m^2, m = max(1, sn), with p = 1/m
     # and r = sn/m: ln(0.5 (a + root)) = 2 ln m + ln(0.5 (a + root) / m^2)
-    x = 2.0 * beta * J
+    x = 2.0 * beta * abs(J)
     if x > math.asinh(1.0):  # sn > 1; ln sinh x = x - ln 2 + log1p(-e^-2x)
         p, r = 2.0 * math.exp(-x) / -math.expm1(-2.0 * x), 1.0
         ln_m = x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))

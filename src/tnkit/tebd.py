@@ -32,9 +32,11 @@ are the even and odd layers. Between steps the evolution holds φ_n, and
 ψ(t_n) is the owed half-layer applied to it. Observables of ψ(t_n) are
 measured without splitting that layer: each owed gate joins its two sites
 into one pair block of physical dimension d², every one-site operator is
-lifted onto its block, and one center walk (``mps._walk``) evaluates them
-all. The owed layer itself is applied, with truncation, only after the
-last step or after a step that aborts.
+lifted onto its block, and one walk (``mps._walk``) evaluates them all
+together with the block state's norm, which in imaginary time is ν_n. No
+measurement factorizes, whether the block state keeps the center (unitary
+gates) or not. The owed layer itself is applied, with truncation, only
+after the last step or after a step that aborts.
 
 Thermal states use purification: each physical site of dimension d is fused
 with an ancilla into a site of dimension d*d (system index major). Evolving
@@ -56,7 +58,7 @@ import numpy as np
 
 from .models import HamiltonianSpec, bond_terms
 from .mpo import MatrixProductOperator
-from .mps import MatrixProductState, _move_center, _walk, canonicalize, norm, product_state
+from .mps import MatrixProductState, _move_center, _walk, canonicalize, product_state
 from .tensor import ConfigError, TruncationSpec, split_matrix
 
 
@@ -207,7 +209,7 @@ def _owed_layout(n: int, owed) -> list:
 
 
 def _lift_terms(terms, layout, dims) -> list:
-    """``(site, op)`` terms as ``(block, op)`` terms on the blocks of
+    """``(site, op)`` terms as ``{block: op}`` terms on the blocks of
     ``layout``: an op on the left site of a pair becomes kron(op, I), on the
     right site kron(I, op)."""
     lifted = []
@@ -216,7 +218,7 @@ def _lift_terms(terms, layout, dims) -> list:
         k, gate = layout[i]
         if gate is not None:
             op = np.kron(op, np.eye(dims[k + 1])) if site == k else np.kron(np.eye(dims[k]), op)
-        lifted.append((i, op))
+        lifted.append({i: op})
     return lifted
 
 
@@ -306,27 +308,28 @@ def evolve_gates(
         sites[center] = sites[center] / scale
         return scale
 
-    def measure(snapshot, terms):
-        for name, value in zip(series, _walk(snapshot, terms)):
+    def measure(snapshot, terms) -> float:
+        """Record every series on ``snapshot``; return its norm."""
+        values, n2 = _walk(snapshot, terms)
+        for name, value in zip(series, values / n2):
             series[name].append(complex(value))
+        return float(np.sqrt(n2))
 
-    terms = list(observables.values())
+    terms = [{site: op} for site, op in observables.values()]
     if terms:  # also checks every site and operator before any step
         measure(state, terms)
-        terms = _lift_terms(terms, layout, state.phys_dims)
+        terms = _lift_terms(observables.values(), layout, state.phys_dims)
     owed_norm = 1.0
     for step in range(n_steps):
         weight = sum(sweep(layer) for layer in (later if step else first))
         scale = pull_norm() if scheme.imag else 1.0
         if terms or (scheme.imag and owed):
-            snapshot = _owed_state(sites, center, layout, not (scheme.imag and owed))
+            nu = measure(_owed_state(sites, center, layout, not (scheme.imag and owed)), terms)
         if scheme.imag:
-            previous, owed_norm = owed_norm, norm(snapshot) if owed else 1.0
+            previous, owed_norm = owed_norm, nu if owed else 1.0
             log_norms.append(float(np.log(scale) + np.log(owed_norm) - np.log(previous)))
         else:
             log_norms.append(0.0)
-        if terms:
-            measure(snapshot, terms)
         if step == n_steps - 1 or weight > abort_threshold:
             weight += sweep(owed)
             if scheme.imag:

@@ -137,8 +137,6 @@ def _bond_root(spec: ClassicalModelSpec) -> np.ndarray:
     even eigenvector (1, 1)/sqrt(2) of eigenvalue 1 + e^-2x in column 0 and
     the odd one (1, -1)/sqrt(2) of eigenvalue 1 - e^-2x in column 1. Every
     entry lies in [0, 1], so nothing overflows however large beta is."""
-    if spec.J <= 0.0:
-        raise ValueError("only ferromagnetic coupling (J > 0) is supported")
     x = spec.beta * spec.J
     c, s = np.sqrt(0.5 + 0.5 * np.exp(-2.0 * x)), np.sqrt(-0.5 * np.expm1(-2.0 * x))
     return np.array([[c, s], [c, -s]])

@@ -852,6 +852,46 @@ class TestFailureModes:
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["kind"] == "config" and err["field"] == field
 
+    @pytest.mark.parametrize("coupling", [0.0, -0.5, -1.0])
+    def test_trg_coupling_that_is_not_ferromagnetic_is_config_error(self, tmp_path, coupling):
+        cfg = {
+            "run": "trg",
+            "seed": 1,
+            "model": {"name": "ising_2d", "beta": 0.4, "J": coupling},
+            "max_bond": 4,
+            "n_iters": 2,
+        }
+        out = tmp_path / "out"
+        assert main(["trg", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == "model.J"
+
+    @pytest.mark.parametrize(
+        "subcommand, extra, field",
+        [
+            ("dmrg", {"max_bond": 8, "observables": ["sz"]}, "observables[0]"),
+            ("tebd", {"dt": 0.05, "n_steps": 2, "max_bond": 8,
+                      "observables": [{"op": "sx", "site": 1}]}, "observables[0].op"),
+            ("thermal", {"beta": 0.5, "dt": 0.05, "max_bond": 8, "observables": ["sz"]},
+             "observables[0]"),
+            ("oracle", {"task": "gibbs", "beta": 0.5}, "site_op"),
+        ],
+        ids=["dmrg", "tebd", "thermal", "oracle-gibbs"],
+    )
+    def test_pauli_observable_on_sites_that_are_not_spin_half_is_config_error(
+        self, tmp_path, subcommand, extra, field
+    ):
+        # a spin-1 chain: the Pauli matrices do not act on its sites
+        two_site = np.kron(np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 0.0, -1.0]))
+        model = {"name": "custom_nn", "n_sites": 3, "two_site": two_site.tolist()}
+        cfg = {"run": subcommand, "seed": 1, "model": model, **extra}
+        out = tmp_path / "out"
+        code = main([subcommand, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == field
+        assert "spin-1/2" in err["message"]
+
     def test_stale_error_record_is_cleared(self, tmp_path):
         out = tmp_path / "out"
         bad = _dmrg_cfg()
@@ -1079,6 +1119,17 @@ class TestOtherSubcommands:
         out = tmp_path / "out"
         assert main(["oracle", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
         assert _read_results(out)[0]["result"]["f"] == pytest.approx(-2.0, rel=1e-15)
+
+    def test_onsager_task_with_antiferromagnetic_coupling(self, tmp_path):
+        # the square lattice is bipartite: J = -1 has the free energy of J = 1
+        values = []
+        for coupling in (-1.0, 1.0):
+            cfg = {"run": "oracle", "seed": 1, "task": "onsager", "beta": 0.5, "J": coupling}
+            out = tmp_path / f"out{coupling}"
+            cfg_path = _write_cfg(tmp_path, cfg, f"cfg{coupling}.json")
+            assert main(["oracle", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+            values.append(_read_results(out)[0]["result"]["f"])
+        assert values[0] == values[1]
 
     def test_summary_mentions_each_run(self, tmp_path):
         cfg = _dmrg_cfg(scan={"model.h": [0.5, 1.5]})

@@ -239,9 +239,9 @@ def _count_factorizations(monkeypatch):
     import tnkit.mps as mps_module
 
     calls = []
-    for name in ("qr_matrix", "rq_matrix"):
+    for name in ("qr_matrix", "rq_matrix", "svd_matrix"):
         real = getattr(mps_module, name)
-        monkeypatch.setattr(mps_module, name, lambda m, real=real: calls.append(1) or real(m))
+        monkeypatch.setattr(mps_module, name, lambda *a, real=real: calls.append(1) or real(*a))
     return calls
 
 
@@ -270,10 +270,20 @@ def test_expect_local_on_centered_state_needs_no_qr(monkeypatch, center):
     for (site, i), value in want.items():
         assert expect_local(psi, ops[i], site) == pytest.approx(value, abs=1e-12)
     assert calls == []
-    # the same state without a center still goes through QR moves
+    # the same state without a center makes no factorization either
     uncentered = MatrixProductState(psi.sites, center=None)
     assert expect_local(uncentered, SZ, 3) == pytest.approx(want[3, 0], abs=1e-12)
-    assert calls
+    assert calls == []
+
+
+def _count_transfers(monkeypatch):
+    import tnkit.mps as mps_module
+
+    closes = []
+    for name in ("_close_left", "_close_right"):
+        real = getattr(mps_module, name)
+        monkeypatch.setattr(mps_module, name, lambda a, t, real=real: closes.append(1) or real(a, t))
+    return closes
 
 
 def _dense_local(psi, op, site):
@@ -297,8 +307,7 @@ def test_expect_profile_matches_expect_local(monkeypatch, center):
         np.testing.assert_allclose(got, w, rtol=0, atol=1e-12)
         local = [expect_local(psi, op, site) for site in range(7)]
         np.testing.assert_allclose(got, local, rtol=0, atol=1e-14)
-    if center is not None:
-        assert calls == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("center", [0, 3, 6])
@@ -310,16 +319,32 @@ def test_walk_transfers_only_between_the_center_and_its_outermost_terms(
 
     psi = _unnormalized_state(center, seed=60 + center)
     op_c = np.array([[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -1.2]])
-    terms = [(site, (SX, SZ, op_c)[i % 3]) for i, site in enumerate(sites)]
-    want = [_dense_local(psi, op, site) for site, op in terms]
-    closes = []
-    for name in ("_close_left", "_close_right"):
-        real = getattr(mps_module, name)
-        monkeypatch.setattr(mps_module, name, lambda a, t, real=real: closes.append(1) or real(a, t))
+    terms = [{site: (SX, SZ, op_c)[i % 3]} for i, site in enumerate(sites)]
+    want = [_dense_local(psi, op, site) for term in terms for site, op in term.items()]
+    closes = _count_transfers(monkeypatch)
     calls = _count_factorizations(monkeypatch)
-    got = mps_module._walk(psi, terms)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    values, n2 = mps_module._walk(psi, terms)
+    np.testing.assert_allclose(values / n2, want, rtol=0, atol=1e-12)
     assert len(closes) == max(max(sites), center) - min(min(sites), center)
+    assert calls == []
+
+
+@pytest.mark.parametrize("sites", [(3,), (1, 1, 5), (0, 6), (4, 2), (5, 6), (0, 1), ()])
+def test_walk_without_a_center_runs_in_from_both_ends(monkeypatch, sites):
+    import tnkit.mps as mps_module
+
+    psi = _unnormalized_state(None, seed=70)
+    v = to_dense(psi)
+    terms = [{site: (SX, SZ)[i % 2]} for i, site in enumerate(sites)]
+    want = [_dense_local(psi, op, site) for term in terms for site, op in term.items()]
+    closes = _count_transfers(monkeypatch)
+    calls = _count_factorizations(monkeypatch)
+    values, n2 = mps_module._walk(psi, terms)
+    assert n2 == pytest.approx(np.vdot(v, v).real, rel=1e-13)
+    np.testing.assert_allclose(values / n2, want, rtol=0, atol=1e-12)
+    # left environments from site 0 to the rightmost term, right ones from
+    # site 6 to the leftmost (the norm alone: from site 6 to site 0)
+    assert len(closes) == max(sites, default=0) + 6 - min(sites, default=0)
     assert calls == []
 
 
@@ -349,6 +374,23 @@ def test_correlator_on_centered_state_needs_no_qr(monkeypatch, center):
     calls = _count_factorizations(monkeypatch)
     for (i, j), value in want.items():
         assert abs(correlator(psi, SX, i, op_b, j) - value) < 1e-12
+    assert calls == []
+
+
+def test_correlator_without_a_center_needs_no_factorization(monkeypatch):
+    psi = _unnormalized_state(None, seed=55)
+    v = to_dense(psi)
+    op_b = np.array([[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -1.2]])
+    calls = _count_factorizations(monkeypatch)
+    for i, j in [(0, 6), (1, 2), (2, 5), (4, 6), (3, 3), (5, 1)]:
+        full = [np.eye(2)] * 7
+        full[i] = SX
+        full[j] = full[j] @ op_b
+        m = full[0]
+        for f in full[1:]:
+            m = np.kron(m, f)
+        want = np.vdot(v, m @ v) / np.vdot(v, v)
+        assert abs(correlator(psi, SX, i, op_b, j) - want) < 1e-12
     assert calls == []
 
 

@@ -173,6 +173,13 @@ def test_onsager_scales_with_the_coupling():
         assert abs(oracle.onsager_f(beta, J=0.5) - want) <= 1e-15 * abs(want), beta
 
 
+def test_onsager_is_even_in_the_coupling():
+    # flipping one sublattice of the bipartite lattice maps J to -J
+    for beta in (0.1, 0.3, BETA_C, 0.5, 2.0 * BETA_C, 10.0):
+        for coupling in (0.5, 1.0, 1.5):
+            assert oracle.onsager_f(beta, -coupling) == oracle.onsager_f(beta, coupling), beta
+
+
 # values of the rule with unscaled terms; scaling them must not move these
 ONSAGER_PINNED = {
     0.1: -7.0323124228583245,

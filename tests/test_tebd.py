@@ -294,6 +294,21 @@ def test_gate_sweeps_skip_the_center_walk_back(monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_imaginary_time_observables_cost_no_factorization(monkeypatch, order):
+    # the owed layer leaves the pair-block state of a second-order step
+    # without a center; its norm and observables come from one walk
+    spec = transverse_field_ising(8, h=1.0)
+    config = TebdConfig(dt=0.05, n_steps=10, max_bond=16, order=order, imag=True)
+    calls = _count_center_moves(monkeypatch)
+    counts = []
+    for observables in (None, {"sz0": (0, SZ), "sz5": (5, SZ)}):
+        calls.clear()
+        evolve(neel(8), spec, config, observables=observables)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_gate_sweeps_match_forward_only_order_without_truncation():
     # (sites, imaginary time, order)
     cases = [
