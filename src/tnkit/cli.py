@@ -18,8 +18,10 @@ Outputs written to --out:
                  earliest run without a result).
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (a checkpoint
-that cannot be read or written and a failed allocation count as one),
-4 non-convergence.
+that cannot be read or written, a failed allocation and an output file
+that cannot be written count as one), 4 non-convergence. results.jsonl is
+written last, after run.json and summary.txt, so it marks a complete
+result set; a failed write removes the outputs already written.
 
 Scans run in a bounded process pool (--threads). Workers return records
 to the parent, which writes all files itself in run-index order, so the
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import datetime
 import hashlib
 import itertools
@@ -467,7 +470,7 @@ def _drive(
             "result": record,
         }
         lines.append(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
-    _write_text(out_dir, "results.jsonl", "".join(lines))
+    results = "".join(lines)
 
     run_meta = {
         "subcommand": subcommand,
@@ -481,7 +484,6 @@ def _drive(
         "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "machine": _machine(workers),
     }
-    _write_text(out_dir, "run.json", json.dumps(run_meta, indent=2) + "\n")
 
     lines = [
         f"tnkit {subcommand} (version {__version__})",
@@ -499,7 +501,22 @@ def _drive(
             f"run {spec.index}: {scan_txt}  {_headline(subcommand, record)}  [{w:.2f}s]"
         )
     lines.append(f"total wall time: {wall_total:.2f}s")
-    _write_text(out_dir, "summary.txt", "\n".join(lines) + "\n")
+    # results.jsonl goes last, so that it marks a complete result set; a
+    # failed write takes back what was already written
+    written = []
+    try:
+        for name, text in (
+            ("run.json", json.dumps(run_meta, indent=2) + "\n"),
+            ("summary.txt", "\n".join(lines) + "\n"),
+            ("results.jsonl", results),
+        ):
+            _write_text(out_dir, name, text)
+            written.append(name)
+    except OSError as exc:
+        for name in written:
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(out_dir, name))
+        return fail("output", "cannot write outputs", exc, EXIT_NUMERICAL)
 
     print(f"ok: {len(runs)} run(s), results in {out_dir}")
     return EXIT_OK

@@ -32,20 +32,39 @@ repeated only when it cancels (Daniel, Gragg, Kaufman & Stewart 1976), so
 the basis stays orthonormal to rounding. The solves are short, so the pass
 is cheap: on the 40-site chain above (seeds 12, 101 and 160), each search
 makes 237 solves over 3 sweeps and 1994-2080 matvecs, and a solve runs a
-median of 7 Krylov steps (90th percentile 15-16, at most 25-33). The Ritz
-pair of the small tridiagonal matrix is found on each iteration by calling
-LAPACK directly (dstebz for the lowest eigenvalue, dstein for its vector)
-on coefficients kept in preallocated arrays; non-finite coefficients raise
-before anything divides by them. The two routines come from
-scipy.linalg, which loads a second BLAS library (about 27 MB and 0.13 s
-per process), so they are bound on first use (``_load_lapack``, called
-when a ``DmrgConfig`` is built and at the start of each solve), and runs
-of the other algorithms never load it. A numpy-only search, with a dense
-``np.linalg.eigh`` of the tridiagonal matrix on each step, costs more than
-that library saves: on one BLAS thread the dense solve takes 8.7 against
-3.2 µs at k = 7 Krylov steps and 53 against 9 µs at k = 25, a 40-site
-search runs 9-18% longer, and the ``dmrg_chain`` benchmark runs 12% longer
-although its start-up falls by 0.15 s and its peak memory from 63 to 43 MB.
+median of 7 Krylov steps (90th percentile 15-16, at most 25-33).
+
+The Ritz pair of the k x k tridiagonal matrix T is found on each Krylov
+step by a Ritz step in Python floats (``_ritz_step``), started from the
+previous step's pair (theta', u'), whose last component and the new
+coefficients alpha and beta give the 2 x 2 Rayleigh-Ritz matrix [[theta',
+beta |u'[-1]|], [beta |u'[-1]|, alpha]]. Its lowest eigenvalue bounds the
+new theta from above and is the start t. A pass (``_upward``) solves rows
+k - 1 ... 1 of (T - t) v = 0 upward from v[k - 1] = 1, so that (T - t) v =
+r e_0, and moves t to the Rayleigh quotient of v, t + r v[0] / |v|^2 (a
+Newton step on 1 / [(T - t)^-1]_00, which converges quadratically); only
+an update of at most 4 eps max(1, |t|) stops the passes, since the
+|u[-1]| = 1 / |v| of a pass at a t off by delta is off by about delta /
+gap, and the stop test of the solve reads it. A result counts only with
+a certificate (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998): v
+alternates in sign, so every trailing minor of T - t is positive and, by
+interlacing, t lies below the second eigenvalue of T; and v[0]^2 >= 1e-12
+|v|^2, since the upward pass is accurate only while the vector is not small
+at the top. A step that fails the certificate, or whose passes do not
+settle within 12, takes the dense ``np.linalg.eigh`` of T
+(``_dense_ground``), the only second path. A pass rescales v by 2^-256
+whenever |v|^2 passes 2^512 and carries the scale into |u[-1]|, so the
+last component of a long run, which falls off geometrically once theta
+has converged, rounds to 0 only below the smallest double, as a solve run
+with tol 0 needs. The solve forms its vector once, at the end, by one
+more pass at the accepted theta (or takes the safeguard's), with u[0] >
+0. On the 40-site chain (seeds 0-39) a step makes 2.4 passes and 0.36%
+of the steps take the safeguard; on one BLAS thread the Ritz steps of a
+search take 11 ms against 13 ms for LAPACK's dstebz and dstein. Those
+live in scipy.linalg, which loads a second BLAS library, about 20 MB and
+0.15 s per process; no dmrg run loads it. The coefficients are checked
+finite before the step sees them, and the safeguard raises on a matrix
+that is not.
 
 A local solve is converged only as far as the next sweep can use it. It
 stops once its Ritz residual is at most ``max(lanczos_tol * max(1,
@@ -83,7 +102,6 @@ own tensor is the g with <c|psi> = vdot(g, x) for the center tensor x.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -120,7 +138,6 @@ class DmrgConfig:
                 raise ConfigError(f"{name} must be nonnegative", field=name)
         if not self.penalty_weight > 0.0:
             raise ConfigError("penalty_weight must be positive", field="penalty_weight")
-        _load_lapack()
 
 
 @dataclass(frozen=True)
@@ -153,32 +170,84 @@ class DmrgTrace:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _load_lapack() -> None:
-    """Bind LAPACK's dstebz and dstein to this module's globals, importing
-    scipy.linalg on the first call only."""
-    global dstebz, dstein
-    from scipy.linalg.lapack import dstebz, dstein
+# the Ritz step (module docstring): a pass rescales its vector by 2**-_SHIFT
+# once |v|^2 exceeds 2**(2 * _SHIFT); a step gives up on its passes after
+# _MAX_PASSES, and a pass certifies only a vector with v[0]^2 >= _TOP |v|^2
+_SHIFT = 256
+_BIG = 2.0 ** (2 * _SHIFT)
+_TINY = 2.0**-_SHIFT
+_MAX_PASSES = 12
+_TOP = 1e-12
+_EPS4 = 2.0**-50  # 4 eps, a Python float like every number of the step
 
 
-def _tridiag_ground(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the real symmetric tridiagonal matrix with
-    diagonal ``alphas`` and off-diagonal ``betas``: bisection for the one
-    eigenvalue (LAPACK dstebz, by index) and inverse iteration for its
-    vector (dstein). These are the routines behind
-    ``scipy.linalg.eigh_tridiagonal(select="i")``, called without its input
-    validation; the caller passes finite float64 arrays and has bound the
-    routines by ``_load_lapack``, so a Krylov step makes no call for
-    them."""
-    if alphas.size == 1:
-        return float(alphas[0]), np.ones(1)
-    _, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz failed with info {info}")
-    v, info = dstein(alphas, betas, w[:1], iblock, isplit)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstein failed with info {info}")
-    return float(w[0]), v[:, 0]
+def _upward(alphas: list, betas: list, t: float, store: list | None = None):
+    """One pass: rows k - 1 ... 1 of (T - t) v = 0 solved upward from v[k - 1]
+    = 1, for the k x k tridiagonal T with diagonal ``alphas`` and
+    off-diagonal ``betas`` (lists of Python floats), so that (T - t) v = r
+    e_0. v is carried scaled by 2**(-_SHIFT * shift), so that |v|^2 never
+    overflows. Returns (r, v[0], |v|^2, shift, alternates), where alternates
+    says that v alternates in sign. With a ``store`` list, appends v[k - 1],
+    ..., v[0] to it, all at the final scale."""
+    x, y, ssq, shift, alternates = 1.0, 0.0, 1.0, 0, True
+    if store is not None:
+        store.append(x)
+    below = 0.0  # couples row i to row i + 1; row k - 1 has none
+    for i in range(len(alphas) - 1, 0, -1):
+        b = betas[i - 1]
+        x, y = -((alphas[i] - t) * x + below * y) / b, x
+        below = b
+        if x * y >= 0.0:
+            alternates = False
+        ssq += x * x
+        if store is not None:
+            store.append(x)
+        if ssq > _BIG:
+            x, y, ssq, shift = x * _TINY, y * _TINY, ssq * _TINY * _TINY, shift + 1
+            if store is not None:
+                store[:] = [z * _TINY for z in store]
+    return (alphas[0] - t) * x + below * y, x, ssq, shift, alternates
+
+
+def _dense_ground(alphas: list, betas: list) -> tuple[float, float, np.ndarray]:
+    """The safeguard of the Ritz step: the lowest eigenpair of the dense
+    tridiagonal by ``np.linalg.eigh``. Returns (theta, |u[-1]|, u), with
+    u[0] >= 0."""
+    t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    if not np.isfinite(t).all():
+        raise np.linalg.LinAlgError("Ritz step: the tridiagonal matrix is not finite")
+    w, q = np.linalg.eigh(t)
+    u = q[:, 0] if q[0, 0] >= 0.0 else -q[:, 0]
+    return float(w[0]), abs(float(u[-1])), u
+
+
+def _ritz_step(alphas: list, betas: list, theta: float, last: float):
+    """Lowest eigenvalue theta of the k x k tridiagonal and the size |u[-1]|
+    of its vector's last component, from the (k - 1) x (k - 1) matrix's
+    ``theta`` and ``last`` (module docstring). Returns (theta, |u[-1]|,
+    u), u being None unless the dense safeguard ran."""
+    a, b = alphas[-1], betas[-1] * last
+    # lowest eigenvalue of the 2 x 2 Rayleigh-Ritz matrix [[theta, b], [b, a]]
+    t = 0.5 * (a + theta) - math.hypot(0.5 * (a - theta), b)
+    for _ in range(_MAX_PASSES):
+        r, top, ssq, shift, alternates = _upward(alphas, betas, t)
+        step = r * top / ssq
+        if abs(step) <= _EPS4 * max(1.0, abs(t)):
+            if alternates and top * top >= _TOP * ssq:
+                return t + step, math.ldexp(1.0 / math.sqrt(ssq), -_SHIFT * shift), None
+            break
+        t += step
+    return _dense_ground(alphas, betas)
+
+
+def _ritz_vector(alphas: list, betas: list, theta: float) -> np.ndarray:
+    """The normalized vector of a certified Ritz value theta, u[0] > 0, from
+    one more upward pass."""
+    v: list = []
+    _, top, ssq, _, _ = _upward(alphas, betas, theta, v)
+    u = np.array(v[::-1])
+    u *= math.copysign(1.0 / math.sqrt(ssq), top)
+    return u
 
 
 def _not_finite(name: str) -> ValueError:
@@ -197,7 +266,7 @@ def _norm(x: np.ndarray) -> float:
 
 
 # Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)
-_DGKS = 1.0 / np.sqrt(2.0)
+_DGKS = 1.0 / math.sqrt(2.0)
 
 
 def _orthogonalize(q: np.ndarray, w: np.ndarray, norm_in: float) -> float:
@@ -232,14 +301,18 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float, reduction:
     basis row, and ``_orthogonalize`` then takes it against the whole
     basis, with a second pass only when the first cancels; at the few
     dozen rows a DMRG local solve needs, that pass costs little beside the
-    matvec. The tridiagonal coefficients live in preallocated arrays. The
+    matvec. The tridiagonal coefficients are Python floats in two lists.
+    Each step's Ritz pair comes from the Ritz step of the module docstring:
+    upward passes from the previous pair until the update is at rounding,
+    accepted under a sign-count certificate that it is the lowest
+    eigenvalue, with a dense ``np.linalg.eigh`` of the tridiagonal matrix
+    as the safeguard; the Ritz vector is formed once, at the end. The
     basis is float64 when the start vector and the operator's images are
     real and complex128 as soon as either is complex, so an imaginary part
     is never dropped. Returns (value, normalized vector, converged). Raises
     if the operator is detectably non-Hermitian, or as soon as the
     start-vector norm or a Lanczos coefficient is not finite.
     """
-    _load_lapack()
     v = np.asarray(v0).reshape(-1)
     nv = np.linalg.norm(v)
     if not math.isfinite(nv):
@@ -252,8 +325,6 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float, reduction:
     # k - 1 until it is normalized, and rows never written cost no memory
     m = min(max_iter, v.size)
     basis = np.empty((m + 1, v.size), dtype=np.result_type(v, hv, float))
-    alphas = np.empty(m)
-    betas = np.empty(m)  # betas[j] couples rows j and j + 1
     basis[0] = v
     k = 1
     a = np.vdot(basis[0], hv)
@@ -262,10 +333,12 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float, reduction:
     scale = max(1.0, _norm(hv))
     if abs(a.imag) > 1e-8 * scale:
         raise ValueError("operator is not Hermitian: <v|Hv> has an imaginary part")
-    alphas[0] = a.real
+    theta = float(a.real)
+    alphas = [theta]
+    betas = []  # betas[j] couples rows j and j + 1
     w = basis[1]
-    np.subtract(hv, a.real * basis[0], out=w)
-    theta, u = _tridiag_ground(alphas[:1], betas[:0])
+    np.subtract(hv, theta * basis[0], out=w)
+    last, u = 1.0, None  # |u[-1]|, and u itself when the safeguard gave it
     converged = False
     for _ in range(max_iter - 1):
         beta = _norm(w)
@@ -274,30 +347,32 @@ def lanczos_ground(matvec, v0: np.ndarray, max_iter: int, tol: float, reduction:
         beta = _orthogonalize(basis[:k], w, beta)
         if k == 1:  # the start vector's own residual, cut by the factor
             target = reduction * beta
-        if beta * abs(u[-1]) <= max(tol * max(1.0, abs(theta)), target):
+        if beta * last <= max(tol * max(1.0, abs(theta)), target):
             converged = True
             break
         if beta <= 1e-14 * scale or k == m:  # invariant subspace
             converged = True
             break
         w /= beta
-        betas[k - 1] = beta
+        betas.append(beta)
         hv = matvec(basis[k])
         if hv.dtype.kind == "c" and basis.dtype.kind != "c":
             # a complex operator whose first images happened to be real
             basis = basis.astype(complex)
-        a = np.vdot(basis[k], hv).real
+        a = float(np.vdot(basis[k], hv).real)
         if not math.isfinite(a):
             raise _not_finite("alpha")
-        alphas[k] = a
+        alphas.append(a)
         w = basis[k + 1]
         np.subtract(hv, a * basis[k], out=w)
         w -= beta * basis[k - 1]
         k += 1
-        theta, u = _tridiag_ground(alphas[:k], betas[: k - 1])
+        theta, last, u = _ritz_step(alphas, betas, theta, last)
+    if u is None:
+        u = _ritz_vector(alphas, betas, theta)
     vec = u @ basis[:k]
     vec /= _norm(vec)
-    return float(theta), vec, converged
+    return theta, vec, converged
 
 
 # ---------------------------------------------------------------------------

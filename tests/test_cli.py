@@ -100,24 +100,31 @@ def test_import_leaves_the_oracle_unloaded(tmp_path):
     assert len(_read_results(tmp_path / "out")) == 2
 
 
-def test_only_dmrg_loads_scipy_linalg(tmp_path):
-    # scipy.linalg loads a second BLAS library, about 27 MB and 0.13 s per
-    # process; only dmrg's Ritz solves need it, so the import, the parse of
-    # every other subcommand and their runs leave it unloaded
+def test_no_run_loads_scipy_linalg(tmp_path):
+    # scipy.linalg loads a second BLAS library, about 20 MB and 0.15 s per
+    # process; dmrg's Ritz step runs on Python floats and numpy, so the
+    # import, the parse of every subcommand and a run of each, dmrg ground
+    # and excited states included, leave it unloaded
     src = str(Path(tnkit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     parsed = {
         name: str(CONFIGS_DIR / f"{name}.json")
-        for name in ("tebd_quench", "thermal_tfi", "trg_ising", "oracle_ed")
+        for name in ("dmrg_tfi", "tebd_quench", "thermal_tfi", "trg_ising", "oracle_ed")
     }
+    dmrg = {**json.loads((CONFIGS_DIR / "dmrg_tfi.json").read_text()), "max_bond": 8}
+    dmrg["model"] = {**dmrg["model"], "n_sites": 8}
+    excited = {**dmrg, "n_excited": 1}
     tebd = {**json.loads((CONFIGS_DIR / "tebd_quench.json").read_text()), "n_steps": 5}
     thermal = {**json.loads((CONFIGS_DIR / "thermal_tfi.json").read_text()), "beta": 0.1}
     trg_cfg = {**json.loads((CONFIGS_DIR / "trg_ising.json").read_text()), "n_iters": 3}
     del thermal["scan"], trg_cfg["scan"]
     runs = [
-        [cfg["run"], "--config", _write_cfg(tmp_path, cfg, f"{cfg['run']}.json"),
-         "--out", str(tmp_path / cfg["run"])]
-        for cfg in (tebd, thermal, trg_cfg)
+        [cfg["run"], "--config", _write_cfg(tmp_path, cfg, f"{name}.json"),
+         "--out", str(tmp_path / name)]
+        for name, cfg in (
+            ("ground", dmrg), ("excited", excited), ("tebd", tebd), ("thermal", thermal),
+            ("trg", trg_cfg),
+        )
     ]
     code = f"""
 import sys
@@ -129,30 +136,16 @@ for name, path in {parsed!r}.items():
     assert not loaded(), name
 for argv in {runs!r}:
     assert tnkit.cli.main(argv) == 0, argv
-    assert not loaded(), argv[0]
-tnkit.parse_run_config("dmrg", {str(CONFIGS_DIR / "dmrg_tfi.json")!r})
+    assert not loaded(), argv[-1]
 print(loaded())
 """
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip().splitlines()[-1] == "True"
-    for name in ("tebd", "thermal", "trg"):
+    assert out.stdout.strip().splitlines()[-1] == "False"
+    for name in ("ground", "excited", "tebd", "thermal", "trg"):
         assert _read_results(tmp_path / name)
-    # a library caller that builds no DmrgConfig still gets the Ritz solver
-    code = (
-        "import numpy as np\n"
-        "from tnkit.dmrg import lanczos_ground\n"
-        "m = np.diag(np.arange(6.0)) + 0.5 * (np.eye(6, k=1) + np.eye(6, k=-1))\n"
-        "theta, vec, ok = lanczos_ground(lambda x: m @ x, np.ones(6), 20, 1e-12)\n"
-        "assert ok and abs(theta - np.linalg.eigvalsh(m)[0]) <= 1e-12\n"
-        "assert np.linalg.norm(m @ vec - theta * vec) <= 1e-10\n"
-        "print('ok')"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "ok"
+    assert len(_read_results(tmp_path / "excited")[0]["result"]["energies"]) == 2
 
 
 def _write_cfg(tmp_path, obj, name="cfg.json"):
@@ -499,6 +492,34 @@ class TestFailureModes:
         assert err["kind"] == "checkpoint" and "no space" in err["message"]
         assert not (out / "results.jsonl").exists()
         assert not (tmp_path / "state.mps").exists()
+
+    @pytest.mark.parametrize("failing", ["results.jsonl", "run.json", "summary.txt"])
+    def test_failed_output_write_leaves_no_partial_result_set(
+        self, tmp_path, monkeypatch, capsys, failing
+    ):
+        # results.jsonl is written last and marks a complete run; a write
+        # that fails takes back the outputs written before it and exits 3
+        written = []
+        write = cli._write_text
+
+        def disk_full(out_dir, name, text):
+            if name == failing:
+                raise OSError(28, "No space left on device")
+            write(out_dir, name, text)
+            written.append(name)
+
+        monkeypatch.setattr(cli, "_write_text", disk_full)
+        out = tmp_path / "out"
+        assert main(["dmrg", "--config", _write_cfg(tmp_path, _dmrg_cfg()), "--out", str(out)]) == (
+            EXIT_NUMERICAL
+        )
+        assert sorted(os.listdir(out)) == ["error.json"]
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "output" and "No space" in err["message"]
+        assert "run" not in err
+        assert written[-1] == "error.json"
+        assert "results.jsonl" not in written
+        assert "cannot write outputs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "subcommand, extra",

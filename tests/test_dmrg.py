@@ -1,5 +1,7 @@
 """Ground and excited state search against exact diagonalization."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,8 @@ import scipy.linalg
 import tnkit.dmrg
 from tnkit.dmrg import (
     DmrgConfig,
-    _tridiag_ground,
+    _ritz_step,
+    _ritz_vector,
     _Workspace,
     excited_state,
     ground_state,
@@ -183,16 +186,134 @@ def test_lanczos_keeps_ghost_eigenvalues_out_of_a_long_run(complex_entries, monk
     assert _gram_error(seen) > 0.5
 
 
+def _lanczos_coefficients(m, start, steps):
+    """alphas and betas of ``steps`` Lanczos steps on the real symmetric
+    ``m`` from ``start``, with two Gram-Schmidt passes against the whole
+    basis on every step (numpy only, independent of tnkit)."""
+    q = [start / np.linalg.norm(start)]
+    alphas, betas = [], []
+    for j in range(steps):
+        w = m @ q[j]
+        alphas.append(float(q[j] @ w))
+        basis = np.array(q)
+        for _ in range(2):
+            w = w - basis.T @ (basis @ w)
+        if j + 1 < steps:
+            betas.append(float(np.linalg.norm(w)))
+            q.append(w / betas[-1])
+    return alphas, betas
+
+
+def _feed(alphas, betas):
+    """The Ritz step on the leading 1 x 1, 2 x 2, ... matrices in turn, as
+    Lanczos runs it; yields (k, theta, |u[-1]|, u or None) for each k."""
+    theta, last, u = alphas[0], 1.0, None
+    yield 1, theta, last, u
+    for k in range(2, len(alphas) + 1):
+        theta, last, u = _ritz_step(alphas[:k], betas[: k - 1], theta, last)
+        yield k, theta, last, u
+
+
+def _tridiagonal(alphas, betas):
+    return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 10, 60, 100])
-def test_tridiag_ground_matches_eigh_tridiagonal(k):
+def test_ritz_step_matches_eigh_tridiagonal(k):
+    """Fed the Lanczos coefficients of a symmetric matrix one row at a
+    time, the Ritz step finds the lowest eigenvalue of every leading
+    tridiagonal to within 1e-15 relative of LAPACK's bisection, and its
+    last vector component and the final vector match inverse iteration's
+    (up to sign) to within the perturbation bound eps ||T|| / gap; on a
+    spectrum with a separated ground state and on a normal one."""
     rng = np.random.default_rng(k)
-    alphas = rng.normal(size=k)
-    betas = np.abs(rng.normal(size=k - 1)) + 0.1
-    w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-    tnkit.dmrg._load_lapack()  # as a solve or a DmrgConfig does before any call
-    theta, u = _tridiag_ground(alphas, betas)
-    assert abs(theta - w[0]) <= 1e-15 * max(1.0, abs(w[0]))
-    assert np.max(np.abs(u - v[:, 0])) <= 1e-15
+    eps = np.finfo(float).eps
+    for values in (np.concatenate([[-3.0], np.linspace(-2.0, 4.0, 199)]), rng.normal(size=200)):
+        m = _hermitian_with_spectrum(values, False, seed=k + 1)
+        alphas, betas = _lanczos_coefficients(m, rng.normal(size=200), k)
+        for j, theta, last, u in _feed(alphas, betas):
+            w, v = scipy.linalg.eigh_tridiagonal(
+                alphas[:j], betas[: j - 1], select="i", select_range=(0, 0)
+            )
+            assert isinstance(theta, float) and isinstance(last, float)
+            assert abs(theta - w[0]) <= 1e-15 * max(1.0, abs(w[0]))
+            spread = np.linalg.eigvalsh(_tridiagonal(alphas[:j], betas[: j - 1]))
+            size = np.max(np.abs(spread))
+            gap = spread[1] - spread[0] if j > 1 else size
+            bound = 64 * eps * size / gap
+            # relative down to 1e-8; a smaller component is known only to
+            # the bound times 1e-8 (at 3e-49, LAPACK's is off by 12%)
+            assert abs(last - abs(v[-1, 0])) <= bound * max(abs(v[-1, 0]), 1e-8)
+        if u is None:
+            u = _ritz_vector(alphas, betas, theta)
+        assert u[0] > 0.0
+        assert np.max(np.abs(u - np.sign(v[0, 0]) * v[:, 0])) <= bound
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-15 * k
+
+
+def test_ritz_step_falls_back_to_eigh_away_from_the_top(monkeypatch):
+    """A ground vector localized far below the first row cannot be
+    certified from an upward pass, since v[0] is rounding; the dense
+    safeguard then gives the eigenpair, with the oracle's eigenvalue and a
+    residual to the accuracy of a dense solve, eps ||T|| (against a 40-digit
+    solve, its eigenvalues here are off by up to 5.7e-15, LAPACK's
+    bisection by 1.0e-15)."""
+    rng = np.random.default_rng(5)
+    alphas = list(rng.uniform(0.0, 1.0, size=40))
+    alphas[25] = -5.0  # a deep well, 25 rows below the top
+    betas = list(rng.uniform(0.1, 0.5, size=39))
+    dense = []
+    original = tnkit.dmrg._dense_ground
+
+    def counted(a, b):
+        dense.append(len(a))
+        return original(a, b)
+
+    monkeypatch.setattr(tnkit.dmrg, "_dense_ground", counted)
+    for k, theta, last, u in _feed(alphas, betas):
+        size = np.linalg.norm(_tridiagonal(alphas[:k], betas[: k - 1]), 2)
+        w = scipy.linalg.eigh_tridiagonal(
+            alphas[:k], betas[: k - 1], select="i", select_range=(0, 0), eigvals_only=True
+        )
+        assert abs(theta - w[0]) <= 1e-14 * size
+    assert dense and min(dense) <= 27 and max(dense) == 40
+    t = _tridiagonal(alphas, betas)
+    assert u is not None
+    assert np.linalg.norm(t @ u - theta * u) <= 1e-14 * size
+    assert u[0] >= 0.0
+
+
+def test_ritz_step_keeps_a_tiny_last_component():
+    """The ground vector of this tridiagonal falls by 4 per row: on 500 rows
+    its last component is 2^-998 sqrt(15/16). An upward pass grows by the
+    same factor, so it must rescale to keep |v|^2 finite, and |u[-1]| may
+    not round to 0 (a Lanczos run with tol 0 would stop on it)."""
+    k = 500
+    alphas = [0.0] + [4.0] * (k - 2) + [3.75]
+    betas = [1.0] * (k - 1)
+    steps = list(_feed(alphas, betas))
+    assert all(last > 0.0 for _, _, last, _ in steps)
+    _, theta, last, u = steps[-1]
+    assert u is None
+    assert theta == pytest.approx(-0.25, abs=1e-15)
+    want = math.ldexp(math.sqrt(15 / 16), -2 * (k - 1))
+    assert abs(last - want) <= 1e-13 * want
+    u = _ritz_vector(alphas, betas, theta)
+    assert np.max(np.abs(u - np.sqrt(15 / 16) * (-0.25) ** np.arange(k))) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["alpha", "beta"])
+def test_ritz_step_rejects_a_non_finite_coefficient(bad, where):
+    alphas = [0.5, 1.0, 2.0]
+    betas = [0.3, 0.4]
+    if where == "alpha":
+        alphas[-1] = bad
+    else:
+        betas[-1] = bad
+    theta, last = _ritz_step(alphas[:2], betas[:1], 0.5, 1.0)[:2]
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        _ritz_step(alphas, betas, theta, last)
 
 
 def _poisoned(value, from_call):
