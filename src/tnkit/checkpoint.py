@@ -95,7 +95,7 @@ def checkpoint_read(path: str) -> MatrixProductState:
         raise CheckpointError("not a checkpoint file (bad magic bytes)")
     if len(blob) < len(MAGIC) + 4 + 4 + 4:
         raise CheckpointError("checkpoint is truncated, checksum cannot be verified")
-    payload = blob[len(MAGIC) : -4]
+    payload = memoryview(blob)[len(MAGIC) : -4]  # no copy: the sites view the file's bytes
     (stored,) = struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) != stored:
         raise CheckpointError("checkpoint checksum mismatch, file is truncated or corrupted")

@@ -58,7 +58,6 @@ from .config import (
     ThermalSettings,
     TrgSettings,
     _non_finite_path,
-    load_config,
     parse_run_config,
 )
 from .dmrg import excited_state, ground_state
@@ -260,17 +259,17 @@ def _run_oracle(s: OracleSettings, warm):
 
 
 _RUNNERS = {
-    "dmrg": _run_dmrg,
-    "tebd": _run_tebd,
-    "thermal": _run_thermal,
-    "trg": _run_trg,
-    "oracle": _run_oracle,
+    DmrgSettings: _run_dmrg,
+    TebdSettings: _run_tebd,
+    ThermalSettings: _run_thermal,
+    TrgSettings: _run_trg,
+    OracleSettings: _run_oracle,
 }
 
 
 def _execute_run(run: RunSpec, checkpoint: str | None, warm=None) -> tuple[dict, float]:
     t0 = time.perf_counter()
-    record, state = _RUNNERS[run.subcommand](run.settings, warm)
+    record, state = _RUNNERS[type(run.settings)](run.settings, warm)
     record = _pyify(record)
     where = _non_finite_path(record, "result")
     if where is not None:
@@ -430,11 +429,8 @@ def _drive(
         return _fail(out_dir, kind, label, exc, code, lost)
 
     try:
-        if subcommand is None:
-            subcommand = load_config(config_path).get("run")
-            if subcommand not in SUBCOMMANDS:
-                raise ConfigError("config must name its subcommand in the 'run' field", "run")
         rc = parse_run_config(subcommand, config_path)
+        subcommand = rc.subcommand
         if threads < 1:
             raise ConfigError("--threads must be >= 1", field="--threads")
         runs = rc.runs
@@ -463,7 +459,7 @@ def _drive(
     for spec, (record, _) in zip(runs, outcomes):
         line = {
             "index": spec.index,
-            "run": spec.subcommand,
+            "run": subcommand,
             "scan": spec.scan_values,
             "config_hash": digest,
             "version": __version__,

@@ -1,7 +1,8 @@
 """Run configuration: JSON schema, typed settings, and scan expansion.
 
-A config is one JSON object. Common keys: ``run`` (optional, must match the
-subcommand when present), ``seed`` (required integer, even for
+A config is one JSON object. Common keys: ``run`` (the subcommand: it must
+match the subcommand when one is given, and names it when the caller passes
+None, as ``cli.run`` does), ``seed`` (required integer, even for
 deterministic runs), ``scan`` (optional mapping from dotted setting paths
 to lists of values), plus the settings of the subcommand. Scans expand to
 the cross product of the listed values, ordered by sorted path name then
@@ -31,6 +32,7 @@ import numpy as np
 
 from .dmrg import DmrgConfig
 from .models import (
+    CHAIN_MODELS,
     PAULI,
     ClassicalModelSpec,
     HamiltonianSpec,
@@ -137,26 +139,15 @@ def _typed(cls, node: dict, prefix: str = ""):
         raise ConfigError(str(exc), path) from None
 
 
-def _spec_fields(node: dict) -> dict:
-    """A ``model`` object with its ``name`` key renamed to the spec field."""
-    return {("model" if k == "name" else k): v for k, v in node.items()}
-
-
-_CHAIN_KEYS = {
-    "transverse_field_ising": ("J", "h"),
-    "heisenberg_xxz": ("J", "delta", "field"),
-    "custom_nn": ("two_site", "one_site"),
-}
-
-
 def chain_spec(settings: dict) -> HamiltonianSpec:
     """The chain Hamiltonian of the ``model`` object of ``settings``."""
     node = _coerce(settings.get("model"), dict, "model")
     name = _coerce(node.get("name"), str, "model.name")
-    if name not in _CHAIN_KEYS:
+    if name not in CHAIN_MODELS:
         raise ConfigError(f"unknown model name {name!r}", field="model.name")
-    _reject_unknown(node, ("name", "n_sites") + _CHAIN_KEYS[name], "model.")
-    return _typed(HamiltonianSpec, _spec_fields(node), "model.")
+    _reject_unknown(node, ("name", "n_sites") + CHAIN_MODELS[name], "model.")
+    fields = {("model" if k == "name" else k): v for k, v in node.items()}
+    return _typed(HamiltonianSpec, fields, "model.")
 
 
 def classical_spec(settings: dict) -> ClassicalModelSpec:
@@ -165,8 +156,7 @@ def classical_spec(settings: dict) -> ClassicalModelSpec:
     name = _coerce(node.get("name", "ising_2d"), str, "model.name")
     if name != "ising_2d":
         raise ConfigError(f"unknown model name {name!r}", field="model.name")
-    _reject_unknown(node, ("name", "beta", "J"), "model.")
-    return _typed(ClassicalModelSpec, _spec_fields(node), "model.")
+    return _typed(ClassicalModelSpec, {k: v for k, v in node.items() if k != "name"}, "model.")
 
 
 _SPECS = {HamiltonianSpec: chain_spec, ClassicalModelSpec: classical_spec}
@@ -264,7 +254,8 @@ class TrgSettings(_RunSettings, CoarseGrainConfig):
     model: ClassicalModelSpec
 
 
-# the fields each oracle task needs besides ``J`` and ``site_op``
+# the fields each oracle task reads besides ``J`` and ``site_op``; a task
+# takes none of the others
 _ORACLE_TASKS = {
     "ed_ground": ("model",),
     "ed_spectrum": ("model", "k"),
@@ -292,9 +283,11 @@ class OracleSettings(_RunSettings):
         super().__post_init__()
         if self.task not in _ORACLE_TASKS:
             raise ConfigError(f"unknown oracle task {self.task!r}", field="task")
-        for name in _ORACLE_TASKS[self.task]:
-            if getattr(self, name) is None:
-                raise ConfigError(f"missing required field '{name}'", field=name)
+        for name in ("model", "beta", "k", "length", "width"):
+            needed = name in _ORACLE_TASKS[self.task]
+            if needed == (getattr(self, name) is None):
+                what = "missing required" if needed else f"the {self.task} task reads no"
+                raise ConfigError(f"{what} field '{name}'", field=name)
         # the oracle functions apply the same rules
         if "model" in _ORACLE_TASKS[self.task]:
             check_dense_size(self.model.n_sites)
@@ -328,7 +321,6 @@ class RunSpec:
     the typed settings object of its subcommand."""
 
     index: int
-    subcommand: str
     settings: DmrgSettings | TebdSettings | ThermalSettings | TrgSettings | OracleSettings
     scan_values: dict
 
@@ -343,8 +335,12 @@ class RunConfig:
     runs: tuple[RunSpec, ...]
 
 
-def parse_run_config(subcommand: str, path: str) -> RunConfig:
+def parse_run_config(subcommand: str | None, path: str) -> RunConfig:
+    """The config file at ``path``, read once and resolved into typed runs of
+    ``subcommand``; a ``subcommand`` of None takes it from the 'run' field."""
     raw = load_config(path)
+    if subcommand is None:
+        subcommand = raw.get("run")
     return RunConfig(
         subcommand=subcommand, raw=raw, runs=tuple(resolve_runs(subcommand, raw))
     )
@@ -364,8 +360,10 @@ def _assign_dotted(settings: dict, path: str, value) -> None:
 
 def resolve_runs(subcommand: str, cfg: dict) -> list[RunSpec]:
     """Expand scans and parse every resolved run into typed settings."""
-    if subcommand not in SETTINGS:
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
+    # SUBCOMMANDS is a tuple: a 'run' value that is a list or an object
+    # compares unequal to every name instead of failing to hash
+    if subcommand not in SUBCOMMANDS:
+        raise ConfigError("config must name its subcommand in the 'run' field", "run")
     declared = cfg.get("run")
     if declared is not None and declared != subcommand:
         raise ConfigError(
@@ -393,5 +391,5 @@ def resolve_runs(subcommand: str, cfg: dict) -> list[RunSpec]:
             _assign_dotted(settings, path, value)
             values[path] = value
         typed = _typed(SETTINGS[subcommand], settings)
-        runs.append(RunSpec(index=index, subcommand=subcommand, settings=typed, scan_values=values))
+        runs.append(RunSpec(index=index, settings=typed, scan_values=values))
     return runs

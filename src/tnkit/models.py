@@ -38,7 +38,12 @@ SM = SP.T.copy()  # s- = (sx - i sy) / 2
 
 PAULI = {"sx": SX, "sy": SY, "sz": SZ, "id": ID2}
 
-MODELS = ("transverse_field_ising", "heisenberg_xxz", "custom_nn")
+# each chain model and the parameters it reads besides ``n_sites``
+CHAIN_MODELS = {
+    "transverse_field_ising": ("J", "h"),
+    "heisenberg_xxz": ("J", "delta", "field"),
+    "custom_nn": ("two_site", "one_site"),
+}
 
 
 def _hermiticity(m: np.ndarray) -> float:
@@ -60,8 +65,10 @@ class HamiltonianSpec:
     one_site: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}", "model")
+        if self.model not in CHAIN_MODELS:
+            raise ConfigError(
+                f"unknown model {self.model!r}, expected one of {tuple(CHAIN_MODELS)}", "model"
+            )
         if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 2:
             raise ConfigError(f"n_sites must be an integer >= 2, got {self.n_sites}", "n_sites")
         if self.model == "custom_nn":
@@ -151,12 +158,9 @@ class ClassicalModelSpec:
     zero-field square-lattice Ising model is supported."""
 
     beta: float
-    model: str = "ising_2d"
     J: float = 1.0
 
     def __post_init__(self):
-        if self.model != "ising_2d":
-            raise ValueError(f"unknown classical model {self.model!r}")
         if not self.beta > 0.0:
             raise ConfigError(f"beta must be positive, got {self.beta}", field="beta")
         if not self.J > 0.0:

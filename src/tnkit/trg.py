@@ -485,14 +485,16 @@ def _merge_vertical(t: np.ndarray, even, spec: TruncationSpec):
     legs = [_pair_blocks(L, L, s) for s in (0, 1)]  # (lt lb) and (rt rb)
     tops = [_block(t, (0, 3, 1, 2), halves, q) for q in (0, 1)]  # ((u rt), (lt m)) of parity q
     bottom = t.transpose(1, 0, 3, 2)  # (lb, m, rb, d)
-    bottoms = {  # the matrix (lb, (m rb d)) of each parity block of the bottom tensor
-        (p_lb, p_m, p_rb, p_d): np.ascontiguousarray(bottom[lb, m, rb, d]).reshape(
+    # the matrix (lb, (m rb d)) of each parity block of the bottom tensor
+    # that the grading lets be nonzero, p_d = p_lb ^ p_m ^ p_rb
+    bottoms = {
+        (p_lb, p_m, p_rb): np.ascontiguousarray(bottom[lb, m, rb, d]).reshape(
             _size(lb), _size(m) * _size(rb) * _size(d)
         )
         for p_lb, lb in enumerate(L)
         for p_m, m in enumerate(D)
         for p_rb, rb in enumerate(R)
-        for p_d, d in enumerate(D)
+        for d in [D[p_lb ^ p_m ^ p_rb]]
     }
     out = np.zeros((chi_u, k, chi_d, k))  # (u, a, d, b)
     # one buffer each for R and for the pair, reused by every product
@@ -511,7 +513,7 @@ def _merge_vertical(t: np.ndarray, even, spec: TruncationSpec):
                 width = _size(rb) * _size(d)
                 r = r_buf[: n_inner * width].reshape(n_inner, width)
                 for p_lt, lt, m, rows in inner:
-                    block = bottoms[p_lt ^ p, p_lt ^ q, p_rb, p_rb ^ q ^ p]  # (lb, (m rb d))
+                    block = bottoms[p_lt ^ p, p_lt ^ q, p_rb]  # (lb, (m rb d))
                     np.matmul(
                         row[legs[p][p_lt][3]].reshape(_size(lt), len(block)),
                         block,

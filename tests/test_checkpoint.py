@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -37,6 +38,21 @@ def test_real_state_reads_back_real_and_bit_exact(tmp_path):
     for a, b in zip(psi.sites, back.sites):
         assert a.dtype == b.dtype == np.float64
         assert a.tobytes() == b.tobytes()
+
+
+def test_read_holds_the_file_once(tmp_path):
+    # the sites are views of the bytes read, not copies of a copied payload
+    psi = random_mps((2,) * 20, 32, np.random.default_rng(3))
+    path = tmp_path / "state.mps"
+    checkpoint_write(psi, str(path))
+    tracemalloc.start()
+    try:
+        back = checkpoint_read(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.sites[10].dtype == np.complex128
+    assert peak <= 1.2 * path.stat().st_size
 
 
 def test_one_nonzero_imaginary_part_keeps_a_state_complex(tmp_path):

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import os
@@ -839,9 +840,22 @@ class TestFailureModes:
              "k"),
             ({"task": "ed_ground", "model": {"name": "heisenberg_xxz", "n_sites": 15}},
              "model.n_sites"),
+            # a field that the task does not read
+            ({"task": "ed_ground", "model": _TFI4, "k": 3}, "k"),
+            ({"task": "ed_ground", "model": _TFI4, "beta": 0.7}, "beta"),
+            ({"task": "ed_ground", "model": _TFI4, "width": 5}, "width"),
+            ({"task": "ed_spectrum", "model": _TFI4, "k": 3, "length": 2}, "length"),
+            ({"task": "gibbs", "model": _TFI4, "beta": 0.5, "k": 2}, "k"),
+            ({"task": "onsager", "beta": 0.3,
+              "model": {"name": "transverse_field_ising", "n_sites": 40}}, "model"),
+            ({"task": "brute_force", "length": 3, "beta": 0.3, "width": 4}, "width"),
+            ({"task": "transfer_matrix", "width": 4, "beta": 0.3, "length": 3}, "length"),
         ],
         ids=["brute-force-length", "transfer-width", "transfer-beta", "onsager-beta",
-             "gibbs-beta", "spectrum-k", "dense-n-sites"],
+             "gibbs-beta", "spectrum-k", "dense-n-sites", "unread-ground-k",
+             "unread-ground-beta", "unread-ground-width", "unread-spectrum-length",
+             "unread-gibbs-k", "unread-onsager-model", "unread-brute-force-width",
+             "unread-transfer-length"],
     )
     def test_oracle_limit_is_config_error(self, tmp_path, extra, field):
         cfg = {"run": "oracle", "seed": 1, **extra}
@@ -1180,6 +1194,33 @@ class TestRunEntry:
         assert run(_write_cfg(tmp_path, cfg), out_dir=str(out)) == EXIT_CONFIG
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["field"] == "run"
+
+    @pytest.mark.parametrize("value", [None, 3, [], {}, "bogus"], ids=repr)
+    def test_run_field_that_names_no_subcommand_is_config_error(self, tmp_path, capsys, value):
+        cfg = _dmrg_cfg(run=value)
+        out = tmp_path / "out"
+        assert run(_write_cfg(tmp_path, cfg), out_dir=str(out)) == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == "run"
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["run", "main"])
+    def test_config_file_is_read_once(self, tmp_path, monkeypatch, entry):
+        # every open of the config file counts, whichever module makes it
+        cfg_path, out = _write_cfg(tmp_path, _dmrg_cfg()), str(tmp_path / "out")
+        reads, real_open = [], builtins.open
+
+        def counted(file, *args, **kwargs):
+            if file == cfg_path:
+                reads.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counted)
+        if entry == "run":
+            assert run(cfg_path, out_dir=out) == EXIT_OK
+        else:
+            assert main(["dmrg", "--config", cfg_path, "--out", out]) == EXIT_OK
+        assert reads == [cfg_path]
 
     def test_run_matches_main_byte_for_byte(self, tmp_path):
         cfg_path = _write_cfg(tmp_path, _dmrg_cfg())

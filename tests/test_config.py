@@ -278,7 +278,7 @@ def _thermal(beta):
 def _trg(beta):
     return {
         "max_bond": 16, "n_iters": 25, "method": "trg", "rel_cutoff": 0.0,
-        "seed": 1, "model": {"beta": beta, "model": "ising_2d", "J": 1.0},
+        "seed": 1, "model": {"beta": beta, "J": 1.0},
     }
 
 
