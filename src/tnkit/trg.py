@@ -70,7 +70,12 @@ chi = 32 the eigensolver sees two blocks near 512 x 512 instead of one
 of tridiagonalizing it. The O(chi^7) products of a merging step run at the
 rate of a large matrix product: the pair of each new index is two products
 of a 512 x 512 block of the top tensor, which stays in cache across all
-new indices, with a 512 x 256 block.
+new indices, with a 512 x 256 block. Every chi^4 temporary is dropped
+once used, so, counted from a step's entry in units of the larger of its
+input and output tensors, a saturated plaquette step peaks at about 1.8
+(the coarse tensor, its two product blocks and the four halves) and a
+merging step at about 2.4 (the coarse tensor, the blocks ``tops`` and
+``bottoms`` of its input, half a tensor each, and two product buffers).
 
 Block layouts. With every leg sorted even-first, the entries of parity q
 of a combined index (i, j) are two contiguous sub-blocks, (i even, j q)
@@ -415,13 +420,19 @@ def trg_step(state: CoarseGrainState, spec: TruncationSpec) -> tuple[CoarseGrain
 
     top = gram(t1.transpose(0, 2, 1), t2.transpose(0, 2, 1), (n1, down), (n2, down))
     bot = gram(t4, t3, (down, n2), (down, n1))
+    # both products before the output, each factor block dropped once used,
+    # and each product dropped once scattered
+    news = []
+    for q in (0, 1):
+        news.append(top[q] @ bot[q])
+        top[q] = bot[q] = None
     out = np.zeros((t2.shape[2], t1.shape[2], t2.shape[2], t1.shape[2]))  # (b, c, e, a)
     for q in (0, 1):
-        new = top[q] @ bot[q]
         for _, a, b, rows in _pair_blocks(n1, n2, q):
             for _, e, c, cols in _pair_blocks(n2, n1, q):
                 shape = (_size(a), _size(b), _size(e), _size(c))
-                out[b, c, e, a] = new[rows, cols].reshape(shape).transpose(1, 3, 2, 0)
+                out[b, c, e, a] = news[q][rows, cols].reshape(shape).transpose(1, 3, 2, 0)
+        news[q] = None
     work = (work1[0] + work2[0], work1[1] + work2[1])
     return _rescaled(out, (e2, e1, e2, e1), state, work), float(w1 + w2)
 
@@ -437,22 +448,37 @@ def _merge_isometry(t: np.ndarray, even, spec: TruncationSpec):
     halves = [_halves(n, e) for n, e in zip(t.shape, even)]
     up, left, down, right = halves
     # the four half-row Gram matrices are products of two matrix views of t
-    # with their own transposes: x is (l d, u r), y is (u l, d r)
-    x = [_block(t, (1, 2, 0, 3), halves, s) for s in (0, 1)]
-    y = [_block(t, (0, 1, 2, 3), halves, s) for s in (0, 1)]
-    # one side at a time, so that only two of the Gram matrices are held;
-    # the density of a side, rho[(a b), (c e)] = sum g1[(a c), (m m')]
-    # g2[(m m'), (b e)], pairs its top-row Gram g1 with its bottom-row g2
+    # with their own transposes: x is (l d, u r), y is (u l, d r). The
+    # density of a side, rho[(a b), (c e)] = sum g1[(a c), (m m')]
+    # g2[(m m'), (b e)], pairs its top-row Gram g1 with its bottom-row g2;
     # a Gram matrix has the same legs in (i j) as in (i' j')
     ld, ul, dr, ur = (left, down), (up, left), (down, right), (up, right)
     ll, rr = (left, left), (right, right)
-    g1 = _regroup([b @ b.T for b in x], ld, ld)  # x x^T (l, m, l', m')
-    g2 = _regroup([b @ b.T for b in y], ul, ul)  # y y^T (m, l, m', l')
-    on_left = _top_eigh(_regroup([a @ b for a, b in zip(g1, g2)], ll, ll), spec)
-    del g1, g2
-    g1 = [g.T for g in _regroup([b.T @ b for b in y], dr, dr)]  # y^T y (m, r, m', r')
-    g2 = _regroup([b.T @ b for b in x], ur, ur)  # x^T x (m, r, m', r')
-    on_right = _top_eigh(_regroup([a @ b for a, b in zip(g1, g2)], rr, rr), spec)
+
+    def gram(axes, legs, transpose=False):
+        """m m^T (m^T m with transpose) of the matrix view m of t with rows
+        (axes[0], axes[1]), regrouped: each parity block of m is copied,
+        multiplied by its transpose and dropped before the next."""
+        square = (lambda b: b.T @ b) if transpose else (lambda b: b @ b.T)
+        return _regroup([square(_block(t, axes, halves, s)) for s in (0, 1)], legs, legs)
+
+    def density(g1, g2, legs):
+        """sum g1 g2 regrouped, each pair of blocks dropped once multiplied."""
+        products = []
+        for s in (0, 1):
+            products.append(g1[s] @ g2[s])
+            g1[s] = g2[s] = None
+        return _regroup(products, legs, legs)
+
+    # alive beside t: while the second Gram of a side is built, the first
+    # (chi^4/2 entries) and one parity block of the view and its product,
+    # then both products and their regrouping; no view x or y is held
+    # across the call, and each density is dropped once its eigenpairs are
+    # taken. Left: x x^T (l, m, l', m') with y y^T (m, l, m', l'); right:
+    # y^T y (m, r, m', r'), transposed, with x^T x (m, r, m', r')
+    on_left = _top_eigh(density(gram((1, 2, 0, 3), ld), gram((0, 1, 2, 3), ul), ll), spec)
+    g1 = [g.T for g in gram((0, 1, 2, 3), dr, transpose=True)]
+    on_right = _top_eigh(density(g1, gram((1, 2, 0, 3), ur, transpose=True), rr), spec)
     work = (on_left[3][0] + on_right[3][0], on_left[3][1] + on_right[3][1])
     return (*(on_left if on_left[2] <= on_right[2] else on_right)[:3], work)
 
