@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import dataclasses
 import datetime
 import hashlib
 import itertools
@@ -213,12 +214,7 @@ def _run_trg(s: TrgSettings, warm):
         "f": f,
         "abs_err_onsager": abs(f - f_exact),
         "f_onsager": f_exact,
-        "method": s.method,
-        "free_energies": list(trace.free_energies),
-        "bond_dims": list(trace.bond_dims),
-        "discarded": list(trace.discarded),
-        "subspace_iterations": list(trace.subspace_iterations),
-        "dense_solves": list(trace.dense_solves),
+        **dataclasses.asdict(trace),
     }, None
 
 

@@ -48,35 +48,56 @@ from .tensor import ConfigError
 from .trg import CoarseGrainConfig
 
 
-def _non_finite_path(value, path: str) -> str | None:
-    """The dotted path of the first number in a JSON tree that is NaN or
-    infinite, or too large to be a float."""
+_REPEATED = object()  # the value of a key that its JSON object repeats
+
+
+def _repeats_marked(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        out[key] = _REPEATED if key in out else value
+    return out
+
+
+def _leaf_path(value, path: str, bad) -> str | None:
+    """The dotted path of the first leaf of a JSON tree for which ``bad``
+    holds."""
     if isinstance(value, dict):
         children = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
     elif isinstance(value, list):
         children = ((f"{path}[{i}]", v) for i, v in enumerate(value))
     else:
-        finite = not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max
-        return None if finite else path
+        return path if bad(value) else None
     for child, item in children:
-        found = _non_finite_path(item, child)
+        found = _leaf_path(item, child, bad)
         if found is not None:
             return found
     return None
 
 
+def _non_finite_path(value, path: str) -> str | None:
+    """The dotted path of the first number in a JSON tree that is NaN or
+    infinite, or too large to be a float."""
+    return _leaf_path(
+        value, path, lambda v: isinstance(v, (int, float)) and not abs(v) <= sys.float_info.max
+    )
+
+
 def load_config(path: str) -> dict:
-    """The JSON object of a config file. NaN, Infinity and literals that
-    overflow to infinity are rejected with the dotted path of the value."""
+    """The JSON object of a config file. A key that its object repeats, NaN,
+    Infinity and literals that overflow to infinity are rejected with the
+    dotted path of the value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_repeats_marked)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    where = _leaf_path(raw, "", lambda v: v is _REPEATED)
+    if where is not None:
+        raise ConfigError(f"field '{where}' is given more than once", field=where)
     where = _non_finite_path(raw, "")
     if where is not None:
         raise ConfigError(f"field '{where}' must be a finite number", field=where)

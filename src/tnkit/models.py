@@ -12,6 +12,11 @@ Spin-1/2 conventions (Pauli matrices, not spin operators):
 All chains are open. The classical model is the zero-field 2D Ising model
 E = -J sum_<ij> s_i s_j on the square lattice.
 
+``operator_pairs`` is the one definition of each chain model's operators:
+the MPO, the bond terms and every gate derive from it, and only the
+oracle assembles the models again, on purpose, as the independent second
+route that the tests compare against.
+
 ``sx``, ``sz`` and the identity are real (float64); only ``sy`` is complex.
 The XXZ hopping is built as sx sx + sy sy = 2 (s+ s- + s- s+) with the real
 ladder operators s+ = (sx + i sy) / 2 and s- = (sx - i sy) / 2, as in
@@ -118,20 +123,46 @@ def custom_nn(n_sites: int, two_site, one_site=None) -> HamiltonianSpec:
     return HamiltonianSpec(model="custom_nn", n_sites=n_sites, two_site=two_site, one_site=one_site)
 
 
+def operator_pairs(
+    spec: HamiltonianSpec,
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The operators of a chain model: ``pairs`` [(left, right), ...] whose
+    sum of left (x) right is the two-site term, and the d x d one-site
+    term. The MPO and, through ``term_matrices``, every bond term and gate
+    are built from these.
+
+    ``custom_nn`` splits its two-site matrix by an SVD across the site
+    partition into the fewest pairs. The split is exact, not a truncation:
+    it drops only singular values below 1e-14 of the largest, so an
+    all-zero two-site matrix has no pairs."""
+    if spec.model == "transverse_field_ising":
+        return [(-spec.J * SZ, SZ)], -spec.h * SX
+    if spec.model == "heisenberg_xxz":
+        hop = 2.0 * spec.J  # sx sx + sy sy = 2 (s+ s- + s- s+) keeps the operator real
+        pairs = [(hop * SP, SM), (hop * SM, SP), (spec.J * spec.delta * SZ, SZ)]
+        return pairs, -spec.field * SZ
+    d = spec.phys_dim
+    m = spec.two_site.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    u, s, vh = np.linalg.svd(m)
+    keep = s > 1e-14 * (s[0] if s.size and s[0] > 0 else 1.0)
+    pairs = []
+    for r in np.nonzero(keep)[0]:
+        scale = np.sqrt(s[r])
+        pairs.append((scale * u[:, r].reshape(d, d), scale * vh[r, :].reshape(d, d)))
+    one = np.zeros((d, d)) if spec.one_site is None else np.array(spec.one_site)
+    return pairs, one
+
+
 def term_matrices(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
     """The raw interaction pieces of a chain model: a d^2 x d^2 two-site
     matrix (acting on an ordered neighbour pair) and a d x d one-site
-    matrix. ``H = sum_bonds two(i, i+1) + sum_sites one(i)``."""
-    if spec.model == "transverse_field_ising":
-        return -spec.J * np.kron(SZ, SZ), -spec.h * SX
-    if spec.model == "heisenberg_xxz":
-        hop = 2.0 * (np.kron(SP, SM) + np.kron(SM, SP))  # sx sx + sy sy
-        two = spec.J * (hop + spec.delta * np.kron(SZ, SZ))
-        return two, -spec.field * SZ
-    one = spec.one_site
-    if one is None:
-        one = np.zeros((spec.phys_dim, spec.phys_dim))
-    return np.array(spec.two_site), np.array(one)
+    matrix. ``H = sum_bonds two(i, i+1) + sum_sites one(i)``. A
+    ``custom_nn`` model gives its own two-site matrix; the others give the
+    sum of left (x) right over their ``operator_pairs``."""
+    pairs, one = operator_pairs(spec)
+    if spec.model == "custom_nn":
+        return np.array(spec.two_site), one
+    return sum(np.kron(left, right) for left, right in pairs), one
 
 
 def bond_terms(spec: HamiltonianSpec) -> list[np.ndarray]:

@@ -2,9 +2,11 @@
 
 Site tensors are rank-4 arrays with index order ``(left bond, output
 physical, input physical, right bond)``; boundary bonds have extent 1.
-Chain Hamiltonians are built in the standard lower-triangular form, so the
-bond dimension is 3 for the transverse-field Ising model, 5 for the XXZ
-model, and 2 + rank of the two-site term for custom models.
+Chain Hamiltonians are built in the standard lower-triangular form from
+the operator pairs that ``models.operator_pairs`` gives, the one
+definition of each model, so the bond dimension is 2 + the number of
+pairs: 3 for the transverse-field Ising model, 5 for the XXZ model, and
+2 + rank of the two-site term for custom models.
 
 Environments used throughout carry indices ``(bra bond, operator bond,
 ket bond)``. Their seeds are real, so every tensor takes its dtype from
@@ -38,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .models import SM, SP, SX, SZ, HamiltonianSpec, term_matrices
+from .models import HamiltonianSpec, operator_pairs
 from .mps import (
     MatrixProductState,
     _absorb_left,
@@ -124,11 +126,12 @@ def mpo_multiply(a: MatrixProductOperator, b: MatrixProductOperator) -> MatrixPr
 # ---------------------------------------------------------------------------
 
 
-def _triangular_mpo(n: int, d: int, pairs, one: np.ndarray) -> MatrixProductOperator:
-    """Lower-triangular bulk tensor from interaction pairs [(left op,
-    right op), ...] plus a one-site term; first site keeps the bottom row,
-    last site the first column."""
-    w = 2 + len(pairs)
+def build_mpo(spec: HamiltonianSpec) -> MatrixProductOperator:
+    """MPO for a chain Hamiltonian, in lower-triangular form over the
+    operator pairs and one-site term of ``models.operator_pairs``: the
+    first site keeps the bottom row, the last site the first column."""
+    pairs, one = operator_pairs(spec)
+    n, d, w = spec.n_sites, spec.phys_dim, 2 + len(pairs)
     bulk = np.zeros((w, d, d, w), dtype=np.result_type(one, *(m for p in pairs for m in p)))
     eye = np.eye(d)
     bulk[0, :, :, 0] = eye
@@ -140,41 +143,6 @@ def _triangular_mpo(n: int, d: int, pairs, one: np.ndarray) -> MatrixProductOper
     first = bulk[w - 1 : w, :, :, :]
     last = bulk[:, :, :, 0:1]
     return MatrixProductOperator([first] + [bulk] * (n - 2) + [last])
-
-
-def _custom_pairs(spec: HamiltonianSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the two-site matrix into a minimal sum of left (x) right
-    operator products via an SVD across the site partition."""
-    d = spec.phys_dim
-    two, _ = term_matrices(spec)
-    m = two.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    u, s, vh = np.linalg.svd(m)
-    keep = s > 1e-14 * (s[0] if s.size and s[0] > 0 else 1.0)
-    pairs = []
-    for r in np.nonzero(keep)[0]:
-        scale = np.sqrt(s[r])
-        pairs.append((scale * u[:, r].reshape(d, d), scale * vh[r, :].reshape(d, d)))
-    return pairs
-
-
-def build_mpo(spec: HamiltonianSpec) -> MatrixProductOperator:
-    """MPO for a chain Hamiltonian; see the models module for the forms."""
-    n, d = spec.n_sites, spec.phys_dim
-    if spec.model == "transverse_field_ising":
-        pairs = [(-spec.J * SZ, SZ)]
-        one = -spec.h * SX
-    elif spec.model == "heisenberg_xxz":
-        # sx sx + sy sy = 2 (s+ s- + s- s+) keeps the operator real
-        pairs = [
-            (2.0 * spec.J * SP, SM),
-            (2.0 * spec.J * SM, SP),
-            (spec.J * spec.delta * SZ, SZ),
-        ]
-        one = -spec.field * SZ
-    else:
-        pairs = _custom_pairs(spec)
-        _, one = term_matrices(spec)
-    return _triangular_mpo(n, d, pairs, one)
 
 
 # ---------------------------------------------------------------------------

@@ -604,7 +604,8 @@ class CoarseGrainTrace:
     """free_energies[i] is the estimate after i+1 steps; bond_dims the
     largest tensor extent then; discarded the weight dropped at that step;
     subspace_iterations and dense_solves the eigensolver work of that step
-    (``CoarseGrainState``)."""
+    (``CoarseGrainState``). Every field reaches the run's record in
+    ``results.jsonl`` under its own name, so each must stay deterministic."""
 
     free_energies: tuple[float, ...]
     bond_dims: tuple[int, ...]

@@ -705,6 +705,32 @@ class TestFailureModes:
         err = json.loads((out / "error.json").read_text())["error"]
         assert err["kind"] == "config" and err["field"] == field
 
+    _TEBD = (
+        '{"run": "tebd", "seed": 1, "dt": 0.05, "n_steps": 2, "max_bond": 8, '
+        '"model": {"name": "transverse_field_ising", "n_sites": 4, "h": 1.0, '
+    )
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"run": "oracle", "seed": 1, "task": "onsager", "beta": -1, "beta": 0.3}', "beta"),
+            ('{"run": "oracle", "seed": 1, "task": "onsager", "beta": 0.3, "beta": -1}', "beta"),
+            ('{"run": "oracle", "seed": 1, "task": "onsager", "beta": 0.3, "beta": 0.3}', "beta"),
+            (_TEBD + '"J": 1.0, "J": 2.0}}', "model.J"),
+            (_TEBD + '"J": 1.0}, "scan": {"model.h": [0.5], "model.h": [1.5]}}', "scan.model.h"),
+        ],
+        ids=["first-invalid", "last-invalid", "same-value", "nested", "scan-path"],
+    )
+    def test_repeated_key_is_config_error(self, tmp_path, text, field):
+        # the last value of a repeated key used to win silently
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert run(str(cfg_path), str(out)) == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())["error"]
+        assert err["kind"] == "config" and err["field"] == field
+        assert not (out / "results.jsonl").exists()
+
     def test_thermal_infinite_beta_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

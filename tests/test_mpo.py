@@ -9,6 +9,8 @@ from tnkit.models import (
     bond_terms,
     custom_nn,
     heisenberg_xxz,
+    operator_pairs,
+    term_matrices,
     transverse_field_ising,
 )
 from tnkit.mpo import (
@@ -103,6 +105,56 @@ def test_custom_mpo_random_hermitian():
     got = mpo_to_dense(build_mpo(spec))
     want = dense_hamiltonian(spec).to_array()
     np.testing.assert_allclose(got, want, atol=1e-11)
+
+
+def _hermitian(d, seed, complex_=False):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if complex_ else 0.0)
+    return (m + m.conj().T) / 2
+
+
+_V = np.kron([0.3, -1.0], [0.5, 2.0])
+
+# each spec with the number of operator pairs its two-site term splits into
+_ONE_DEFINITION_SPECS = {
+    "tfi": (transverse_field_ising(3, J=1.0, h=0.7), 1),
+    "tfi-negative-J": (transverse_field_ising(3, J=-0.8, h=1.3), 1),
+    "xxz": (heisenberg_xxz(3, J=1.0, delta=1.0), 3),
+    "xxz-negative-delta-field": (heisenberg_xxz(3, J=0.9, delta=-0.6, field=0.35), 3),
+    "xx": (heisenberg_xxz(3, J=1.0, delta=0.0), 3),
+    "xxz-negative-J": (heisenberg_xxz(3, J=-1.2, delta=0.4, field=-0.2), 3),
+    "custom-real-d2": (custom_nn(3, _hermitian(4, 1), one_site=_hermitian(2, 2)), 4),
+    "custom-real-d3": (custom_nn(3, _hermitian(9, 3)), 9),
+    "custom-complex-d2": (
+        custom_nn(3, _hermitian(4, 4, True), one_site=_hermitian(2, 5, True)),
+        4,
+    ),
+    # the projector on a product vector: rank 1, and a single product of
+    # one-site projectors across the site partition
+    "custom-rank-1": (custom_nn(3, np.outer(_V, _V)), 1),
+    "custom-zero": (custom_nn(3, np.zeros((4, 4))), 0),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, n_pairs", _ONE_DEFINITION_SPECS.values(), ids=_ONE_DEFINITION_SPECS.keys()
+)
+def test_mpo_and_bond_terms_share_one_definition(spec, n_pairs):
+    # the MPO is built from operator_pairs and the bond terms from
+    # term_matrices; both must describe the same two-site and one-site terms
+    pairs, one = operator_pairs(spec)
+    two, one_term = term_matrices(spec)
+    summed = sum((np.kron(left, right) for left, right in pairs), np.zeros_like(two))
+    if spec.model == "custom_nn":
+        np.testing.assert_allclose(summed, two, rtol=0.0, atol=1e-13)
+    else:
+        np.testing.assert_array_equal(summed, two)
+    np.testing.assert_array_equal(one, one_term)
+    assert len(pairs) == n_pairs
+    op = build_mpo(spec)
+    assert op.bond_dims == (2 + n_pairs,) * 2
+    want = dense_hamiltonian(spec).to_array()
+    np.testing.assert_allclose(mpo_to_dense(op), want, rtol=0.0, atol=1e-12)
 
 
 def test_bond_terms_reassemble_hamiltonian():
