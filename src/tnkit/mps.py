@@ -284,18 +284,28 @@ def _site_op(psi: MatrixProductState, site: int, op) -> np.ndarray:
     return op
 
 
+def _on_physical(op: np.ndarray, t: np.ndarray, left: int = 1) -> np.ndarray:
+    """``op`` (m × m) applied to the physical index p of the site tensor
+    ``t`` (Dl, p, Dr), or, when the site fuses several (p = left·m·right),
+    to the factor of p that follows ``left`` states: one batched product
+    over a reshape, with no Kronecker product of dimension p."""
+    dl, p, dr = t.shape
+    return np.matmul(op, t.reshape(dl * left, len(op), -1)).reshape(dl, p, dr)
+
+
 def _close(sites, a: int, b: int, ops: dict, left: dict, right: dict) -> complex:
     """<psi| ops |psi> over sites a..b between the (bra, ket) environment
     on the left bond of a (``left[a]``) and the one on the right bond of b
     (``right[b]``); an absent environment is the identity. Each site takes
-    its environments before its operator."""
+    its environments before its operator, an ``(left, op)`` pair applied
+    by ``_on_physical``."""
     env = left.get(a)
     for k in range(a, b + 1):
         ket = sites[k] if env is None else _absorb_left(env, sites[k])
         if k == b and b in right:
             ket = _absorb_right(ket, right[b].T)
         if k in ops:
-            ket = np.matmul(ops[k], ket)
+            ket = _on_physical(ops[k][1], ket, ops[k][0])
         if k < b:
             env = _close_left(sites[k], ket)
     return np.vdot(sites[b], ket)
@@ -309,8 +319,16 @@ def _walk(psi: MatrixProductState, terms) -> tuple[np.ndarray, float]:
     right ones from c to the leftmost term end, so terms spanning lo..hi
     cost max(hi, c) - min(lo, c) transfers, and <psi|psi> is the center's
     own norm. Without a center they run in from sites 0 and N-1, and
-    <psi|psi> closes at the leftmost term (site 0 if none)."""
-    terms = [{k: _site_op(psi, k, op) for k, op in term.items()} for term in terms]
+    <psi|psi> closes at the leftmost term (site 0 if none).
+
+    An operator is checked against its site's physical dimension, unless
+    it comes as a pair ``(left, op)``: then it acts on the factor of a
+    fused site's physical index that follows ``left`` states
+    (``_on_physical``), and the caller has checked it."""
+    terms = [
+        {k: op if isinstance(op, tuple) else (1, _site_op(psi, k, op)) for k, op in term.items()}
+        for term in terms
+    ]
     sites = psi.sites
     if psi.center is None:
         first, last, m = 0, psi.n_sites - 1, min((min(t) for t in terms), default=0)

@@ -12,31 +12,49 @@ real imaginary-time gates, so imaginary-time cooling and purified thermal
 states of real models run in float64, while real-time gates are complex by
 construction.
 
-Cost per gate: two matrix products and one split. The first product
-joins the two sites' matrix views, (Dl·d1, χ) times (χ, d2·Dr); the
-second applies the gate to the physical pair of every (Dl, Dr) entry as
-one batched matmul. ``tensor.split_matrix`` splits the result back into
-two sites: by a truncated SVD when the rule can cut (a positive
-``rel_cutoff``, or more than ``max_bond`` rows and columns), otherwise by
-an exact QR (RQ leftward), which costs less and keeps every value. A
-layer's gates act on every other bond, so between two gates the center
-moves one site: one QR (or RQ) and one product that pushes its factor into
-the neighbour. Every factorization goes through the tensor module's
-kernels, so the LAPACK SVDs of the gates that cut set most of the time of
-a saturated quench.
+Only a bond that a split can cut is ever split. A gate on bond b splits a
+(Dl·d, d·Dr) matrix whose outer bonds never exceed their caps
+min(d^k, d^(N-k), max_bond) (``mps.bond_caps``), so without a
+``rel_cutoff`` it can cut only when both caps[b-1]·d and d·caps[b+1]
+exceed ``max_bond``. Those are the middle bonds of the chain. The runs of
+sites that the other bonds link, the chain's exact end regions, evolve as
+one block tensor (Dl, d^len, Dr) each: joined before the first step, and
+split back into sites by exact QR moves after the last step (or a step
+that aborts). With a positive ``rel_cutoff`` every block is one site.
+
+Cost per gate. A gate inside a block is one batched matmul on a reshape
+of the block's physical index, (Dl·d^k, d², d^(len-k-2)·Dr): no split, no
+center move, no phase fix. A gate between blocks sees each block as a
+site, e.g. (Dl·d^(len-1), d, Dr) for its last one, and costs two matrix
+products and one split. The first product joins the two matrix views,
+(Dl·d1, χ) times (χ, d2·Dr); the second applies the gate to the physical
+pair of every (Dl, Dr) entry as the same batched matmul.
+``tensor.split_matrix`` splits the result back: by a truncated SVD when
+the rule can cut (a positive ``rel_cutoff``, or more than ``max_bond``
+rows and columns), otherwise by an exact QR (RQ leftward). Each layer
+visits the blocks in sweep order, so a block's gates run while it holds
+the center, and the center moves only between blocks: one QR (or RQ) and
+one product that pushes its factor into the neighbour. On the benchmark's
+quench (14 sites, ``max_bond`` 32) only bonds 5-7 can cut; sites 0-5 and
+8-13 are blocks, and a step makes 3 splits and 3 center moves where a
+sweep over sites made 13 and 12. Every factorization goes through the
+tensor module's kernels, so the LAPACK SVDs of the gates that cut set
+most of the time of a saturated quench.
 
 The trailing even(dt/2) of one second-order step and the leading one of
 the next act on the same bonds and commute, so they run as one layer of
 squared gates: n steps cost n·(|E|+|O|) gates plus |E| once, where E and O
 are the even and odd layers. Between steps the evolution holds φ_n, and
 ψ(t_n) is the owed half-layer applied to it. Observables of ψ(t_n) are
-measured without splitting that layer: each owed gate joins its two sites
-into one pair block of physical dimension d², every one-site operator is
-lifted onto its block, and one walk (``mps._walk``) evaluates them all
-together with the block state's norm, which in imaginary time is ν_n. No
-measurement factorizes, whether the block state keeps the center (unitary
-gates) or not. The owed layer itself is applied, with truncation, only
-after the last step or after a step that aborts.
+measured without splitting that layer: each owed gate joins the blocks of
+its two sites into one, or acts on a copy of the block that holds both;
+every one-site operator acts on its site's factor of its block's physical
+index (``mps._on_physical``, never a Kronecker product of the block's
+dimension); and one walk (``mps._walk``) evaluates them all together with
+the block state's norm, which in imaginary time is ν_n. No measurement
+factorizes, whether the block state keeps the center (unitary gates) or
+not. The owed layer itself is applied, with truncation, only after the
+last step or after a step that aborts.
 
 Thermal states use purification: each physical site of dimension d is fused
 with an ancilla into a site of dimension d*d (system index major). Evolving
@@ -52,13 +70,25 @@ setting explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import prod
 from typing import Mapping
 
 import numpy as np
 
 from .models import HamiltonianSpec, bond_terms
 from .mpo import MatrixProductOperator
-from .mps import MatrixProductState, _move_center, _walk, canonicalize, product_state
+from .mps import (
+    MatrixProductState,
+    _left_factor,
+    _move_center,
+    _on_physical,
+    _right_factor,
+    _walk,
+    bond_caps,
+    canonicalize,
+    product_state,
+)
 from .tensor import ConfigError, TruncationSpec, split_matrix
 
 
@@ -138,16 +168,25 @@ def apply_gate(
     return MatrixProductState(sites, center=bond + 1), report
 
 
+def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Neighbouring tensors (Dl, p1, χ) and (χ, p2, Dr) as one (Dl, p1·p2, Dr)
+    block: one product of their matrix views."""
+    dl, p1, chi = a.shape
+    _, p2, dr = b.shape
+    return (a.reshape(dl * p1, chi) @ b.reshape(chi, p2 * dr)).reshape(dl, p1 * p2, dr)
+
+
+def _check_gate(gate: np.ndarray, d1: int, d2: int) -> None:
+    if gate.shape != (d1 * d2, d1 * d2):
+        raise ValueError(f"gate must be {d1 * d2} x {d1 * d2}, got {gate.shape}")
+
+
 def _gated_pair(sites: list, bond: int, gate: np.ndarray) -> np.ndarray:
     """The gate applied to sites (bond, bond+1) joined into one
     (Dl, d1·d2, Dr) block."""
-    a, b = sites[bond], sites[bond + 1]
-    dl, d1, chi = a.shape
-    _, d2, dr = b.shape
-    if gate.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"gate must be {d1 * d2} x {d1 * d2}, got {gate.shape}")
-    theta = (a.reshape(dl * d1, chi) @ b.reshape(chi, d2 * dr)).reshape(dl, d1 * d2, dr)
-    return np.matmul(gate, theta)  # the gate on the physical pair of every (Dl, Dr)
+    _check_gate(gate, sites[bond].shape[1], sites[bond + 1].shape[1])
+    # the gate on the physical pair of every (Dl, Dr)
+    return _on_physical(gate, _join(sites[bond], sites[bond + 1]))
 
 
 def _gate_inplace(
@@ -196,42 +235,86 @@ class TebdConfig:
             raise ConfigError("abort_threshold must be positive", field="abort_threshold")
 
 
-def _owed_layout(n: int, owed) -> list:
-    """The blocks of a chain of n sites once the gates of ``owed`` join
-    their pairs: (first site, gate) per block, gate None for a site that no
-    owed bond covers."""
-    gates = {g.bond: g.matrix for g in owed}
-    layout, k = [], 0
-    while k < n:
-        layout.append((k, gates.get(k)))
-        k += 1 if gates.get(k) is None else 2
+def _blocks(dims, max_bond: int, rel_cutoff: float) -> list[range]:
+    """The sites of each block: the runs of sites that bonds no split can
+    cut link together. A gate on bond b splits a (Dl·d_b, d_(b+1)·Dr)
+    matrix whose outer bonds never exceed their caps (``mps.bond_caps``),
+    so without a ``rel_cutoff`` it can cut only when both caps[b-1]·d_b
+    and d_(b+1)·caps[b+1] exceed ``max_bond``."""
+    caps = [1, *bond_caps(dims, max_bond), 1]
+    starts = [0] + [
+        b + 1
+        for b in range(len(dims) - 1)
+        if rel_cutoff > 0.0 or min(caps[b] * dims[b], dims[b + 1] * caps[b + 2]) > max_bond
+    ]
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [len(dims)])]
+
+
+def _block_sites(block: np.ndarray, dims, from_left: bool) -> list:
+    """A block (Dl, prod(dims), Dr) as sites of physical ``dims``, split by
+    exact QR moves from the left (RQ moves from the right otherwise). The
+    last (first) site holds the factor left over, so the sites of a left
+    (right) isometry are left (right) isometries."""
+    dl, _, dr = block.shape
+    if from_left:
+        sites = [block.reshape(dl, dims[0], -1)]
+        for d in dims[1:]:
+            r = _left_factor(sites, len(sites) - 1)
+            sites.append(r.reshape(len(r), d, -1))
+        return sites
+    sites = [block.reshape(-1, dims[-1], dr)]
+    for d in dims[-2::-1]:
+        l = _right_factor(sites, 0)
+        sites.insert(0, l.reshape(-1, d, l.shape[1]))
+    return sites
+
+
+def _owed_layout(blocks, dims, owed) -> list:
+    """The blocks of the state once the gates of ``owed`` are applied: the
+    runs of ``blocks`` that an owed gate joins, each as (its sites, the
+    indices of its blocks, its owed gates as (states left of the gate's
+    sites in the run, matrix))."""
+    joins = {g.bond for g in owed}
+    runs = []
+    for i, sites in enumerate(blocks):
+        if runs and sites.start - 1 in joins:
+            first, members = runs[-1]
+            runs[-1] = (range(first.start, sites.stop), range(members.start, i + 1))
+        else:
+            runs.append((sites, range(i, i + 1)))
+    layout = []
+    for sites, members in runs:
+        gates = [(prod(dims[sites.start : g.bond]), g.matrix) for g in owed if g.bond in sites]
+        layout.append((sites, members, gates))
     return layout
 
 
 def _lift_terms(terms, layout, dims) -> list:
-    """``(site, op)`` terms as ``{block: op}`` terms on the blocks of
-    ``layout``: an op on the left site of a pair becomes kron(op, I), on the
-    right site kron(I, op)."""
+    """``(site, op)`` terms as ``{block: (left, op)}`` terms on the blocks of
+    ``layout``: ``op`` acts on the factor of the block's physical index
+    that follows the ``left`` states of the sites before it
+    (``mps._on_physical``)."""
     lifted = []
     for site, op in terms:
-        i = max(j for j, (k, _) in enumerate(layout) if k <= site)
-        k, gate = layout[i]
-        if gate is not None:
-            op = np.kron(op, np.eye(dims[k + 1])) if site == k else np.kron(np.eye(dims[k]), op)
-        lifted.append({i: op})
+        i, sites = next((i, s) for i, (s, _, _) in enumerate(layout) if site in s)
+        lifted.append({i: (prod(dims[sites.start : site]), np.asarray(op))})
     return lifted
 
 
-def _owed_state(sites: list, center: int, layout, keep_center: bool) -> MatrixProductState:
-    """The state with every gate of ``layout`` applied exactly, as pair
-    blocks. Unitary gates keep the center in the block that holds it
-    (``keep_center``); other gates leave no canonical structure."""
-    blocks, block_center = [], None
-    for i, (k, gate) in enumerate(layout):
-        blocks.append(sites[k] if gate is None else _gated_pair(sites, k, gate))
-        if k <= center <= k + (gate is not None):
-            block_center = i
-    return MatrixProductState(blocks, center=block_center if keep_center else None)
+def _owed_state(blocks: list, center: int, layout, keep_center: bool) -> MatrixProductState:
+    """The state with every owed gate of ``layout`` applied exactly, to
+    copies of the joined ``blocks``. Unitary gates keep the center in the
+    block that holds it (``keep_center``); other gates leave no canonical
+    structure."""
+    owed, owed_center = [], None
+    for i, (_, members, gates) in enumerate(layout):
+        block = reduce(_join, (blocks[j] for j in members))
+        for left, gate in gates:
+            block = _on_physical(gate, block, left)
+        owed.append(block)
+        if center in members:
+            owed_center = i
+    return MatrixProductState(owed, center=owed_center if keep_center else None)
 
 
 def evolve_gates(
@@ -244,7 +327,12 @@ def evolve_gates(
     abort_threshold: float,
     observables: Mapping[str, tuple[int, np.ndarray]] | None = None,
 ) -> tuple[MatrixProductState, EvolutionTrace]:
-    """Repeat a Trotter step, truncating after every gate.
+    """Repeat a Trotter step, truncating after every gate that splits.
+
+    The sites that bonds no split can cut link together evolve as one
+    block each (see the module docstring), and come back as sites split by
+    exact QRs, with the center at the last site of the block that holds
+    it; with no step to take the state comes back as it was.
 
     ``observables`` maps names to one-site ``(site, op)`` terms; each
     series holds <op> of the untruncated ψ(t_n), normalized, as complex
@@ -252,7 +340,7 @@ def evolve_gates(
     imaginary time renormalizes each truncation and pulls the norm of
     ψ(t_n) out once per step into log_norms. The gates of one layer act on
     distinct bonds and commute, so each layer is swept from whichever end
-    is nearer the current center.
+    (in blocks) is nearer the current center.
 
     A second-order scheme (``order == 2``, layers E, O, E) runs step 1 as
     E then O, every later step as E·E (one layer of squared gates, which
@@ -270,8 +358,7 @@ def evolve_gates(
         norm_policy="renormalize" if scheme.imag else "keep",
     )
     state = canonicalize(psi, 0)
-    sites = list(state.sites)
-    center = 0
+    dims = state.phys_dims
     if scheme.order == 2:
         owed, middle = scheme.layers[:2]
         first = (owed, middle)
@@ -280,7 +367,16 @@ def evolve_gates(
     else:
         owed, first = (), scheme.layers
         later = first
-    layout = _owed_layout(len(sites), owed)
+    for gate in (g for layer in scheme.layers for g in layer):
+        _check_gate(gate.matrix, dims[gate.bond], dims[gate.bond + 1])
+    if n_steps:
+        blocks = _blocks(dims, max_bond, rel_cutoff)
+    else:  # nothing to evolve: no block joins, the state comes back as it was
+        blocks = [range(k, k + 1) for k in range(len(dims))]
+    block_of = [i for i, sites in enumerate(blocks) for _ in sites]
+    tensors = [reduce(_join, state.sites[sites.start : sites.stop]) for sites in blocks]
+    center = 0
+    layout = _owed_layout(blocks, dims, owed)
 
     times = [0.0]
     series: dict[str, list] = {name: [] for name in observables}
@@ -293,19 +389,35 @@ def evolve_gates(
         weight = 0.0
         if not layer:  # two sites have no odd bond
             return weight
-        leftward = abs(layer[-1].bond + 1 - center) < abs(layer[0].bond - center)
+        lo, hi = block_of[layer[0].bond], block_of[layer[-1].bond + 1]
+        leftward = abs(hi - center) < abs(lo - center)
         for gate in reversed(layer) if leftward else layer:
-            # either site of the gate may hold the center
-            _move_center(sites, center, min(max(center, gate.bond), gate.bond + 1))
-            weight += _gate_inplace(sites, gate.bond, gate.matrix, trunc, leftward).discarded_weight
-            center = gate.bond if leftward else gate.bond + 1
+            i, j = block_of[gate.bond], block_of[gate.bond + 1]
+            # either block of the gate may hold the center
+            to = min(max(center, i), j)
+            _move_center(tensors, center, to)
+            center = to
+            if i == j:  # no split: the gate on its two sites' factor of the block
+                left = prod(dims[blocks[i].start : gate.bond])
+                tensors[i] = _on_physical(gate.matrix, tensors[i], left)
+                continue
+            # each block seen as the site of the gate, e.g. (Dl·p/d, d, Dr)
+            a, b = tensors[i], tensors[j]
+            pair = [
+                a.reshape(-1, dims[gate.bond], a.shape[2]),
+                b.reshape(b.shape[0], dims[gate.bond + 1], -1),
+            ]
+            weight += _gate_inplace(pair, 0, gate.matrix, trunc, leftward).discarded_weight
+            tensors[i] = pair[0].reshape(a.shape[0], a.shape[1], -1)
+            tensors[j] = pair[1].reshape(-1, b.shape[1], b.shape[2])
+            center = i if leftward else j
         return weight
 
     def pull_norm() -> float:
-        scale = float(np.linalg.norm(sites[center]))
+        scale = float(np.linalg.norm(tensors[center]))
         if scale == 0.0:
             raise RuntimeError("state collapsed to zero during evolution")
-        sites[center] = sites[center] / scale
+        tensors[center] = tensors[center] / scale
         return scale
 
     def measure(snapshot, terms) -> float:
@@ -318,13 +430,13 @@ def evolve_gates(
     terms = [{site: op} for site, op in observables.values()]
     if terms:  # also checks every site and operator before any step
         measure(state, terms)
-        terms = _lift_terms(observables.values(), layout, state.phys_dims)
+        terms = _lift_terms(observables.values(), layout, dims)
     owed_norm = 1.0
     for step in range(n_steps):
         weight = sum(sweep(layer) for layer in (later if step else first))
         scale = pull_norm() if scheme.imag else 1.0
         if terms or (scheme.imag and owed):
-            nu = measure(_owed_state(sites, center, layout, not (scheme.imag and owed)), terms)
+            nu = measure(_owed_state(tensors, center, layout, not (scheme.imag and owed)), terms)
         if scheme.imag:
             previous, owed_norm = owed_norm, nu if owed else 1.0
             log_norms.append(float(np.log(scale) + np.log(owed_norm) - np.log(previous)))
@@ -340,7 +452,13 @@ def evolve_gates(
             aborted = True
             break
 
-    out = MatrixProductState(sites, center=center)
+    # the blocks up to the center's split from the left, the rest from the right
+    sites = [
+        site
+        for i, (block, span) in enumerate(zip(tensors, blocks))
+        for site in _block_sites(block, dims[span.start : span.stop], i <= center)
+    ]
+    out = MatrixProductState(sites, center=blocks[center].stop - 1)
     trace = EvolutionTrace(
         times=tuple(times),
         observables={k: tuple(v) for k, v in series.items()},

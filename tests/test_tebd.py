@@ -8,6 +8,7 @@ from tnkit.mpo import build_mpo, expect_mpo, mpo_to_dense
 from tnkit.mps import (
     MatrixProductState,
     _move_center,
+    bond_caps,
     canonical_residual,
     canonicalize,
     expect_local,
@@ -65,23 +66,43 @@ def _positive_gate(n, rng):
 
 def _gate_sweep_cases():
     rng = np.random.default_rng(7)
-    unitary = [_random_unitary(4, rng) for _ in range(5)]
-    positive = [_positive_gate(4, rng) for _ in range(5)]
+    unitary = [_random_unitary(4, rng) for _ in range(7)]
+    positive = [_positive_gate(4, rng) for _ in range(7)]
     lifted = [lift_gate(_random_unitary(4, rng), 2) for _ in range(3)]
+    vectors = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    product = product_state(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+    # (state, gates, imaginary time, max_bond, directions of the splits)
     return {
-        # bonds (2, 4, 8, 4, 2): every inner gate meets unequal left and
-        # right extents
-        "complex": (random_mps([2] * 6, 8, 3), unitary, False),
-        "real-imaginary-time": (random_mps([2] * 6, 8, 4, dtype=float), positive, True),
-        "lifted-d4": (random_mps([4] * 4, 16, 5), lifted, False),
+        # at max_bond 64 no bond can cut, so each chain is one block, and
+        # every gate acts on its two sites' factor of the block
+        "complex": (random_mps([2] * 6, 8, 3), unitary, False, 64, []),
+        "real-imaginary-time": (random_mps([2] * 6, 8, 4, dtype=float), positive, True, 64, []),
+        "lifted-d4": (random_mps([4] * 4, 16, 5), lifted, False, 64, []),
+        # at max_bond 4 bonds 2-4 of 8 sites can cut: blocks of sites 0-2,
+        # 3, 4 and 5-7. Only the gates between blocks split, bonds 2 and 4
+        # rightward from site 0, then bond 3 leftward back; one step from a
+        # product state reaches rank 4 at most, so nothing is cut
+        "complex-cuttable": (product, unitary, False, 4, [False, False, True]),
+        "real-imaginary-time-cuttable": (
+            product_state([np.array([0.6, 0.8])] * 8), positive, True, 4, [False, False, True]
+        ),
     }
 
 
-@pytest.mark.parametrize("case", ["complex", "real-imaginary-time", "lifted-d4"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "complex",
+        "real-imaginary-time",
+        "lifted-d4",
+        "complex-cuttable",
+        "real-imaginary-time-cuttable",
+    ],
+)
 def test_gate_kernel_sweeps_both_ways_like_the_dense_embedding(monkeypatch, case):
     import tnkit.tebd as tebd_module
 
-    psi, gates, imag = _gate_sweep_cases()[case]
+    psi, gates, imag, max_bond, directions = _gate_sweep_cases()[case]
     n = psi.n_sites
     dims = psi.phys_dims
     even = tuple(TrotterGate(b, gates[b]) for b in range(0, n - 1, 2))
@@ -95,10 +116,12 @@ def test_gate_kernel_sweeps_both_ways_like_the_dense_embedding(monkeypatch, case
         return _gate_inplace(sites, bond, gate, spec, leftward)
 
     monkeypatch.setattr(tebd_module, "_gate_inplace", recording)
-    out, trace = evolve_gates(psi, scheme, 1, max_bond=64, rel_cutoff=0.0, abort_threshold=1e-3)
-    # the first layer runs rightward from site 0, the second leftward back
-    assert [lw for lw, _, _ in seen] == [False] * len(even) + [True] * len(odd)
-    assert any(dl != dr for _, dl, dr in seen)
+    out, trace = evolve_gates(
+        psi, scheme, 1, max_bond=max_bond, rel_cutoff=0.0, abort_threshold=1e-3
+    )
+    assert [lw for lw, _, _ in seen] == directions
+    # the blocks seen as the sites of a gate meet unequal outer extents
+    assert not seen or any(dl != dr for _, dl, dr in seen)
     assert trace.discarded == (0.0,)
     want = to_dense(psi)
     for layer in (even, odd):
@@ -107,7 +130,7 @@ def test_gate_kernel_sweeps_both_ways_like_the_dense_embedding(monkeypatch, case
     got = to_dense(out) * np.exp(sum(trace.log_norms))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
     assert canonical_residual(out) < 1e-12
-    if case == "real-imaginary-time":
+    if imag:
         assert all(a.dtype == np.float64 for a in out.sites)
 
 
@@ -212,13 +235,13 @@ def test_observable_series_and_times():
     assert trace.observables["sz0"][-1] == pytest.approx(want, abs=1e-4)
 
 
-def _forward_only(psi, scheme, n_steps, max_bond, watched):
+def _forward_only(psi, scheme, n_steps, max_bond, watched, op=SZ):
     """Every layer of every step swept left to right, the center walked
-    back each time, no layer fused; <sz> at the ``watched`` sites after
+    back each time, no layer fused; <op> at the ``watched`` sites after
     every step, and in imaginary time the norm pulled out per step."""
     trunc = TruncationSpec(max_bond=max_bond)
     sites, center = list(canonicalize(psi, 0).sites), 0
-    series = {k: [expect_local(psi, SZ, k)] for k in watched}
+    series = {k: [expect_local(psi, op, k)] for k in watched}
     log_norms = []
     for _ in range(n_steps):
         for layer in scheme.layers:
@@ -231,7 +254,7 @@ def _forward_only(psi, scheme, n_steps, max_bond, watched):
         log_norms.append(float(np.log(scale)))
         state = MatrixProductState(sites, center=center)
         for k in watched:
-            series[k].append(expect_local(state, SZ, k))
+            series[k].append(expect_local(state, op, k))
     return state, series, log_norms
 
 
@@ -253,7 +276,6 @@ def test_gate_sweeps_skip_the_center_walk_back(monkeypatch):
 
     spec = transverse_field_ising(14, h=1.0)
     scheme = build_trotter(spec, 0.05, order=2, imag=False)
-    even, odd = len(scheme.layers[0]), len(scheme.layers[1])
     psi0 = neel(14)
     calls = _count_center_moves(monkeypatch)
     splits, svds = [], []
@@ -267,17 +289,26 @@ def test_gate_sweeps_skip_the_center_walk_back(monkeypatch):
     )
     n_steps = 6
     out, _ = evolve_gates(psi0, scheme, n_steps, max_bond=32, rel_cutoff=0.0, abort_threshold=1e-3)
-    # one fused even layer and one odd layer per step, the owed even
-    # half-layer once: 85 gates, where three layers a step made 120
-    assert len(splits) == n_steps * (even + odd) + even == 85
+    # only bonds 5-7 can cut (caps[b-1]·2 and 2·caps[b+1] both above 32), so
+    # sites 0-5 and 8-13 evolve as two blocks and only the gates on bonds
+    # 5-7 split: one in the even layer, two in the odd one; there is no QR
+    # split on a bond that cannot cut (the sweep over sites made 85 splits)
+    caps = [1, *bond_caps([2] * 14, 32), 1]
+    cut = {b for b in range(13) if min(caps[b], caps[b + 2]) * 2 > 32}
+    assert cut == {5, 6, 7}
+    cut_even = sum(g.bond in cut for g in scheme.layers[0])
+    cut_odd = sum(g.bond in cut for g in scheme.layers[1])
+    assert len(splits) == n_steps * (cut_even + cut_odd) + cut_even == 19
     # only a gate whose theta has more than max_bond rows and columns can
-    # cut, so only those go through the SVD; the others split by QR or RQ
-    assert svds == [shape for shape in splits if min(shape) > 32]
-    assert len(svds) == 12
-    # one move between neighbouring gates of a layer and one into the odd
-    # layer, where three layers a step made 108; a forward-only sweep walks
-    # the center back before each layer
-    assert len(calls) == n_steps * (even - 1 + odd) + even - 1 == 78
+    # cut, so only those go through the SVD: the same 12 SVDs as the sweep
+    # over sites made
+    assert svds == [shape for shape in splits if min(shape) > 32] == [(64, 64)] * 12
+    # the center moves between blocks only: into and out of the middle
+    # sites in the even layer, back in the odd one (the sweep over sites
+    # made 12 moves a step), twice more in the owed layer; then the end
+    # blocks split back into sites by 5 QRs each
+    assert len(calls) == 3 * n_steps + 2 + 2 * 5 == 30
+    assert out.bond_dims == tuple(bond_caps([2] * 14, 32))
     assert canonical_residual(out) < 1e-12
     # no step, no owed layer: the start state comes back as it was
     calls.clear()
@@ -331,6 +362,165 @@ def test_gate_sweeps_match_forward_only_order_without_truncation():
         np.testing.assert_allclose(trace.log_norms, ref_log_norms, rtol=0, atol=1e-12)
         for k in watched:
             np.testing.assert_allclose(trace.observables[k], ref_series[k], rtol=0, atol=1e-12)
+
+
+def _purified_scheme(n, dt, order):
+    """Imaginary-time gates of a transverse-field Ising chain on purified
+    sites (d = 4), as ``thermal_state`` builds them."""
+    base = build_trotter(transverse_field_ising(n, J=1.0, h=0.8), dt, order, imag=True)
+    layers = tuple(
+        tuple(TrotterGate(g.bond, lift_gate(g.matrix, 2)) for g in layer) for layer in base.layers
+    )
+    return TrotterScheme(layers=layers, dt=dt, order=order, imag=True)
+
+
+@pytest.mark.parametrize(
+    "d,imag,order,max_bond,n_steps",
+    [
+        # 14 sites at max_bond 64: blocks of sites 0-6 and 7-13, split by
+        # the SVD on bond 6; only the even gates cross it, each at most
+        # quadrupling its rank, so none of these steps cuts
+        (2, False, 2, 64, 2),
+        (2, True, 2, 64, 2),
+        (2, False, 1, 64, 3),
+        (2, True, 1, 64, 3),
+        # 5 purified sites: one block at full rank (max_bond 16), blocks of
+        # sites 0-1, 2 and 3-4 at max_bond 8
+        (4, True, 2, 16, 4),
+        (4, True, 1, 8, 1),
+    ],
+)
+def test_fused_blocks_match_forward_only_without_a_cut(d, imag, order, max_bond, n_steps):
+    if d == 2:
+        n, op, watched = 14, SZ, (0, 3, 6, 7, 13)  # block edges and one inside
+        scheme = build_trotter(heisenberg_xxz(n, J=1.0, delta=0.6), 0.05, order, imag)
+        psi0 = random_mps([2] * n, 1, 9, dtype=float) if imag else neel(n)
+    else:
+        n, op, watched = 5, lift_site_operator(SZ, 2), (0, 1, 2, 4)
+        scheme = _purified_scheme(n, 0.1, order)
+        psi0 = infinite_temperature_state(n, 2)
+    out, trace = evolve_gates(
+        psi0, scheme, n_steps, max_bond=max_bond, rel_cutoff=0.0, abort_threshold=1e-3,
+        observables={k: (k, op) for k in watched},
+    )
+    assert max(trace.discarded) < 1e-28
+    ref, ref_series, ref_log_norms = _forward_only(psi0, scheme, n_steps, 256, watched, op)
+    np.testing.assert_allclose(to_dense(out), to_dense(ref), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.log_norms, ref_log_norms, rtol=0, atol=1e-12)
+    for k in watched:
+        np.testing.assert_allclose(trace.observables[k], ref_series[k], rtol=0, atol=1e-12)
+    assert canonical_residual(out) < 1e-12
+
+
+def test_fused_abort_returns_the_state_of_its_last_step():
+    # 14 sites at max_bond 16: blocks of sites 0-4 and 9-13 with single
+    # sites between; the cuts grow from rounding until one step aborts
+    scheme = build_trotter(transverse_field_ising(14, h=1.0), 0.1, order=2, imag=False)
+    watched = (0, 2, 4, 5, 13)
+
+    def run(n_steps, threshold):
+        return evolve_gates(
+            neel(14), scheme, n_steps, max_bond=16, rel_cutoff=0.0, abort_threshold=threshold,
+            observables={k: (k, SZ) for k in watched},
+        )
+
+    out, trace = run(50, 1e-20)
+    k = len(trace.discarded)
+    assert trace.aborted and k < 50
+    assert max(trace.discarded[:-1]) <= 1e-20 < trace.discarded[-1]
+    # the steps before any cut above rounding are exact
+    exact = next(j for j, w in enumerate(trace.discarded) if w > 1e-28)
+    assert exact > 2
+    _, ref_series, _ = _forward_only(neel(14), scheme, exact, 256, watched)
+    for site in watched:
+        np.testing.assert_allclose(
+            trace.observables[site][: exact + 1], ref_series[site], rtol=0, atol=1e-12
+        )
+    # the aborted step applied the owed layer and split the blocks back into
+    # sites: the state is the one a run of exactly k steps returns
+    same, same_trace = run(k, np.inf)
+    assert not same_trace.aborted and same_trace.discarded == trace.discarded
+    assert same.center == out.center and same.bond_dims == out.bond_dims
+    for a, b in zip(same.sites, out.sites):
+        np.testing.assert_array_equal(a, b)
+    assert canonical_residual(out) < 1e-12
+
+
+@pytest.mark.parametrize("purified", [False, True])
+def test_fused_evolution_returns_every_bond_at_its_cap(purified):
+    # at full rank every bond lies inside one block, and the exact QRs that
+    # split it back into sites give each bond its cap
+    if purified:
+        psi, _, _ = thermal_state(
+            transverse_field_ising(5, h=0.8), ThermalConfig(beta=0.4, dt=0.05, max_bond=16)
+        )
+        dims = (4,) * 5
+    else:
+        config = TebdConfig(dt=0.05, n_steps=3, max_bond=32)
+        psi, _ = evolve(neel(10), transverse_field_ising(10, h=1.0), config)
+        dims = (2,) * 10
+    assert psi.bond_dims == tuple(bond_caps(dims, 64))
+    assert canonical_residual(psi) < 1e-12
+
+
+def test_a_positive_rel_cutoff_sweeps_site_by_site():
+    # with rel_cutoff > 0 every bond can cut, every block is one site, and
+    # the evolution is the sweep over sites, bit for bit
+    scheme = build_trotter(transverse_field_ising(14, h=1.0), 0.05, order=2, imag=False)
+    n_steps, trunc = 8, TruncationSpec(max_bond=32, rel_cutoff=1e-10)
+    out, trace = evolve_gates(
+        neel(14), scheme, n_steps, max_bond=32, rel_cutoff=1e-10, abort_threshold=1e-3
+    )
+    owed, middle = scheme.layers[:2]
+    squared = tuple(TrotterGate(g.bond, g.matrix @ g.matrix) for g in owed)
+    sites, center = list(neel(14).sites), 0
+
+    def sweep(layer):
+        nonlocal center
+        weight = 0.0
+        leftward = abs(layer[-1].bond + 1 - center) < abs(layer[0].bond - center)
+        for gate in reversed(layer) if leftward else layer:
+            _move_center(sites, center, min(max(center, gate.bond), gate.bond + 1))
+            weight += _gate_inplace(sites, gate.bond, gate.matrix, trunc, leftward).discarded_weight
+            center = gate.bond if leftward else gate.bond + 1
+        return weight
+
+    weights = [sweep(squared if step else owed) + sweep(middle) for step in range(n_steps)]
+    weights[-1] += sweep(owed)
+    assert trace.discarded == tuple(weights) and max(weights) > 0.0
+    assert out.center == center
+    assert [a.tobytes() for a in out.sites] == [a.tobytes() for a in sites]
+
+
+def test_lifting_onto_a_large_block_forms_no_block_matrix():
+    import tracemalloc
+
+    import tnkit.tebd as tebd_module
+
+    # twelve sites at max_bond 64 are one block of physical dimension 2^12:
+    # one operator of that dimension would take 2^24 entries (128 MB)
+    dims, n = (2,) * 12, 12
+    blocks = tebd_module._blocks(dims, 64, 0.0)
+    assert blocks == [range(n)]
+    scheme = build_trotter(transverse_field_ising(n, h=1.0), 0.05, order=2, imag=False)
+    layout = tebd_module._owed_layout(blocks, dims, scheme.layers[0])
+    tracemalloc.start()
+    try:
+        lifted = tebd_module._lift_terms([(k, SZ) for k in range(n)], layout, dims)
+        lift_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _, trace = evolve_gates(
+            neel(n), scheme, 2, max_bond=64, rel_cutoff=0.0, abort_threshold=1e-3,
+            observables={k: (k, SZ) for k in range(n)},
+        )
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [term[0][0] for term in lifted] == [2**k for k in range(n)]
+    assert lift_peak < 2**14
+    # the block state itself is 2^12 complex entries (64 kB)
+    assert run_peak < 2**20
+    assert trace.observables[0][0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("h", [0.0, 0.9])
