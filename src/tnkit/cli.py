@@ -35,6 +35,7 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import datetime
+import hashlib
 import itertools
 import json
 import os
@@ -44,17 +45,6 @@ import time
 
 import numpy as np
 import scipy
-
-# hashlib loads OpenSSL's libcrypto, which the config hash alone does not
-# need: take the built-in sha256 the way the standard library's random
-# takes sha512 (_sha256 up to Python 3.11, _sha2 from 3.12)
-try:
-    from _sha2 import sha256
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
 
 from . import __version__
 from .checkpoint import CheckpointError, checkpoint_read, checkpoint_write, write_atomic
@@ -90,7 +80,7 @@ class NonConvergenceError(RuntimeError):
 
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _pyify(value):

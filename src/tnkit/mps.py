@@ -321,14 +321,10 @@ def _walk(psi: MatrixProductState, terms) -> tuple[np.ndarray, float]:
     own norm. Without a center they run in from sites 0 and N-1, and
     <psi|psi> closes at the leftmost term (site 0 if none).
 
-    An operator is checked against its site's physical dimension, unless
-    it comes as a pair ``(left, op)``: then it acts on the factor of a
-    fused site's physical index that follows ``left`` states
-    (``_on_physical``), and the caller has checked it."""
-    terms = [
-        {k: op if isinstance(op, tuple) else (1, _site_op(psi, k, op)) for k, op in term.items()}
-        for term in terms
-    ]
+    Each operator comes as a pair ``(left, op)`` of arrays the caller has
+    checked: ``op`` acts on the factor of its site's physical index that
+    follows ``left`` states (``_on_physical``), so ``(1, _site_op(...))``
+    is a plain one-site operator."""
     sites = psi.sites
     if psi.center is None:
         first, last, m = 0, psi.n_sites - 1, min((min(t) for t in terms), default=0)
@@ -353,14 +349,14 @@ def expect_local(psi: MatrixProductState, op, site: int) -> complex:
     """<op_site>, normalized by the state norm: one term of the walk
     (``_walk``), which makes no factorization and, on a state with a
     center, carries the environment only between ``site`` and the center."""
-    values, n2 = _walk(psi, [{site: op}])
+    values, n2 = _walk(psi, [{site: (1, _site_op(psi, site, op))}])
     return complex(values[0] / n2)
 
 
 def expect_profile(psi: MatrixProductState, op) -> np.ndarray:
     """<op_i> at every site i, normalized by the state norm: one walk
     (``_walk``) to both ends, O(N) transfers and no factorization."""
-    values, n2 = _walk(psi, [{k: op} for k in range(psi.n_sites)])
+    values, n2 = _walk(psi, [{k: (1, _site_op(psi, k, op))} for k in range(psi.n_sites)])
     return values / n2
 
 
@@ -369,10 +365,11 @@ def correlator(psi: MatrixProductState, op_a, site_a: int, op_b, site_b: int) ->
     (``_walk``), which makes no factorization. Operators on distinct sites
     commute, so only the site indices matter; equal sites multiply the
     operators in the given order."""
+    op_a, op_b = _site_op(psi, site_a, op_a), _site_op(psi, site_b, op_b)
     if site_a == site_b:
-        term = {site_a: _site_op(psi, site_a, op_a) @ _site_op(psi, site_b, op_b)}
+        term = {site_a: (1, op_a @ op_b)}
     else:
-        term = {site_a: op_a, site_b: op_b}
+        term = {site_a: (1, op_a), site_b: (1, op_b)}
     values, n2 = _walk(psi, [term])
     return complex(values[0] / n2)
 

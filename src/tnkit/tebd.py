@@ -12,15 +12,22 @@ real imaginary-time gates, so imaginary-time cooling and purified thermal
 states of real models run in float64, while real-time gates are complex by
 construction.
 
-Only a bond that a split can cut is ever split. A gate on bond b splits a
-(Dl·d, d·Dr) matrix whose outer bonds never exceed their caps
-min(d^k, d^(N-k), max_bond) (``mps.bond_caps``), so without a
+A bond stops being split once splitting it can change nothing. A gate
+on bond b splits a (Dl·d, d·Dr) matrix whose outer bonds never exceed
+their caps min(d^k, d^(N-k), max_bond) (``mps.bond_caps``), so without a
 ``rel_cutoff`` it can cut only when both caps[b-1]·d and d·caps[b+1]
-exceed ``max_bond``. Those are the middle bonds of the chain. The runs of
-sites that the other bonds link, the chain's exact end regions, evolve as
-one block tensor (Dl, d^len, Dr) each: joined before the first step, and
-split back into sites by exact QR moves after the last step (or a step
-that aborts). With a positive ``rel_cutoff`` every block is one site.
+exceed ``max_bond``: the middle bonds of the chain. Any other split is an
+exact QR whose extent only grows, up to the bond's cap. Once a bond that
+cannot cut has reached its cap, its split keeps every state it can hold
+and returns it at the cap again, so from the start of the next step its
+two sides evolve as one block tensor (Dl, d^len, Dr); blocks only grow,
+and after the last step (or a step that aborts) exact QR moves split them
+back into sites, each bond at its cap. A bond that has not reached its
+cap is split gate by gate as before, so a short or weakly entangled run
+keeps the bonds its gates make, and a block holds no more entries than
+the largest site it replaces: a block of the left end region, (d^len, Dr),
+is the size of its last site, (d^(len-1), d, Dr). With a positive
+``rel_cutoff`` every bond can cut and every block is one site.
 
 Cost per gate. A gate inside a block is one batched matmul on a reshape
 of the block's physical index, (Dl·d^k, d², d^(len-k-2)·Dr): no split, no
@@ -35,11 +42,12 @@ rows and columns), otherwise by an exact QR (RQ leftward). Each layer
 visits the blocks in sweep order, so a block's gates run while it holds
 the center, and the center moves only between blocks: one QR (or RQ) and
 one product that pushes its factor into the neighbour. On the benchmark's
-quench (14 sites, ``max_bond`` 32) only bonds 5-7 can cut; sites 0-5 and
-8-13 are blocks, and a step makes 3 splits and 3 center moves where a
-sweep over sites made 13 and 12. Every factorization goes through the
-tensor module's kernels, so the LAPACK SVDs of the gates that cut set
-most of the time of a saturated quench.
+quench (14 sites, ``max_bond`` 32, from a Néel state) only bonds 5-7 can
+cut; the end regions reach their caps within the first three steps, and
+from then on sites 0-5 and 8-13 are blocks and a step makes 3 splits and
+3 center moves where a sweep over sites makes 13 and 12. Every
+factorization goes through the tensor module's kernels, so the LAPACK
+SVDs of the gates that cut set most of the time of a saturated quench.
 
 The trailing even(dt/2) of one second-order step and the leading one of
 the next act on the same bonds and commute, so they run as one layer of
@@ -84,6 +92,7 @@ from .mps import (
     _move_center,
     _on_physical,
     _right_factor,
+    _site_op,
     _walk,
     bond_caps,
     canonicalize,
@@ -235,19 +244,40 @@ class TebdConfig:
             raise ConfigError("abort_threshold must be positive", field="abort_threshold")
 
 
-def _blocks(dims, max_bond: int, rel_cutoff: float) -> list[range]:
-    """The sites of each block: the runs of sites that bonds no split can
-    cut link together. A gate on bond b splits a (Dl·d_b, d_(b+1)·Dr)
-    matrix whose outer bonds never exceed their caps (``mps.bond_caps``),
-    so without a ``rel_cutoff`` it can cut only when both caps[b-1]·d_b
-    and d_(b+1)·caps[b+1] exceed ``max_bond``."""
+def _uncut_caps(dims, max_bond: int, rel_cutoff: float) -> dict[int, int]:
+    """The cap of each bond that no split can cut, by bond. A gate on bond
+    b splits a (Dl·d_b, d_(b+1)·Dr) matrix whose outer bonds never exceed
+    their caps (``mps.bond_caps``), so without a ``rel_cutoff`` it can cut
+    only when both caps[b-1]·d_b and d_(b+1)·caps[b+1] exceed
+    ``max_bond``."""
+    if rel_cutoff > 0.0:
+        return {}
     caps = [1, *bond_caps(dims, max_bond), 1]
-    starts = [0] + [
-        b + 1
+    return {
+        b: caps[b + 1]
         for b in range(len(dims) - 1)
-        if rel_cutoff > 0.0 or min(caps[b] * dims[b], dims[b + 1] * caps[b + 2]) > max_bond
+        if min(caps[b] * dims[b], dims[b + 1] * caps[b + 2]) <= max_bond
+    }
+
+
+def _join_saturated(tensors: list, blocks: list, center: int, uncut: dict):
+    """Join neighbouring blocks across every bond of ``uncut`` (its caps)
+    whose extent has reached its cap: (the joined tensors, their sites,
+    the index of the one that holds the center), or None when no bond
+    joins. Joined isometries stay isometries, so the center stays exact."""
+    starts = [0] + [
+        i + 1
+        for i, sites in enumerate(blocks[:-1])
+        if tensors[i].shape[2] != uncut.get(sites.stop - 1)
     ]
-    return [range(a, b) for a, b in zip(starts, starts[1:] + [len(dims)])]
+    if len(starts) == len(blocks):
+        return None
+    groups = [range(a, b) for a, b in zip(starts, starts[1:] + [len(blocks)])]
+    return (
+        [reduce(_join, tensors[g.start : g.stop]) for g in groups],
+        [range(blocks[g.start].start, blocks[g.stop - 1].stop) for g in groups],
+        next(i for i, g in enumerate(groups) if center in g),
+    )
 
 
 def _block_sites(block: np.ndarray, dims, from_left: bool) -> list:
@@ -297,7 +327,7 @@ def _lift_terms(terms, layout, dims) -> list:
     lifted = []
     for site, op in terms:
         i, sites = next((i, s) for i, (s, _, _) in enumerate(layout) if site in s)
-        lifted.append({i: (prod(dims[sites.start : site]), np.asarray(op))})
+        lifted.append({i: (prod(dims[sites.start : site]), op)})
     return lifted
 
 
@@ -329,10 +359,12 @@ def evolve_gates(
 ) -> tuple[MatrixProductState, EvolutionTrace]:
     """Repeat a Trotter step, truncating after every gate that splits.
 
-    The sites that bonds no split can cut link together evolve as one
-    block each (see the module docstring), and come back as sites split by
-    exact QRs, with the center at the last site of the block that holds
-    it; with no step to take the state comes back as it was.
+    Once a bond that no split can cut has reached its cap, its two sides
+    evolve as one block from the next step on (see the module docstring);
+    the blocks come back as sites split by exact QRs, with the center at
+    the last site of the block that holds it. A run whose bonds never
+    reach their caps is the sweep over sites, and with no step to take the
+    state comes back as it was.
 
     ``observables`` maps names to one-site ``(site, op)`` terms; each
     series holds <op> of the untruncated ψ(t_n), normalized, as complex
@@ -369,14 +401,10 @@ def evolve_gates(
         later = first
     for gate in (g for layer in scheme.layers for g in layer):
         _check_gate(gate.matrix, dims[gate.bond], dims[gate.bond + 1])
-    if n_steps:
-        blocks = _blocks(dims, max_bond, rel_cutoff)
-    else:  # nothing to evolve: no block joins, the state comes back as it was
-        blocks = [range(k, k + 1) for k in range(len(dims))]
-    block_of = [i for i, sites in enumerate(blocks) for _ in sites]
-    tensors = [reduce(_join, state.sites[sites.start : sites.stop]) for sites in blocks]
-    center = 0
-    layout = _owed_layout(blocks, dims, owed)
+    uncut = _uncut_caps(dims, max_bond, rel_cutoff)
+    # every block starts as one site; _join_saturated joins them step by step
+    tensors, center = list(state.sites), 0
+    blocks = [range(k, k + 1) for k in range(len(dims))]
 
     times = [0.0]
     series: dict[str, list] = {name: [] for name in observables}
@@ -389,6 +417,7 @@ def evolve_gates(
         weight = 0.0
         if not layer:  # two sites have no odd bond
             return weight
+        block_of = [i for i, sites in enumerate(blocks) for _ in sites]
         lo, hi = block_of[layer[0].bond], block_of[layer[-1].bond + 1]
         leftward = abs(hi - center) < abs(lo - center)
         for gate in reversed(layer) if leftward else layer:
@@ -401,15 +430,16 @@ def evolve_gates(
                 left = prod(dims[blocks[i].start : gate.bond])
                 tensors[i] = _on_physical(gate.matrix, tensors[i], left)
                 continue
-            # each block seen as the site of the gate, e.g. (Dl·p/d, d, Dr)
-            a, b = tensors[i], tensors[j]
+            # each block seen as the site of the gate, e.g. (Dl·p/d, d, Dr);
+            # only shapes are kept, so the old blocks go once they are split
+            (dl, p, chi), (_, q, dr) = tensors[i].shape, tensors[j].shape
             pair = [
-                a.reshape(-1, dims[gate.bond], a.shape[2]),
-                b.reshape(b.shape[0], dims[gate.bond + 1], -1),
+                tensors[i].reshape(-1, dims[gate.bond], chi),
+                tensors[j].reshape(chi, dims[gate.bond + 1], -1),
             ]
             weight += _gate_inplace(pair, 0, gate.matrix, trunc, leftward).discarded_weight
-            tensors[i] = pair[0].reshape(a.shape[0], a.shape[1], -1)
-            tensors[j] = pair[1].reshape(-1, b.shape[1], b.shape[2])
+            tensors[i] = pair[0].reshape(dl, p, -1)
+            tensors[j] = pair[1].reshape(-1, q, dr)
             center = i if leftward else j
         return weight
 
@@ -427,16 +457,23 @@ def evolve_gates(
             series[name].append(complex(value))
         return float(np.sqrt(n2))
 
-    terms = [{site: op} for site, op in observables.values()]
-    if terms:  # also checks every site and operator before any step
-        measure(state, terms)
-        terms = _lift_terms(observables.values(), layout, dims)
+    # checks every site and operator before any step
+    terms = [(site, _site_op(state, site, op)) for site, op in observables.values()]
+    if terms:
+        measure(state, [{site: (1, op)} for site, op in terms])
+    layout = _owed_layout(blocks, dims, owed)
+    lifted = _lift_terms(terms, layout, dims)
     owed_norm = 1.0
     for step in range(n_steps):
+        joined = _join_saturated(tensors, blocks, center, uncut)
+        if joined:
+            tensors, blocks, center = joined
+            layout = _owed_layout(blocks, dims, owed)
+            lifted = _lift_terms(terms, layout, dims)
         weight = sum(sweep(layer) for layer in (later if step else first))
         scale = pull_norm() if scheme.imag else 1.0
         if terms or (scheme.imag and owed):
-            nu = measure(_owed_state(tensors, center, layout, not (scheme.imag and owed)), terms)
+            nu = measure(_owed_state(tensors, center, layout, not (scheme.imag and owed)), lifted)
         if scheme.imag:
             previous, owed_norm = owed_norm, nu if owed else 1.0
             log_norms.append(float(np.log(scale) + np.log(owed_norm) - np.log(previous)))
@@ -452,12 +489,11 @@ def evolve_gates(
             aborted = True
             break
 
-    # the blocks up to the center's split from the left, the rest from the right
-    sites = [
-        site
-        for i, (block, span) in enumerate(zip(tensors, blocks))
-        for site in _block_sites(block, dims[span.start : span.stop], i <= center)
-    ]
+    # the blocks up to the center's split from the left, the rest from the
+    # right, each dropped from ``tensors`` as it is split
+    sites = []
+    for i, span in enumerate(blocks):
+        sites += _block_sites(tensors.pop(0), dims[span.start : span.stop], i <= center)
     out = MatrixProductState(sites, center=blocks[center].stop - 1)
     trace = EvolutionTrace(
         times=tuple(times),

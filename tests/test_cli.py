@@ -149,44 +149,6 @@ print(loaded())
     assert len(_read_results(tmp_path / "excited")[0]["result"]["energies"]) == 2
 
 
-def test_tebd_and_thermal_runs_load_no_openssl(tmp_path):
-    # hashlib loads OpenSSL's libcrypto (_hashlib), about 3.5 MB a process;
-    # the config hash takes the built-in sha256, so a tebd and a thermal
-    # run leave it unloaded, with the digests hashlib gives
-    src = str(Path(tnkit.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    tebd = {**json.loads((CONFIGS_DIR / "tebd_quench.json").read_text()), "n_steps": 5}
-    thermal = {**json.loads((CONFIGS_DIR / "thermal_tfi.json").read_text()), "beta": 0.1}
-    del thermal["scan"]
-    runs = [
-        [cfg["run"], "--config", _write_cfg(tmp_path, cfg, f"{name}.json"),
-         "--out", str(tmp_path / name)]
-        for name, cfg in (("tebd", tebd), ("thermal", thermal))
-    ]
-    code = f"""
-import sys
-import tnkit.cli
-loaded = lambda: "_hashlib" in sys.modules
-assert not loaded(), "import"
-for argv in {runs!r}:
-    assert tnkit.cli.main(argv) == 0, argv
-    assert not loaded(), argv[-1]
-print(loaded())
-"""
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip().splitlines()[-1] == "False"
-    bundled = sorted(CONFIGS_DIR.glob("*.json"))
-    assert len(bundled) == 6
-    for path in bundled:
-        cfg = json.loads(path.read_text())
-        canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-        assert cli.config_hash(cfg) == hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    for name in ("tebd", "thermal"):
-        assert _read_results(tmp_path / name)
-
-
 def _write_cfg(tmp_path, obj, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(obj))

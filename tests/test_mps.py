@@ -276,6 +276,28 @@ def test_expect_local_on_centered_state_needs_no_qr(monkeypatch, center):
     assert calls == []
 
 
+def test_measurements_take_array_like_operators():
+    # an operator written as nested tuples or lists is the array it spells,
+    # and is checked against its site's physical dimension like one
+    psi = _unnormalized_state(3, seed=5)
+    sz, sx = ((1, 0), (0, -1)), [[0, 1], [1, 0]]
+    assert expect_local(psi, sz, 2) == pytest.approx(_dense_local(psi, SZ, 2), abs=1e-12)
+    np.testing.assert_allclose(
+        expect_profile(psi, sz), [_dense_local(psi, SZ, k) for k in range(7)], rtol=0, atol=1e-12
+    )
+    assert correlator(psi, sz, 1, sx, 4) == pytest.approx(correlator(psi, SZ, 1, SX, 4), abs=1e-14)
+    assert correlator(psi, sz, 2, sx, 2) == pytest.approx(
+        _dense_local(psi, SZ @ SX, 2), abs=1e-12
+    )
+    for bad in (((1, 0, 0), (0, -1, 0)), (1, -1)):
+        with pytest.raises(ValueError, match="operator must be 2 x 2"):
+            expect_local(psi, bad, 2)
+        with pytest.raises(ValueError, match="operator must be 2 x 2"):
+            correlator(psi, SZ, 1, bad, 4)
+    with pytest.raises(ValueError, match="site 7 out of range"):
+        expect_local(psi, sz, 7)
+
+
 def _count_transfers(monkeypatch):
     import tnkit.mps as mps_module
 
@@ -323,7 +345,7 @@ def test_walk_transfers_only_between_the_center_and_its_outermost_terms(
     want = [_dense_local(psi, op, site) for term in terms for site, op in term.items()]
     closes = _count_transfers(monkeypatch)
     calls = _count_factorizations(monkeypatch)
-    values, n2 = mps_module._walk(psi, terms)
+    values, n2 = mps_module._walk(psi, [{k: (1, op) for k, op in t.items()} for t in terms])
     np.testing.assert_allclose(values / n2, want, rtol=0, atol=1e-12)
     assert len(closes) == max(max(sites), center) - min(min(sites), center)
     assert calls == []
@@ -339,7 +361,7 @@ def test_walk_without_a_center_runs_in_from_both_ends(monkeypatch, sites):
     want = [_dense_local(psi, op, site) for term in terms for site, op in term.items()]
     closes = _count_transfers(monkeypatch)
     calls = _count_factorizations(monkeypatch)
-    values, n2 = mps_module._walk(psi, terms)
+    values, n2 = mps_module._walk(psi, [{k: (1, op) for k, op in t.items()} for t in terms])
     assert n2 == pytest.approx(np.vdot(v, v).real, rel=1e-13)
     np.testing.assert_allclose(values / n2, want, rtol=0, atol=1e-12)
     # left environments from site 0 to the rightmost term, right ones from

@@ -69,23 +69,30 @@ def _gate_sweep_cases():
     unitary = [_random_unitary(4, rng) for _ in range(7)]
     positive = [_positive_gate(4, rng) for _ in range(7)]
     lifted = [lift_gate(_random_unitary(4, rng), 2) for _ in range(3)]
-    vectors = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
-    product = product_state(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+
+    def halves(dtype):
+        """Two independent 4-site states at full rank side by side: bonds
+        2, 4, 2, 1, 2, 4, 2."""
+        return MatrixProductState(
+            random_mps([2] * 4, 4, 8, dtype=dtype).sites
+            + random_mps([2] * 4, 4, 9, dtype=dtype).sites
+        )
+
     # (state, gates, imaginary time, max_bond, directions of the splits)
     return {
-        # at max_bond 64 no bond can cut, so each chain is one block, and
-        # every gate acts on its two sites' factor of the block
+        # at max_bond 64 no bond can cut, and every bond of these full-rank
+        # states is at its cap, so each chain is one block, and every gate
+        # acts on its two sites' factor of the block
         "complex": (random_mps([2] * 6, 8, 3), unitary, False, 64, []),
         "real-imaginary-time": (random_mps([2] * 6, 8, 4, dtype=float), positive, True, 64, []),
         "lifted-d4": (random_mps([4] * 4, 16, 5), lifted, False, 64, []),
-        # at max_bond 4 bonds 2-4 of 8 sites can cut: blocks of sites 0-2,
-        # 3, 4 and 5-7. Only the gates between blocks split, bonds 2 and 4
-        # rightward from site 0, then bond 3 leftward back; one step from a
-        # product state reaches rank 4 at most, so nothing is cut
-        "complex-cuttable": (product, unitary, False, 4, [False, False, True]),
-        "real-imaginary-time-cuttable": (
-            product_state([np.array([0.6, 0.8])] * 8), positive, True, 4, [False, False, True]
-        ),
+        # at max_bond 4 bonds 2-4 of 8 sites can cut, and bonds 0, 1, 5 and
+        # 6 are at their caps: blocks of sites 0-2, 3, 4 and 5-7. Only the
+        # gates between blocks split, bonds 2 and 4 rightward from site 0,
+        # then bond 3 leftward back; across the middle bond of extent 1 one
+        # step reaches rank 4 at most, so nothing is cut
+        "complex-cuttable": (halves(complex), unitary, False, 4, [False, False, True]),
+        "real-imaginary-time-cuttable": (halves(float), positive, True, 4, [False, False, True]),
     }
 
 
@@ -278,8 +285,9 @@ def test_gate_sweeps_skip_the_center_walk_back(monkeypatch):
     scheme = build_trotter(spec, 0.05, order=2, imag=False)
     psi0 = neel(14)
     calls = _count_center_moves(monkeypatch)
-    splits, svds = [], []
+    splits, svds, steps = [], [], []
     real_split, real_svd = tebd_module.split_matrix, tensor_module.svd_matrix
+    real_join = tebd_module._join_saturated
     monkeypatch.setattr(
         tebd_module, "split_matrix",
         lambda m, spec, leftward: splits.append(m.shape) or real_split(m, spec, leftward),
@@ -287,27 +295,50 @@ def test_gate_sweeps_skip_the_center_walk_back(monkeypatch):
     monkeypatch.setattr(
         tensor_module, "svd_matrix", lambda m, spec: svds.append(m.shape) or real_svd(m, spec)
     )
+
+    def join(tensors, blocks, center, uncut):
+        # each step starts here: the splits and moves so far, this step's blocks
+        joined = real_join(tensors, blocks, center, uncut)
+        blocks = joined[1] if joined else blocks
+        steps.append((len(splits), len(calls), [(b.start, b.stop) for b in blocks if len(b) > 1]))
+        return joined
+
+    monkeypatch.setattr(tebd_module, "_join_saturated", join)
     n_steps = 6
     out, _ = evolve_gates(psi0, scheme, n_steps, max_bond=32, rel_cutoff=0.0, abort_threshold=1e-3)
-    # only bonds 5-7 can cut (caps[b-1]·2 and 2·caps[b+1] both above 32), so
-    # sites 0-5 and 8-13 evolve as two blocks and only the gates on bonds
-    # 5-7 split: one in the even layer, two in the odd one; there is no QR
-    # split on a bond that cannot cut (the sweep over sites made 85 splits)
+    # only bonds 5-7 can cut (caps[b-1]·2 and 2·caps[b+1] both above 32);
+    # every other bond joins its two sides into one block once the gates
+    # have grown it to its cap, from the chain's ends inward
     caps = [1, *bond_caps([2] * 14, 32), 1]
     cut = {b for b in range(13) if min(caps[b], caps[b + 2]) * 2 > 32}
     assert cut == {5, 6, 7}
-    cut_even = sum(g.bond in cut for g in scheme.layers[0])
-    cut_odd = sum(g.bond in cut for g in scheme.layers[1])
-    assert len(splits) == n_steps * (cut_even + cut_odd) + cut_even == 19
+    blocks = [b for _, _, b in steps]
+    assert blocks == [[], [(0, 3), (11, 14)], [(0, 5), (9, 14)], *[[(0, 6), (8, 14)]] * 3]
+    # a gate splits only between blocks: the first step is the sweep over
+    # sites (13 splits and 12 center moves, as every step of it was, 85
+    # splits in all), and once the end blocks stand a step makes 3 splits
+    # (bond 6 in the even layer, 5 and 7 in the odd one) and 3 moves; the
+    # last step adds the owed layer's split on bond 6. So no QR splits a
+    # bond that cannot cut once it has reached its cap
+    gates = [scheme.layers[0] + scheme.layers[1]] * n_steps
+    gates[-1] += scheme.layers[0]  # the owed layer
+    between = [
+        sum(not any(a <= g.bond < b - 1 for a, b in step_blocks) for g in step)
+        for step, step_blocks in zip(gates, blocks)
+    ]
+    done = [n for n, _, _ in steps] + [len(splits)]
+    assert np.diff(done).tolist() == between == [13, 9, 5, 3, 3, 4]
+    assert len(splits) == 37
     # only a gate whose theta has more than max_bond rows and columns can
     # cut, so only those go through the SVD: the same 12 SVDs as the sweep
     # over sites made
     assert svds == [shape for shape in splits if min(shape) > 32] == [(64, 64)] * 12
-    # the center moves between blocks only: into and out of the middle
-    # sites in the even layer, back in the odd one (the sweep over sites
-    # made 12 moves a step), twice more in the owed layer; then the end
-    # blocks split back into sites by 5 QRs each
-    assert len(calls) == 3 * n_steps + 2 + 2 * 5 == 30
+    # the center moves between blocks only: 12 moves a step in the sweep
+    # over sites, 3 once the end blocks stand; the last step also moves
+    # twice for the owed layer, and 10 exact QRs split the end blocks back
+    # into sites
+    moves = np.diff([m for _, m, _ in steps] + [len(calls)]).tolist()
+    assert moves == [12, 9, 5, 3, 3, 3 + 2 + 2 * 5]
     assert out.bond_dims == tuple(bond_caps([2] * 14, 32))
     assert canonical_residual(out) < 1e-12
     # no step, no owed layer: the start state comes back as it was
@@ -375,26 +406,37 @@ def _purified_scheme(n, dt, order):
 
 
 @pytest.mark.parametrize(
-    "d,imag,order,max_bond,n_steps",
+    "d,imag,order,max_bond,n_steps,full_rank",
     [
-        # 14 sites at max_bond 64: blocks of sites 0-6 and 7-13, split by
-        # the SVD on bond 6; only the even gates cross it, each at most
-        # quadrupling its rank, so none of these steps cuts
-        (2, False, 2, 64, 2),
-        (2, True, 2, 64, 2),
-        (2, False, 1, 64, 3),
-        (2, True, 1, 64, 3),
-        # 5 purified sites: one block at full rank (max_bond 16), blocks of
-        # sites 0-1, 2 and 3-4 at max_bond 8
-        (4, True, 2, 16, 4),
-        (4, True, 1, 8, 1),
+        # 14 sites at max_bond 64 from a product state: the end regions
+        # (bonds 0-5 and 7-12 cannot cut) join into blocks as their bonds
+        # reach their caps, from step 2 on; only the even gates cross bond
+        # 6, each at most quadrupling its rank, so none of these steps cuts
+        (2, False, 2, 64, 2, False),
+        (2, True, 2, 64, 2, False),
+        (2, False, 1, 64, 3, False),
+        (2, True, 1, 64, 3, False),
+        # every bond at its cap from the start and none can cut at max_bond
+        # 128: the chain is one block of physical dimension 2^14 throughout
+        (2, False, 2, 128, 2, True),
+        (2, True, 1, 128, 2, True),
+        # 5 purified sites: one block once the bonds reach full rank
+        # (max_bond 16); at max_bond 8 only the first step is exact, and it
+        # runs over sites, as no bond starts at its cap
+        (4, True, 2, 16, 4, False),
+        (4, True, 1, 8, 1, False),
     ],
 )
-def test_fused_blocks_match_forward_only_without_a_cut(d, imag, order, max_bond, n_steps):
+def test_fused_blocks_match_forward_only_without_a_cut(
+    d, imag, order, max_bond, n_steps, full_rank
+):
     if d == 2:
         n, op, watched = 14, SZ, (0, 3, 6, 7, 13)  # block edges and one inside
         scheme = build_trotter(heisenberg_xxz(n, J=1.0, delta=0.6), 0.05, order, imag)
-        psi0 = random_mps([2] * n, 1, 9, dtype=float) if imag else neel(n)
+        if full_rank:
+            psi0 = random_mps([2] * n, max_bond, 9, dtype=float if imag else complex)
+        else:
+            psi0 = random_mps([2] * n, 1, 9, dtype=float) if imag else neel(n)
     else:
         n, op, watched = 5, lift_site_operator(SZ, 2), (0, 1, 2, 4)
         scheme = _purified_scheme(n, 0.1, order)
@@ -413,8 +455,9 @@ def test_fused_blocks_match_forward_only_without_a_cut(d, imag, order, max_bond,
 
 
 def test_fused_abort_returns_the_state_of_its_last_step():
-    # 14 sites at max_bond 16: blocks of sites 0-4 and 9-13 with single
-    # sites between; the cuts grow from rounding until one step aborts
+    # 14 sites at max_bond 16: blocks of sites 0-4 and 9-13 once their
+    # bonds reach their caps, with single sites between; the cuts grow from
+    # rounding until one step aborts
     scheme = build_trotter(transverse_field_ising(14, h=1.0), 0.1, order=2, imag=False)
     watched = (0, 2, 4, 5, 13)
 
@@ -446,34 +489,19 @@ def test_fused_abort_returns_the_state_of_its_last_step():
     assert canonical_residual(out) < 1e-12
 
 
-@pytest.mark.parametrize("purified", [False, True])
-def test_fused_evolution_returns_every_bond_at_its_cap(purified):
-    # at full rank every bond lies inside one block, and the exact QRs that
-    # split it back into sites give each bond its cap
-    if purified:
-        psi, _, _ = thermal_state(
-            transverse_field_ising(5, h=0.8), ThermalConfig(beta=0.4, dt=0.05, max_bond=16)
-        )
-        dims = (4,) * 5
+def _site_sweep(psi, scheme, n_steps, trunc):
+    """The sweep over sites: every gate split, each layer swept from the
+    end nearer the center, a second-order scheme's trailing and leading
+    half-layers run as one layer of squared gates and the last one owed.
+    Returns the sites, the center and each step's discarded weight; no
+    norm is pulled out, so in imaginary time only the bonds compare."""
+    if scheme.order == 2:
+        owed, middle = scheme.layers[:2]
+        squared = tuple(TrotterGate(g.bond, g.matrix @ g.matrix) for g in owed)
+        steps = [(owed, middle)] + [(squared, middle)] * (n_steps - 1)
     else:
-        config = TebdConfig(dt=0.05, n_steps=3, max_bond=32)
-        psi, _ = evolve(neel(10), transverse_field_ising(10, h=1.0), config)
-        dims = (2,) * 10
-    assert psi.bond_dims == tuple(bond_caps(dims, 64))
-    assert canonical_residual(psi) < 1e-12
-
-
-def test_a_positive_rel_cutoff_sweeps_site_by_site():
-    # with rel_cutoff > 0 every bond can cut, every block is one site, and
-    # the evolution is the sweep over sites, bit for bit
-    scheme = build_trotter(transverse_field_ising(14, h=1.0), 0.05, order=2, imag=False)
-    n_steps, trunc = 8, TruncationSpec(max_bond=32, rel_cutoff=1e-10)
-    out, trace = evolve_gates(
-        neel(14), scheme, n_steps, max_bond=32, rel_cutoff=1e-10, abort_threshold=1e-3
-    )
-    owed, middle = scheme.layers[:2]
-    squared = tuple(TrotterGate(g.bond, g.matrix @ g.matrix) for g in owed)
-    sites, center = list(neel(14).sites), 0
+        owed, steps = (), [scheme.layers] * n_steps
+    sites, center = list(canonicalize(psi, 0).sites), 0
 
     def sweep(layer):
         nonlocal center
@@ -485,8 +513,78 @@ def test_a_positive_rel_cutoff_sweeps_site_by_site():
             center = gate.bond if leftward else gate.bond + 1
         return weight
 
-    weights = [sweep(squared if step else owed) + sweep(middle) for step in range(n_steps)]
-    weights[-1] += sweep(owed)
+    weights = [sum(sweep(layer) for layer in step) for step in steps]
+    if owed:
+        weights[-1] += sweep(owed)
+    return sites, center, weights
+
+
+@pytest.mark.parametrize(
+    "case", ["full-rank", "neel", "purified", "short-long-chain", "long-chain"]
+)
+def test_fused_evolution_keeps_the_bonds_of_the_sweep_over_sites(case):
+    import tracemalloc
+
+    # (start state, scheme, steps, max_bond); a bond joins a block only once
+    # the gates have grown it to its cap, so the bonds come back as the
+    # sweep over sites leaves them: at their caps where it reaches them,
+    # and as far as the gates grew them where it does not
+    n = 20 if "long" in case else 10
+    spec = transverse_field_ising(n, h=1.0)
+    psi, scheme, n_steps, max_bond = {
+        # every bond starts at its cap: one block from the first step
+        "full-rank": (random_mps([2] * n, 32, 6), build_trotter(spec, 0.05, 2, False), 2, 32),
+        "neel": (neel(n), build_trotter(spec, 0.05, 2, False), 3, 32),
+        "purified": (infinite_temperature_state(5, 2), _purified_scheme(5, 0.05, 2), 4, 16),
+        # the bonds of 20 sites could reach 1024, but one step grows them to
+        # 8 at most (blocks joined by the caps alone made one block of 2^20
+        # entries here, about 100 MB)
+        "short-long-chain": (neel(n), build_trotter(spec, 0.05, 2, False), 1, 1024),
+        "long-chain": (neel(n), build_trotter(spec, 0.05, 1, False), 3, 1024),
+    }[case]
+
+    def traced(run):
+        """run() and the peak of the memory it allocates."""
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (out, trace), peak = traced(
+        lambda: evolve_gates(
+            psi, scheme, n_steps, max_bond=max_bond, rel_cutoff=0.0, abort_threshold=1e-3
+        )
+    )
+    (sites, _, weights), sweep_peak = traced(
+        lambda: _site_sweep(psi, scheme, n_steps, TruncationSpec(max_bond=max_bond))
+    )
+    assert max(weights) < 1e-28 and max(trace.discarded) < 1e-28
+    assert out.bond_dims == tuple(a.shape[2] for a in sites[:-1])
+    if case in ("full-rank", "purified"):
+        assert out.bond_dims == tuple(bond_caps(psi.phys_dims, max_bond))
+    # the blocks hold no more than the sites they replace; evolve_gates also
+    # builds the state it returns, which the sweep does not (read 0.7-1.6
+    # times here, and over 100 times for the 20-site runs when all such
+    # bonds joined before the first step)
+    assert peak < 2 * sweep_peak
+    if case == "short-long-chain":
+        assert max(out.bond_dims) == 8
+    if not scheme.imag:
+        ref = MatrixProductState(sites)
+        np.testing.assert_allclose(to_dense(out), to_dense(ref), rtol=0, atol=1e-12)
+    assert canonical_residual(out) < 1e-12
+
+
+def test_a_positive_rel_cutoff_sweeps_site_by_site():
+    # with rel_cutoff > 0 every bond can cut, every block is one site, and
+    # the evolution is the sweep over sites, bit for bit
+    scheme = build_trotter(transverse_field_ising(14, h=1.0), 0.05, order=2, imag=False)
+    n_steps, trunc = 8, TruncationSpec(max_bond=32, rel_cutoff=1e-10)
+    out, trace = evolve_gates(
+        neel(14), scheme, n_steps, max_bond=32, rel_cutoff=1e-10, abort_threshold=1e-3
+    )
+    sites, center, weights = _site_sweep(neel(14), scheme, n_steps, trunc)
     assert trace.discarded == tuple(weights) and max(weights) > 0.0
     assert out.center == center
     assert [a.tobytes() for a in out.sites] == [a.tobytes() for a in sites]
@@ -497,11 +595,12 @@ def test_lifting_onto_a_large_block_forms_no_block_matrix():
 
     import tnkit.tebd as tebd_module
 
-    # twelve sites at max_bond 64 are one block of physical dimension 2^12:
-    # one operator of that dimension would take 2^24 entries (128 MB)
+    # twelve sites at max_bond 64 with every bond at its cap are one block
+    # of physical dimension 2^12: one operator of that dimension would take
+    # 2^24 entries (128 MB)
     dims, n = (2,) * 12, 12
-    blocks = tebd_module._blocks(dims, 64, 0.0)
-    assert blocks == [range(n)]
+    psi = random_mps(dims, 64, 13)
+    blocks = [range(n)]
     scheme = build_trotter(transverse_field_ising(n, h=1.0), 0.05, order=2, imag=False)
     layout = tebd_module._owed_layout(blocks, dims, scheme.layers[0])
     tracemalloc.start()
@@ -510,7 +609,7 @@ def test_lifting_onto_a_large_block_forms_no_block_matrix():
         lift_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         _, trace = evolve_gates(
-            neel(n), scheme, 2, max_bond=64, rel_cutoff=0.0, abort_threshold=1e-3,
+            psi, scheme, 2, max_bond=64, rel_cutoff=0.0, abort_threshold=1e-3,
             observables={k: (k, SZ) for k in range(n)},
         )
         run_peak = tracemalloc.get_traced_memory()[1]
@@ -520,7 +619,8 @@ def test_lifting_onto_a_large_block_forms_no_block_matrix():
     assert lift_peak < 2**14
     # the block state itself is 2^12 complex entries (64 kB)
     assert run_peak < 2**20
-    assert trace.observables[0][0] == pytest.approx(1.0)
+    for k in range(n):
+        assert trace.observables[k][0] == pytest.approx(expect_local(psi, SZ, k), abs=1e-12)
 
 
 @pytest.mark.parametrize("h", [0.0, 0.9])
