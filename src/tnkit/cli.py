@@ -31,11 +31,9 @@ output does not depend on the pool size or completion order.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import datetime
-import hashlib
 import itertools
 import json
 import os
@@ -45,6 +43,14 @@ import time
 
 import numpy as np
 import scipy
+
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .checkpoint import CheckpointError, checkpoint_read, checkpoint_write, write_atomic
@@ -66,6 +72,7 @@ from .models import PAULI, bond_terms
 from .mpo import build_mpo, expect_mpo
 from .mps import expect_profile, norm, product_state
 from .tebd import evolve, lift_mpo, lift_site_operator, thermal_state
+from .tensor import GaussianStream
 from .trg import coarse_grain
 
 EXIT_OK = 0
@@ -79,8 +86,11 @@ class NonConvergenceError(RuntimeError):
 
 
 def config_hash(cfg: dict) -> str:
+    """SHA-256 of the config's canonical JSON, as hex. The digest comes
+    from CPython's built-in module: ``hashlib`` would load OpenSSL's
+    libcrypto, about 3.7 MB of resident memory, for this one hash."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _pyify(value):
@@ -115,7 +125,7 @@ def _initial_state(kind: str, spec, seed: int, real: bool):
     elif kind == "uniform":
         vecs = [np.full(d, 1.0 / np.sqrt(d))] * n
     else:
-        rng = np.random.default_rng(seed)
+        rng = GaussianStream(seed)
         vecs = []
         for _ in range(n):
             v = rng.normal(size=d) if real else rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -437,6 +447,10 @@ def _drive(
                 outcomes.append(_execute_run(r, checkpoint, warm))
         else:
             workers = min(threads, len(runs))
+            # imported here: with its logging import it costs about 4 ms of
+            # a set-up, which a run on one process never repays
+            import concurrent.futures
+
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 for outcome in pool.map(_execute_run, runs, itertools.repeat(None)):
                     outcomes.append(outcome)

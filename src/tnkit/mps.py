@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import TruncationSpec, _freeze, qr_matrix, rq_matrix, split_matrix, svd_matrix
+from .tensor import (
+    GaussianStream,
+    TruncationSpec,
+    _freeze,
+    qr_matrix,
+    rq_matrix,
+    split_matrix,
+    svd_matrix,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +100,14 @@ def bond_caps(phys_dims, max_bond: int) -> list[int]:
 
 def random_mps(phys_dims, max_bond: int, rng, dtype=complex) -> MatrixProductState:
     """Normalized random state with the full representable bond profile
-    capped at ``max_bond``. ``rng`` is a seed or a numpy Generator. Entries
-    are standard normal draws, with an independent imaginary part when
-    ``dtype`` is complex; a real ``dtype`` gives a float64 state."""
-    rng = np.random.default_rng(rng)
+    capped at ``max_bond``. ``rng`` is an integer seed, which selects the
+    package's own :class:`~tnkit.tensor.GaussianStream`, or a numpy
+    Generator (anything with its ``normal(size=...)``). Entries are
+    standard normal draws, site by site, with an independent imaginary
+    part drawn after the real part when ``dtype`` is complex; a real
+    ``dtype`` gives a float64 state."""
+    if isinstance(rng, (int, np.integer)):
+        rng = GaussianStream(rng)
     phys_dims = tuple(int(d) for d in phys_dims)
     n = len(phys_dims)
     if n < 1 or any(d < 1 for d in phys_dims):

@@ -25,15 +25,70 @@ Conventions used throughout the package:
   cut: ``rel_cutoff > 0`` or ``min(m.shape) > max_bond``. Otherwise the
   rule keeps every value, and the exact split is a QR (an RQ leftward),
   which restores the canonical form for less.
+* Every seeded draw of the package (random start states, the padding of
+  a warm start, the start block of the coarse-graining subspace
+  iteration) comes from :class:`GaussianStream`, a counter hash on numpy
+  alone. ``numpy.random`` is never imported: it loads OpenSSL's
+  libcrypto through ``secrets`` and ``hmac``, about 6 MB of resident
+  memory in a process that does no hashing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEGENERACY_RTOL = 1e-14
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and the
+# two multipliers of its finalizer
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+class GaussianStream:
+    """A seeded stream of standard normal draws on numpy alone.
+
+    The k-th 64-bit word (k = 1, 2, ...) is SplitMix64's finalizer applied
+    to ``seed + k * gamma`` (mod 2^64), so the stream is a pure function of
+    the seed and of how many draws came before. Its top 53 bits give a
+    uniform u in (0, 1], and Box-Muller turns each pair of uniforms into
+    two normals. ``normal(size)`` returns the next ``prod(size)`` draws as
+    a float64 array of that shape; the last normal of an odd-sized draw is
+    discarded, and the next draw starts on a fresh pair.
+    """
+
+    def __init__(self, seed: int):
+        self._seed = np.uint64(int(seed) % 2**64)
+        self._words = 0
+
+    def _uniform(self, n: int) -> np.ndarray:
+        # uint64 arithmetic on arrays wraps silently, as the hash needs;
+        # numpy warns only on scalar overflow
+        z = np.arange(self._words + 1, self._words + n + 1, dtype=np.uint64)
+        self._words += n
+        z *= _GAMMA
+        z += self._seed
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        # 1 .. 2^53 over 2^53: never 0, so the logarithm below is finite
+        return ((z >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+
+    def normal(self, size) -> np.ndarray:
+        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+        n = math.prod(shape)
+        half = (n + 1) // 2
+        u = self._uniform(2 * half)
+        radius = np.sqrt(-2.0 * np.log(u[:half]))
+        angle = (2.0 * np.pi) * u[half:]
+        out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        return out[:n].reshape(shape)
 
 
 def _freeze(arr) -> np.ndarray:

@@ -115,7 +115,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ClassicalModelSpec
-from .tensor import ConfigError, TruncationSpec, truncate_spectrum
+from .tensor import ConfigError, GaussianStream, TruncationSpec, truncate_spectrum
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ _SUBSPACE_ITERS = 30  # iterations before the dense solver takes over
 def _start_block(n: int, width: int) -> np.ndarray:
     """The seeded Gaussian start block of ``_subspace_top``, read-only: a
     function of its shape alone, drawn once per shape."""
-    block = np.random.default_rng(_SUBSPACE_SEED).standard_normal((n, width))
+    block = GaussianStream(_SUBSPACE_SEED).normal(size=(n, width))
     block.flags.writeable = False
     return block
 

@@ -1,4 +1,5 @@
 import builtins
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -36,7 +37,7 @@ from tnkit.tebd import (
     lift_site_operator,
     thermal_state,
 )
-from tnkit.tensor import ConfigError, TruncationSpec
+from tnkit.tensor import ConfigError, GaussianStream, TruncationSpec
 from tnkit.trg import CoarseGrainConfig, coarse_grain
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -105,9 +106,19 @@ def test_no_run_loads_scipy_linalg(tmp_path):
     # scipy.linalg loads a second BLAS library, about 20 MB and 0.15 s per
     # process; dmrg's Ritz step runs on Python floats and numpy, so the
     # import, the parse of every subcommand and a run of each, dmrg ground
-    # and excited states included, leave it unloaded
+    # and excited states included, leave it unloaded. No run loads
+    # OpenSSL's libcrypto either (_hashlib, also reached through
+    # numpy.random's secrets and hmac): the config hash is CPython's
+    # built-in sha256, and every seeded draw, the warm start's padding and
+    # tebd's random product state included, comes from tensor's own
+    # stream. The process pool is imported only by a scan on more than one
+    # worker. The oracle is left out: scipy's sparse solver loads these
+    # modules itself
     src = str(Path(tnkit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
+    unloaded = (
+        "scipy.linalg", "_hashlib", "hmac", "secrets", "numpy.random", "concurrent.futures"
+    )
     parsed = {
         name: str(CONFIGS_DIR / f"{name}.json")
         for name in ("dmrg_tfi", "tebd_quench", "thermal_tfi", "trg_ising", "oracle_ed")
@@ -115,38 +126,44 @@ def test_no_run_loads_scipy_linalg(tmp_path):
     dmrg = {**json.loads((CONFIGS_DIR / "dmrg_tfi.json").read_text()), "max_bond": 8}
     dmrg["model"] = {**dmrg["model"], "n_sites": 8}
     excited = {**dmrg, "n_excited": 1}
+    warm = {**dmrg, "max_bond": 16}
     tebd = {**json.loads((CONFIGS_DIR / "tebd_quench.json").read_text()), "n_steps": 5}
+    tebd_random = {**tebd, "state": "random"}
     thermal = {**json.loads((CONFIGS_DIR / "thermal_tfi.json").read_text()), "beta": 0.1}
     trg_cfg = {**json.loads((CONFIGS_DIR / "trg_ising.json").read_text()), "n_iters": 3}
     del thermal["scan"], trg_cfg["scan"]
+    ck = str(tmp_path / "ground.mps")
     runs = [
         [cfg["run"], "--config", _write_cfg(tmp_path, cfg, f"{name}.json"),
-         "--out", str(tmp_path / name)]
-        for name, cfg in (
-            ("ground", dmrg), ("excited", excited), ("tebd", tebd), ("thermal", thermal),
-            ("trg", trg_cfg),
+         "--out", str(tmp_path / name), *extra]
+        for name, cfg, extra in (
+            ("ground", dmrg, ["--checkpoint", ck]), ("excited", excited, []),
+            ("warm", warm, ["--checkpoint", ck]), ("tebd", tebd, []),
+            ("tebd_random", tebd_random, []), ("thermal", thermal, []), ("trg", trg_cfg, []),
         )
     ]
     code = f"""
 import sys
 import tnkit, tnkit.cli
-loaded = lambda: "scipy.linalg" in sys.modules
-assert not loaded(), "import"
+loaded = lambda: [m for m in {unloaded!r} if m in sys.modules]
+assert not loaded(), ("import", loaded())
 for name, path in {parsed!r}.items():
     tnkit.parse_run_config(name.split("_")[0], path)
-    assert not loaded(), name
+    assert not loaded(), (name, loaded())
 for argv in {runs!r}:
     assert tnkit.cli.main(argv) == 0, argv
-    assert not loaded(), argv[-1]
+    assert not loaded(), (argv[4], loaded())
 print(loaded())
 """
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip().splitlines()[-1] == "False"
-    for name in ("ground", "excited", "tebd", "thermal", "trg"):
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    for name in ("ground", "excited", "warm", "tebd", "tebd_random", "thermal", "trg"):
         assert _read_results(tmp_path / name)
     assert len(_read_results(tmp_path / "excited")[0]["result"]["energies"]) == 2
+    # the warm start padded its checkpoint's bonds to the larger cap
+    assert max(_read_results(tmp_path / "warm")[0]["result"]["bond_dims"]) == 16
 
 
 def _write_cfg(tmp_path, obj, name="cfg.json"):
@@ -632,7 +649,7 @@ class TestFailureModes:
                 yield {"energy": 0.0, "n_sweeps": 1}, 0.0
                 raise BrokenProcessPool("a worker died")
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", BrokenAfterFirst)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenAfterFirst)
         out = tmp_path / "out"
         cfg = _dmrg_cfg(scan={"model.h": [0.5, 1.0, 1.5]})
         code = main(
@@ -1060,7 +1077,7 @@ class TestOtherSubcommands:
         assert main(["tebd", "--config", cfg_path, "--out", str(out), "--checkpoint", str(ck)]) == 0
         assert all(site.dtype == np.float64 for site in checkpoint_read(str(ck)).sites)
         # real time keeps the complex draw, in its order
-        rng = np.random.default_rng(3)
+        rng = GaussianStream(3)
         want = np.ones(1)
         for _ in range(6):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -1259,17 +1276,17 @@ class TestRunEntry:
 class TestBundledConfigs:
     def test_dmrg_config_lanczos_matvecs_are_pinned(self, tmp_path):
         # a change to the Krylov path moves this count, as the dtype of the
-        # random start state does
+        # random start state and the stream it is drawn from do
         out = tmp_path / "dmrg"
         assert run(str(CONFIGS_DIR / "dmrg_tfi.json"), out_dir=str(out)) == EXIT_OK
-        assert _read_results(out)[0]["result"]["lanczos_matvecs"] == 282
+        assert _read_results(out)[0]["result"]["lanczos_matvecs"] == 276
 
     def test_dmrg_scan_lanczos_matvecs_are_pinned(self, tmp_path):
         # a change to the Krylov path moves these counts
         out = tmp_path / "scan"
         assert run(str(CONFIGS_DIR / "dmrg_scan.json"), out_dir=str(out)) == EXIT_OK
         counts = [rec["result"]["lanczos_matvecs"] for rec in _read_results(out)]
-        assert counts == [254, 282, 229]
+        assert counts == [273, 276, 216]
 
     def test_dmrg_and_oracle_configs_agree(self, tmp_path):
         out_dmrg, out_ed = tmp_path / "dmrg", tmp_path / "ed"

@@ -648,7 +648,10 @@ def test_excited_states_on_ten_sites_are_pinned():
     is flat, one pass before the whole sweep would be: the overlaps of the
     second state grew from 3.9e-11 and 7.6e-11 to 1.5e-9 and 5.7e-9. Their
     weight in the penalized energy, w |<c|psi>|^2 ~ 6e-16, is still far
-    below what ``tol`` resolves."""
+    below what ``tol`` resolves. The counts and overlaps follow the random
+    start: drawn from numpy's generator they were 355 and 367 matvecs and
+    overlaps of 2.1e-12, 1.5e-9 and 5.7e-9, with the same energies to
+    1e-14 relative."""
     op = build_mpo(heisenberg_xxz(10, J=1.0, delta=0.4, field=0.1))
     config = DmrgConfig(max_bond=16, n_sweeps=40, seed=9, penalty_weight=20.0)
     _, psi0, _ = ground_state(op, config)
@@ -657,10 +660,10 @@ def test_excited_states_on_ten_sites_are_pinned():
     assert e1 == pytest.approx(-13.21817119384246, rel=1e-12, abs=0)
     assert e2 == pytest.approx(-12.818171193842462, rel=1e-12, abs=0)
     assert (trace1.n_sweeps, trace2.n_sweeps) == (4, 4)
-    assert (trace1.lanczos_matvecs, trace2.lanczos_matvecs) == (355, 367)
-    np.testing.assert_allclose(trace1.final_overlaps, [2.1043319853440556e-12], rtol=1e-2)
+    assert (trace1.lanczos_matvecs, trace2.lanczos_matvecs) == (350, 359)
+    np.testing.assert_allclose(trace1.final_overlaps, [5.237230325220629e-12], rtol=1e-2)
     np.testing.assert_allclose(
-        trace2.final_overlaps, [1.4730582556636187e-09, 5.700011552464141e-09], rtol=1e-2
+        trace2.final_overlaps, [8.695977204183433e-10, 7.441890612812654e-09], rtol=1e-2
     )
 
 

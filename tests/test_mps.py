@@ -26,7 +26,7 @@ from tnkit.mps import (
     to_dense,
 )
 from tnkit.models import SX, SZ
-from tnkit.tensor import TruncationSpec
+from tnkit.tensor import GaussianStream, TruncationSpec
 
 UP = np.array([1.0, 0.0])
 DOWN = np.array([0.0, 1.0])
@@ -103,6 +103,27 @@ def test_random_mps_profile_and_norm():
         np.testing.assert_array_equal(a, b)
     other = random_mps([2] * 6, max_bond=5, rng=8)
     assert abs(abs(inner(psi, other)) - 1.0) > 1e-3
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("source", ["seed", "generator"])
+def test_random_mps_draws_site_by_site_real_part_first(dtype, source):
+    # an integer seed selects the package's own stream; a numpy Generator
+    # from a library caller is drawn from in the same order
+    dims, max_bond = (2, 3, 2, 2), 4
+    make = GaussianStream if source == "seed" else np.random.default_rng
+    rng = make(6)
+    bonds = [1, 2, 4, 2, 1]
+    sites = []
+    for k, d in enumerate(dims):
+        shape = (bonds[k], d, bonds[k + 1])
+        a = rng.normal(size=shape)
+        sites.append(a + 1j * rng.normal(size=shape) if dtype is complex else a)
+    want = to_dense(MatrixProductState(sites))
+    psi = random_mps(dims, max_bond, 6 if source == "seed" else make(6), dtype)
+    assert psi.bond_dims == (2, 4, 2)
+    assert all(site.dtype == np.dtype(dtype) for site in psi.sites)
+    np.testing.assert_allclose(to_dense(psi), want / np.linalg.norm(want), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize(

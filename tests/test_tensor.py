@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tnkit.tensor import (
+    GaussianStream,
     TruncationSpec,
     _freeze,
     _phase_fix_columns,
@@ -259,3 +260,65 @@ def test_real_factorizations_stay_real_with_sign_fixed_columns():
         assert np.all(leading > 0.0)
     np.testing.assert_allclose((u * s) @ vh, m, rtol=0, atol=1e-13)
     np.testing.assert_allclose(q @ r, m, rtol=0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the seeded Gaussian stream
+# ---------------------------------------------------------------------------
+
+
+def _splitmix64_words(seed, n):
+    # the published generator in Python integers: add the Weyl increment,
+    # then the two xor-shift-multiply rounds of the finalizer
+    mask, state, words = 2**64 - 1, seed % 2**64, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    return words
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2011, 2**64 - 1])
+def test_stream_hashes_the_splitmix64_sequence(seed):
+    # the first pair of a draw takes words 1 and 3 of four, the second pair
+    # words 2 and 4, through Box-Muller on u = (top 53 bits + 1) / 2^53
+    u = [((w >> 11) + 1) / 2.0**53 for w in _splitmix64_words(seed, 4)]
+    radius = [np.sqrt(-2.0 * np.log(x)) for x in u[:2]]
+    want = [radius[0] * np.cos(2.0 * np.pi * u[2]), radius[1] * np.cos(2.0 * np.pi * u[3]),
+            radius[0] * np.sin(2.0 * np.pi * u[2]), radius[1] * np.sin(2.0 * np.pi * u[3])]
+    np.testing.assert_allclose(GaussianStream(seed).normal(size=4), want, rtol=1e-15, atol=0)
+
+
+def test_stream_repeats_per_seed_and_differs_between_seeds():
+    def draws(seed):
+        stream = GaussianStream(seed)
+        return [stream.normal(size=(3, 5)), stream.normal(7), stream.normal(size=(2, 1, 2))]
+
+    first, again = draws(12), draws(12)
+    assert [a.shape for a in first] == [(3, 5), (7,), (2, 1, 2)]
+    assert all(a.dtype == np.float64 for a in first)
+    for a, b in zip(first, again):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    # another seed is another stream, and a later draw continues the stream
+    for a, b in zip(first, draws(13)):
+        assert not np.any(a == b)
+    stream = GaussianStream(12)
+    assert not np.any(stream.normal(15) == stream.normal(15))
+    assert GaussianStream(5).normal(0).shape == (0,)
+
+
+def test_stream_draws_standard_normals():
+    n = 10**6
+    x = GaussianStream(7).normal(n)
+    assert np.isfinite(x).all()
+    centred = x - x.mean()
+    var = centred @ centred / n
+    skew = (centred**3).mean() / var**1.5
+    kurt = (centred**4).mean() / var**2
+    # standard errors of the four sample moments of N(0, 1)
+    assert abs(x.mean()) < 5.0 * np.sqrt(1.0 / n)
+    assert abs(var - 1.0) < 5.0 * np.sqrt(2.0 / n)
+    assert abs(skew) < 5.0 * np.sqrt(6.0 / n)
+    assert abs(kurt - 3.0) < 5.0 * np.sqrt(24.0 / n)

@@ -9,7 +9,7 @@ import pytest
 from tnkit import trg
 from tnkit.models import ClassicalModelSpec
 from tnkit.oracle import ising_brute_force, onsager_f
-from tnkit.tensor import TruncationSpec
+from tnkit.tensor import GaussianStream, TruncationSpec
 from tnkit.trg import (
     _SUBSPACE_SEED,
     CoarseGrainConfig,
@@ -243,7 +243,7 @@ def test_start_block_is_cached_and_read_only():
     assert not block.flags.writeable
     with pytest.raises(ValueError):
         block[0, 0] = 1.0
-    want = np.random.default_rng(_SUBSPACE_SEED).standard_normal((40, 8))
+    want = GaussianStream(_SUBSPACE_SEED).normal(size=(40, 8))
     assert np.array_equal(block, want)
 
 
